@@ -79,7 +79,6 @@ class ExperimentGrid:
     cells: Sequence[GridCell]
     seeds: Sequence[int]
     eps_rel: float = 1e-4
-    repetitions: int = 1
 
     def __post_init__(self) -> None:
         if not self.cells or not self.seeds:
@@ -218,8 +217,7 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
     ``results.csv`` and ``summary.json`` are written there.
     """
     tasks = [(cell, seed, grid.eps_rel)
-             for cell in grid.cells for seed in grid.seeds
-             for _ in range(grid.repetitions)]
+             for cell in grid.cells for seed in grid.seeds]
     rows: List[ResultRow] = []
     errors: List[str] = []
     if jobs > 1:

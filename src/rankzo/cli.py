@@ -29,8 +29,9 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -155,7 +156,8 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _verify_reports(cfg: Dict[str, str], args) -> List[EventCheckReport]:
+def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, int]]:
+    """Run the requested checks; each report comes with its wall ms."""
     events_text = _get(cfg, "verify.events", str, "all")
     names = list(ALL_CHECKS) if events_text == "all" else _str_list(events_text)
     if not names:
@@ -184,23 +186,25 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[EventCheckReport]:
     alpha = alpha_scale * gnorm / (4.0 * obj.L * c_d_delta(d, delta))
     setup = EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
 
-    reports: List[EventCheckReport] = []
+    reports: List[Tuple[EventCheckReport, int]] = []
     for name in names:
         rng = new_generator(seed + 101 * (ALL_CHECKS.index(name) + 1))
+        started = time.perf_counter()
         try:
             if name in EVENT_IDS:
-                reports.append(check_event(name, setup, trials, rng))
+                report = check_event(name, setup, trials, rng)
             else:
-                reports.append(check_appendix_bounds(name, None, trials_appendix, rng))
+                report = check_appendix_bounds(name, None, trials_appendix, rng)
         except ValueError as exc:
             # a violated checker precondition (e.g. alpha outside the
             # regime bound) is reported as a failure, not a crash
-            reports.append(EventCheckReport(
+            report = EventCheckReport(
                 event_id=name, trials=0, empirical_failure_rate=float("nan"),
                 theoretical_bound=float("nan"), passed=False,
-                params={"precondition_error": 1.0}))
+                params={"precondition_error": 1.0})
             if args.verbose:
                 print(f"{name}: precondition violated: {exc}", file=sys.stderr)
+        reports.append((report, int(round((time.perf_counter() - started) * 1000))))
     return reports
 
 
@@ -211,18 +215,19 @@ def cmd_verify(args) -> int:
     path = os.path.join(args.out, "reports.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write("event_id,params,trials,empirical,bound,pass\n")
-        for r in reports:
+        for r, _ in reports:
             fh.write(",".join([
                 r.event_id, r.params_string(), str(r.trials),
                 repr(float(r.empirical_failure_rate)),
                 repr(float(r.theoretical_bound)),
                 "true" if r.passed else "false",
             ]) + "\n")
-    for r in reports:
+    # wall time goes to stdout only; reports.csv stays deterministic
+    for r, wall_ms in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.event_id}: empirical={r.empirical_failure_rate:.3g} "
-              f"bound={r.theoretical_bound:.3g} trials={r.trials}")
-    return 0 if all(r.passed for r in reports) else 1
+              f"bound={r.theoretical_bound:.3g} trials={r.trials} wall_ms={wall_ms}")
+    return 0 if all(r.passed for r, _ in reports) else 1
 
 
 def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:

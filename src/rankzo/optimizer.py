@@ -23,7 +23,7 @@ strictly increasing transform of the objective.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -432,8 +432,3 @@ def _finalize(trace: RunTrace, x, obj, ledger, started, iterates) -> RunTrace:
     if iterates is not None:
         trace.iterates = np.array(iterates)
     return trace
-
-
-def run_positive_only(obj: Objective, cfg: RunConfig) -> RunTrace:
-    """Ablation entry point: same pipeline, best quartile only."""
-    return run(obj, replace(cfg, positive_only=True))

@@ -15,8 +15,8 @@ instrumentation side channel for theory validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -49,22 +49,12 @@ def new_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _state_token(rng: np.random.Generator) -> str:
-    state = rng.bit_generator.state
-    try:
-        counter = state["state"]["counter"]
-        return "philox:" + ",".join(str(int(c)) for c in counter)
-    except (KeyError, TypeError):
-        return type(rng.bit_generator).__name__
-
-
 @dataclass(frozen=True)
 class DirectionBatch:
-    """``n`` standard normal rows of dimension ``d`` plus the RNG state id."""
+    """``n`` standard normal rows of dimension ``d``."""
 
     u: np.ndarray
     n: int
-    seed_state: str
 
     @property
     def dim(self) -> int:
@@ -84,7 +74,6 @@ class RankedBatch:
     batch: DirectionBatch
     perm: np.ndarray
     fvals: np.ndarray
-    queries_charged: int
 
     @property
     def n(self) -> int:
@@ -101,18 +90,18 @@ class RankedBatch:
 
 @dataclass
 class QueryLedger:
-    """Counts objective queries; one entry per charging event."""
+    """Running count of charged objective queries."""
 
-    per_call: List[int] = field(default_factory=list)
+    _total: int = 0
 
     @property
     def total_queries(self) -> int:
-        return int(sum(self.per_call))
+        return self._total
 
     def charge(self, n: int) -> None:
         if n < 0:
             raise ValueError("cannot charge a negative query count")
-        self.per_call.append(int(n))
+        self._total += int(n)
 
 
 def sample_directions(rng: np.random.Generator, n: int, d: int) -> DirectionBatch:
@@ -124,9 +113,7 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> DirectionBatc
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 4 or n % 4 != 0:
         raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
-    token = _state_token(rng)
-    u = rng.standard_normal((n, d))
-    return DirectionBatch(u=u, n=n, seed_state=token)
+    return DirectionBatch(u=rng.standard_normal((n, d)), n=n)
 
 
 def rank_oracle(obj: Objective, x: np.ndarray, alpha: float,
@@ -143,8 +130,7 @@ def rank_oracle(obj: Objective, x: np.ndarray, alpha: float,
     if bad.size:
         raise NonFiniteValueError(int(bad[0]), float(fvals[bad[0]]))
     perm = np.argsort(fvals, kind="stable")
-    return RankedBatch(batch=batch, perm=perm, fvals=fvals,
-                       queries_charged=batch.n)
+    return RankedBatch(batch=batch, perm=perm, fvals=fvals)
 
 
 def selected_index_set(n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -131,6 +131,18 @@ verify.alpha_scale = 10.0
         main(["verify", "--config", cfg, "--out", str(out2)])
         assert (out1 / "reports.csv").read_bytes() == (out2 / "reports.csv").read_bytes()
 
+    def test_stdout_reports_wall_ms(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, VERIFY_SMALL)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS E2", "PASS E3", "PASS chernoff", "PASS order_low1"]
+        for line in lines:
+            wall = line.rsplit(" ", 1)[1]
+            assert wall.startswith("wall_ms=") and int(wall[len("wall_ms="):]) >= 0
+        assert "wall_ms" not in (out / "reports.csv").read_text()
+
 
 BENCH_SMALL = """
 bench.dims = 8

@@ -42,10 +42,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(obj, np.array([1.0, 2.0, 3.0]))
 
-    def test_batch_matches_scalar(self):
-        obj = make_quadratic(5, 1.0, 10.0, seed=1)
-        pts = np.random.default_rng(0).standard_normal((20, 5))
+    # the original case, the workloads' batch shapes, and the d = 1 and
+    # mu == L branches of make_quadratic
+    @pytest.mark.parametrize("m,d,mu,L", [
+        (20, 5, 1.0, 10.0), (16, 32, 1.0, 10.0), (16, 128, 1.0, 100.0),
+        (16384, 100, 1.0, 10.0), (16, 1, 1.0, 10.0), (16, 8, 3.0, 3.0),
+    ], ids=["20x5", "16x32", "16x128", "16384x100", "d1", "mu_eq_L"])
+    def test_batch_matches_scalar(self, m, d, mu, L):
+        obj = make_quadratic(d, mu, L, seed=1)
+        pts = obj.x_star + np.random.default_rng(0).standard_normal((m, d))
+        before = pts.copy()
         batch = evaluate_batch(obj, pts)
+        np.testing.assert_array_equal(pts, before)
         scalar = np.array([evaluate(obj, p) for p in pts])
         np.testing.assert_allclose(batch, scalar, rtol=1e-12)
 

@@ -1,5 +1,7 @@
 """Descent direction, step-size rules, the driver loop, and traces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def linear_1d():
 
 def rank_manual(obj, rows, x=None, alpha=1.0):
     u = np.asarray(rows, dtype=float)
-    batch = DirectionBatch(u=u, n=u.shape[0], seed_state="manual")
+    batch = DirectionBatch(u=u, n=u.shape[0])
     x = np.zeros(u.shape[1]) if x is None else x
     return rank_oracle(obj, x, alpha, batch, QueryLedger())
 
@@ -287,3 +289,42 @@ class TestRun:
         np.testing.assert_array_equal(trace.final_x, x0)
         # every iteration still pays for its batch exactly once
         assert trace.total_queries == 5 * 8
+
+
+def counting_objective(obj):
+    """``obj`` with ``fn`` calls and ``batch_fn`` rows counted."""
+    counts = {"evals": 0}
+    fn, batch_fn = obj.fn, obj.batch_fn
+
+    def counted_fn(x):
+        counts["evals"] += 1
+        return fn(x)
+
+    def counted_batch(points):
+        counts["evals"] += len(points)
+        return batch_fn(points)
+
+    return replace(obj, fn=counted_fn, batch_fn=counted_batch), counts
+
+
+class TestQueryLedgerAudit:
+    """Every objective evaluation is charged except the documented ones:
+    f(x_t) once per trace row, the final f, and the f(x_t) whose
+    early-stop check ends the run."""
+
+    @pytest.mark.parametrize("step,alpha", [
+        (StepPolicy.instrumented(), AlphaPolicy.instrumented()),
+        (StepPolicy.fixed(0.02), AlphaPolicy.fixed(1e-3)),
+        (StepPolicy.backtracking(1.0), AlphaPolicy.fixed(1e-3)),
+    ], ids=["instrumented", "fixed", "backtracking"])
+    @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "early_stop"])
+    def test_uncharged_evaluations(self, step, alpha, eps_target):
+        obj, counts = counting_objective(make_quadratic(8, 1.0, 10.0, seed=7))
+        cfg = RunConfig(n=16, iterations=60, seed=3, step=step, alpha=alpha,
+                        eps_target=eps_target)
+        trace = run(obj, cfg)
+        stopped_early = len(trace) < cfg.iterations
+        assert stopped_early == (eps_target is not None)
+        assert trace.total_queries > 0
+        uncharged = counts["evals"] - trace.total_queries
+        assert uncharged == len(trace) + 1 + stopped_early

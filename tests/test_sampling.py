@@ -16,7 +16,7 @@ def linear_1d():
 
 def batch_from_rows(rows):
     u = np.asarray(rows, dtype=float)
-    return DirectionBatch(u=u, n=u.shape[0], seed_state="manual")
+    return DirectionBatch(u=u, n=u.shape[0])
 
 
 class TestSampleDirections:
@@ -64,7 +64,6 @@ class TestRankOracle:
         batch = sample_directions(new_generator(5), 16, 3)
         rank_oracle(obj, np.zeros(3), 0.1, batch, ledger)
         assert ledger.total_queries == 16
-        assert ledger.per_call == [16]
 
     def test_sorted_values(self):
         obj = make_quadratic(4, 1.0, 10.0, seed=1)
