@@ -12,7 +12,8 @@ Two comparisons on the same quadratic:
 import numpy as np
 
 import rankzo as rz
-from rankzo.bench import ablate_positive_only, baseline_value_zo
+from rankzo.bench import (ablate_positive_only, baseline_value_zo,
+                          queries_to_relative_target)
 
 obj = rz.make_quadratic(d=32, mu=1.0, L=10.0, seed=7)
 eps_rel = 1e-4
@@ -23,7 +24,7 @@ def med(fn, cfg):
     qs = []
     for s in seeds:
         trace = fn(obj, rz.RunConfig(**{**cfg, "seed": s}))
-        q = rz.queries_to_target(trace, eps_rel * trace.fgap[0], obj.f_star)
+        q = queries_to_relative_target(trace, eps_rel, obj.f_star)
         qs.append(q if q is not None else np.inf)
     return float(np.median(qs))
 

@@ -1,4 +1,4 @@
-"""Experiment runner: baselines, ablations, grids, persistence.
+"""Experiment runner: ablations, grids, queries to target, persistence.
 
 A grid is a list of cells (objective + run configuration) crossed with a
 seed list; every cell/seed pair produces one :class:`ResultRow` with the
@@ -12,17 +12,15 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .objective import Objective, evaluate, make_quadratic, make_rosenbrock_like
-from .optimizer import RunConfig, RunTrace, instrumented_alpha, run
-from .sampling import QueryLedger, new_generator
-from .theory import c_d_delta, predict_complexity
+from .objective import Objective, make_quadratic, make_rosenbrock_like
+from .optimizer import RunConfig, RunTrace, baseline_value_zo, run
+from .theory import predict_complexity
 
 __all__ = [
     "GridCell",
@@ -32,6 +30,7 @@ __all__ = [
     "baseline_value_zo",
     "ablate_positive_only",
     "queries_to_target",
+    "queries_to_relative_target",
     "fit_log_gap_slope",
     "run_grid",
     "write_results_csv",
@@ -102,62 +101,6 @@ class ResultRow:
     wall_ms: int
 
 
-def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
-    """Two-point Gaussian-smoothing baseline (value-based estimator).
-
-    Per iteration: draw one direction u, form the gradient estimate
-    ``g_hat = ((f(x + alpha u) - f(x)) / alpha) u`` (2 charged queries)
-    and step ``x <- x - g_hat / (4 (d + 4) L)``.  Trace format matches
-    :func:`rankzo.optimizer.run` so the same reporting applies.
-    """
-    if obj.L is None:
-        raise ValueError("value-based baseline needs a known smoothness L")
-    started = time.perf_counter()
-    rng = new_generator(cfg.seed)
-    d = obj.dim
-    x = (np.array(cfg.x0, dtype=float) if cfg.x0 is not None
-         else rng.standard_normal(d))
-    eta = 1.0 / (4.0 * (d + 4) * obj.L)
-    ledger = QueryLedger()
-    trace = RunTrace(scheme="value_zo", seed=cfg.seed)
-    f_star = obj.f_star
-    gap_target = None
-    track_target = (cfg.eps_target is not None and f_star is not None
-                    and math.isfinite(cfg.eps_target))
-    for t in range(cfg.iterations):
-        f_x = evaluate(obj, x)
-        gap = f_x - f_star if f_star is not None else float("nan")
-        if track_target:
-            if gap_target is None:
-                gap_target = cfg.eps_target * gap
-            if gap <= gap_target:
-                break
-        if cfg.alpha.kind == "geometric":
-            alpha = cfg.alpha.alpha0 * cfg.alpha.gamma**t
-        elif cfg.alpha.kind == "fixed":
-            alpha = cfg.alpha.alpha0
-        else:
-            if obj.grad is None:
-                raise ValueError("instrumented alpha needs a gradient")
-            g = obj.grad(x)
-            alpha = instrumented_alpha(float(np.linalg.norm(g)), obj.L,
-                                       c_d_delta(d, cfg.delta), cfg.alpha.c)
-        u = rng.standard_normal(d)
-        ledger.charge(2)
-        g_hat = (evaluate(obj, x + alpha * u) - f_x) / alpha * u
-        x = x - eta * g_hat
-        gnorm = (float(np.linalg.norm(obj.grad(x))) if obj.grad is not None
-                 else float("nan"))
-        trace.record(t, f_x, gap, gnorm, alpha, eta, ledger.total_queries)
-    trace.final_x = x.copy()
-    trace.final_f = evaluate(obj, x)
-    trace.final_gap = (trace.final_f - f_star if f_star is not None
-                       else float("nan"))
-    trace.total_queries = ledger.total_queries
-    trace.wall_ms = int(round((time.perf_counter() - started) * 1000))
-    return trace
-
-
 def ablate_positive_only(obj: Objective, cfg: RunConfig) -> RunTrace:
     """Same pipeline, best quartile only, positive weights renormalized."""
     return run(obj, replace(cfg, positive_only=True))
@@ -179,6 +122,17 @@ def queries_to_target(trace: RunTrace, eps: float, f_star: float) -> Optional[in
     return None
 
 
+def queries_to_relative_target(trace: RunTrace, eps_rel: float,
+                               f_star: Optional[float]) -> Optional[int]:
+    """:func:`queries_to_target` at ``eps_rel`` times the initial gap.
+
+    None without an optimum value, trace rows, or a finite initial gap.
+    """
+    if f_star is None or not len(trace.t) or not math.isfinite(trace.fgap[0]):
+        return None
+    return queries_to_target(trace, eps_rel * trace.fgap[0], f_star)
+
+
 def fit_log_gap_slope(trace: RunTrace) -> float:
     """Least-squares slope of log(gap) against iteration index."""
     gaps = np.asarray(trace.fgap, dtype=float)
@@ -195,10 +149,7 @@ def _run_cell(args) -> ResultRow:
     obj = cell.make_objective()
     cfg = replace(cell.config, seed=seed, eps_target=eps_rel)
     trace = run(obj, cfg)
-    gap0 = trace.fgap[0] if len(trace.t) else float("nan")
-    target = eps_rel * gap0 if math.isfinite(gap0) else float("nan")
-    reached = (queries_to_target(trace, target, obj.f_star)
-               if obj.f_star is not None and math.isfinite(target) else None)
+    reached = queries_to_relative_target(trace, eps_rel, obj.f_star)
     return ResultRow(
         config_id=cell.config_id, seed=seed, scheme=cfg.scheme, n=cfg.n,
         d=cell.d, kappa=cell.kappa, policy=cfg.step.kind,

@@ -35,9 +35,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bench import (ExperimentGrid, GridCell, build_objective,
-                    queries_to_target, run_grid)
-from .optimizer import AlphaPolicy, RunConfig, StepPolicy, run
+from .bench import (ExperimentGrid, GridCell, _median_or_none, build_objective,
+                    queries_to_relative_target, run_grid)
+from .optimizer import (AlphaPolicy, OptimizationError, RunConfig, RunTrace,
+                        StepPolicy, run)
 from .sampling import new_generator
 from .theory import (APPENDIX_IDS, EVENT_IDS, EventCheckReport, EventSetup,
                      c_d_delta, check_appendix_bounds, check_event, floors,
@@ -146,14 +147,23 @@ def cmd_optimize(args) -> int:
     obj = build_objective_from_config(cfg)
     run_cfg = build_run_config(cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    trace = run(obj, run_cfg)
-    trace.to_csv(os.path.join(args.out, "trace.csv"))
-    with open(os.path.join(args.out, "summary.json"), "w", newline="\n") as fh:
-        json.dump(trace.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        trace = run(obj, run_cfg)
+    except OptimizationError as exc:
+        # keep what the run recorded before it failed; main maps the error to 3
+        _write_run(args.out, exc.trace, "failed")
+        raise
+    _write_run(args.out, trace, "ok")
     if args.verbose:
         print(f"final_gap={trace.final_gap!r} total_queries={trace.total_queries}")
     return 0
+
+
+def _write_run(out: str, trace: RunTrace, status: str) -> None:
+    trace.to_csv(os.path.join(out, "trace.csv"))
+    with open(os.path.join(out, "summary.json"), "w", newline="\n") as fh:
+        json.dump({**trace.summary(), "status": status}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, int]]:
@@ -282,13 +292,9 @@ def cmd_ablate(args) -> int:
             trace = run(obj, replace(base, seed=seed, positive_only=pos))
             if i == 0:
                 trace.to_csv(os.path.join(args.out, f"trace_{label}.csv"))
-            target = eps_rel * trace.fgap[0] if len(trace.t) else float("nan")
-            q = (queries_to_target(trace, target, obj.f_star)
-                 if obj.f_star is not None else None)
-            results[label].append(q)
-    med = {label: (float(np.median([q for q in qs if q is not None]))
-                   if any(q is not None for q in qs) else None)
-           for label, qs in results.items()}
+            results[label].append(
+                queries_to_relative_target(trace, eps_rel, obj.f_star))
+    med = {label: _median_or_none(qs) for label, qs in results.items()}
     summary = {"eps_rel": eps_rel, "seeds": seeds,
                "queries_to_target": results, "median": med}
     with open(os.path.join(args.out, "ablate_summary.json"), "w", newline="\n") as fh:

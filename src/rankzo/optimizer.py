@@ -1,6 +1,8 @@
-"""The rank-based iteration: direction, step size, schedules, trace.
+"""The iteration loop, its rank-based and value-based updates, and traces.
 
-Each iteration samples ``n`` Gaussian directions, ranks the probes
+:func:`run` and :func:`baseline_value_zo` share one driver loop and
+differ only in the per-iteration update.  Each rank-based iteration
+samples ``n`` Gaussian directions, ranks the probes
 ``x + alpha u_i`` through the rank oracle, combines the best-quartile
 directions (positive weights) and worst-quartile directions (negative
 weights) into a search direction, and steps.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -46,6 +49,7 @@ __all__ = [
     "instrumented_alpha",
     "practical_step",
     "run",
+    "baseline_value_zo",
     "TRACE_COLUMNS",
 ]
 
@@ -166,6 +170,8 @@ class RunConfig:
             raise ValueError("iterations must be nonnegative")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        if self.max_regime_retries < 1:
+            raise ValueError("max_regime_retries must be >= 1")
 
 
 @dataclass
@@ -323,12 +329,57 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     alpha policies; under a fixed alpha the iteration records a null
     step instead, which is what produces the alpha-floor plateau.
     """
-    started = time.perf_counter()
-    instrumented = (cfg.step.kind == "instrumented"
-                    or cfg.alpha.kind == "instrumented")
-    if instrumented and (obj.grad is None or obj.L is None):
-        raise ValueError("instrumented policies need an objective with grad and L")
+    if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
+        raise ValueError("instrumented step needs an objective with grad and L")
+    w = weights_by_name(cfg.scheme, cfg.n)
 
+    if cfg.step.kind == "instrumented":
+        c_nd = (positive_only_norm_constant(cfg.n, obj.dim, cfg.delta)
+                if cfg.positive_only else c_N_d_delta(cfg.n, obj.dim, cfg.delta))
+        update = partial(_instrumented_update, obj, cfg, w, c_nd)
+    else:
+        def update(x, f_x, g, alpha, rng, ledger):
+            batch = sample_directions(rng, cfg.n, obj.dim)
+            ranked = rank_oracle(obj, x, alpha, batch, ledger)
+            direction = descent_direction(ranked, w, cfg.positive_only)
+            x_new, eta, _extra = practical_step(obj, x, direction, cfg.step, ledger)
+            return x_new, alpha, eta
+
+    return _drive(obj, cfg, cfg.scheme, update)
+
+
+def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
+    """Two-point Gaussian-smoothing baseline (value-based estimator).
+
+    Per iteration: draw one direction u, form the gradient estimate
+    ``g_hat = ((f(x + alpha u) - f(x)) / alpha) u`` (2 charged queries)
+    and step ``x <- x - g_hat / (4 (d + 4) L)`` (Nesterov & Spokoiny,
+    FoCM 2017).  ``f(x)`` is the driver's own evaluation of the trace
+    row.  Same driver and trace format as :func:`run`.
+    """
+    if obj.L is None:
+        raise ValueError("value-based baseline needs a known smoothness L")
+    eta = 1.0 / (4.0 * (obj.dim + 4) * obj.L)
+
+    def update(x, f_x, g, alpha, rng, ledger):
+        u = rng.standard_normal(obj.dim)
+        ledger.charge(2)
+        g_hat = (evaluate(obj, x + alpha * u) - f_x) / alpha * u
+        return x - eta * g_hat, alpha, eta
+
+    return _drive(obj, cfg, "value_zo", update)
+
+
+def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
+    """The iteration loop shared by :func:`run` and :func:`baseline_value_zo`.
+
+    Per iteration: f(x_t) (uncharged), early stop, gradient diagnostic,
+    alpha, then ``update(x, f_x, g, alpha, rng, ledger)``, which returns
+    ``(x_new, alpha_used, eta)``.
+    """
+    if cfg.alpha.kind == "instrumented" and (obj.grad is None or obj.L is None):
+        raise ValueError("instrumented alpha needs an objective with grad and L")
+    started = time.perf_counter()
     rng = new_generator(cfg.seed)
     d = obj.dim
     x = (np.array(cfg.x0, dtype=float) if cfg.x0 is not None
@@ -336,18 +387,10 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     if x.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
 
-    w = weights_by_name(cfg.scheme, cfg.n)
     ledger = QueryLedger()
-    trace = RunTrace(scheme=cfg.scheme, seed=cfg.seed)
+    trace = RunTrace(scheme=scheme, seed=cfg.seed)
     iterates = [x.copy()] if cfg.record_iterates else None
-
-    c_d = None
-    c_nd = None
-    if instrumented:
-        c_d = c_d_delta(d, cfg.delta)
-        c_nd = (positive_only_norm_constant(cfg.n, d, cfg.delta)
-                if cfg.positive_only else c_N_d_delta(cfg.n, d, cfg.delta))
-
+    c_d = c_d_delta(d, cfg.delta) if cfg.alpha.kind == "instrumented" else None
     f_star = obj.f_star
     gap_target = None
 
@@ -378,15 +421,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             alpha = cfg.alpha.alpha0
 
         try:
-            if cfg.step.kind == "instrumented":
-                x, alpha_used, eta = _instrumented_update(
-                    obj, x, f_x, g, alpha, w, cfg, rng, ledger, c_nd)
-            else:
-                batch = sample_directions(rng, cfg.n, d)
-                ranked = rank_oracle(obj, x, alpha, batch, ledger)
-                direction = descent_direction(ranked, w, cfg.positive_only)
-                x, eta, _extra = practical_step(obj, x, direction, cfg.step, ledger)
-                alpha_used = alpha
+            x, alpha_used, eta = update(x, f_x, g, alpha, rng, ledger)
         except (ValueError, ArithmeticError) as exc:
             raise OptimizationError(
                 f"iteration {t} failed: {exc}",
@@ -399,7 +434,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     return _finalize(trace, x, obj, ledger, started, iterates)
 
 
-def _instrumented_update(obj, x, f_x, g, alpha, w, cfg, rng, ledger, c_nd):
+def _instrumented_update(obj, cfg, w, c_nd, x, f_x, g, alpha, rng, ledger):
     """One instrumented step; returns (x_new, alpha_used, eta).
 
     Shrinks alpha and resamples on regime violations unless the alpha
@@ -413,13 +448,12 @@ def _instrumented_update(obj, x, f_x, g, alpha, w, cfg, rng, ledger, c_nd):
             eta = instrumented_step_size(f_x, g, ranked, w, alpha, obj.L,
                                          c_nd, cfg.positive_only)
         except StepRegimeError:
-            if cfg.alpha.kind == "fixed" or attempt == retries - 1:
+            if attempt == retries - 1:
                 return x, alpha, 0.0
             alpha *= 0.5
             continue
         direction = descent_direction(ranked, w, cfg.positive_only)
         return x + eta * direction, alpha, eta
-    return x, alpha, 0.0
 
 
 def _finalize(trace: RunTrace, x, obj, ledger, started, iterates) -> RunTrace:

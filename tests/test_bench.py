@@ -5,10 +5,11 @@ import pytest
 
 from rankzo.bench import (ExperimentGrid, GridCell, ablate_positive_only,
                           baseline_value_zo, build_objective,
-                          fit_log_gap_slope, queries_to_target, run_grid,
-                          write_results_csv)
+                          fit_log_gap_slope, queries_to_relative_target,
+                          queries_to_target, run_grid, write_results_csv)
 from rankzo.objective import Objective, make_quadratic
-from rankzo.optimizer import AlphaPolicy, RunConfig, RunTrace, StepPolicy, run
+from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
+                              RunTrace, StepPolicy, run)
 from rankzo.sampling import new_generator, sample_directions
 from rankzo.optimizer import descent_direction
 from rankzo.weights import uniform_weights
@@ -53,6 +54,24 @@ class TestBaselineValueZO:
         bare = Objective(dim=2, fn=lambda x: float(x @ x))
         with pytest.raises(ValueError):
             baseline_value_zo(bare, small_cfg())
+
+    @pytest.mark.parametrize("alpha", [AlphaPolicy.fixed(1e-3),
+                                       AlphaPolicy.instrumented()],
+                             ids=["fixed", "instrumented"])
+    def test_gradnorm_is_at_row_iterate(self, alpha):
+        obj = make_quadratic(6, 1.0, 10.0, seed=2)
+        trace = baseline_value_zo(obj, small_cfg(alpha=alpha, record_iterates=True))
+        assert trace.iterates.shape == (len(trace) + 1, 6)
+        np.testing.assert_array_equal(trace.iterates[-1], trace.final_x)
+        expected = [np.linalg.norm(obj.grad(x)) for x in trace.iterates[:-1]]
+        assert trace.gradnorm == expected
+
+    def test_stationary_start_raises_with_trace(self):
+        obj = make_quadratic(5, 1.0, 10.0, seed=9)
+        cfg = small_cfg(alpha=AlphaPolicy.instrumented(), x0=obj.x_star.copy())
+        with pytest.raises(OptimizationError) as err:
+            baseline_value_zo(obj, cfg)
+        assert len(err.value.trace) == 0
 
 
 class TestAblatePositiveOnly:
@@ -120,6 +139,21 @@ class TestQueriesToTarget:
         q_loose = queries_to_target(trace, 4.0, 0.0)
         q_tight = queries_to_target(trace, 0.6, 0.0)
         assert q_tight >= q_loose
+
+
+class TestQueriesToRelativeTarget:
+    def test_scales_initial_gap(self):
+        trace = synthetic_trace([8.0, 4.0, 2.0, 1.0], queries_per_iter=10)
+        for eps_rel in (0.6, 0.25, 0.1, 1e-3):
+            assert queries_to_relative_target(trace, eps_rel, 0.0) == \
+                queries_to_target(trace, eps_rel * 8.0, 0.0)
+        assert queries_to_relative_target(trace, 0.25, 0.0) == 20
+
+    def test_none_without_optimum_or_rows(self):
+        assert queries_to_relative_target(synthetic_trace([8.0, 4.0]), 0.5, None) is None
+        empty = RunTrace()
+        empty.final_f = 0.0
+        assert queries_to_relative_target(empty, 0.5, 0.0) is None
 
 
 class TestFitSlope:

@@ -80,6 +80,34 @@ class TestOptimize:
         main(["optimize", "--config", cfg, "--out", str(out2)])
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
+    def test_summary_status_ok(self, tmp_path):
+        cfg = write_config(tmp_path, QUAD_CONFIG)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["status"] == "ok"
+
+    def test_failed_run_keeps_partial_outputs(self, tmp_path, capsys):
+        # a huge fixed step overflows after one iteration; the rank
+        # oracle then sees a non-finite value and the run fails
+        cfg = write_config(tmp_path, """
+objective.d = 8
+optimizer.N = 16
+optimizer.T = 50
+optimizer.step = fixed
+optimizer.eta0 = 1e300
+optimizer.alpha = fixed
+""")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 3
+        assert "iteration 1 failed" in capsys.readouterr().err
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "t,f,fgap,gradnorm,alpha,eta,queries_cum"
+        assert len(lines) == 2 and lines[1].startswith("0,")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "failed"
+        assert summary["iterations"] == 1
+        assert summary["total_queries"] > 0
+
 
 VERIFY_SMALL = """
 verify.events = E2,E3,chernoff,order_low1

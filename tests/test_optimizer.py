@@ -8,9 +8,9 @@ import pytest
 from rankzo.objective import (MonotoneTransform, Objective, make_quadratic,
                               wrap_monotone)
 from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
-                              StepPolicy, StepRegimeError, descent_direction,
-                              instrumented_alpha, instrumented_step_size,
-                              practical_step, run)
+                              StepPolicy, StepRegimeError, baseline_value_zo,
+                              descent_direction, instrumented_alpha,
+                              instrumented_step_size, practical_step, run)
 from rankzo.sampling import (DirectionBatch, QueryLedger, new_generator,
                              rank_oracle, sample_directions)
 from rankzo.theory import c_N_d_delta
@@ -290,6 +290,13 @@ class TestRun:
         # every iteration still pays for its batch exactly once
         assert trace.total_queries == 5 * 8
 
+    def test_rejects_no_regime_attempts(self):
+        # zero attempts would turn every instrumented iteration into a
+        # null step at zero queries
+        with pytest.raises(ValueError, match="max_regime_retries"):
+            RunConfig(n=8, iterations=5, max_regime_retries=0)
+        assert RunConfig(n=8, iterations=5, max_regime_retries=1).max_regime_retries == 1
+
 
 def counting_objective(obj):
     """``obj`` with ``fn`` calls and ``batch_fn`` rows counted."""
@@ -328,3 +335,17 @@ class TestQueryLedgerAudit:
         assert trace.total_queries > 0
         uncharged = counts["evals"] - trace.total_queries
         assert uncharged == len(trace) + 1 + stopped_early
+
+    @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "early_stop"])
+    def test_value_baseline_uncharged_evaluations(self, eps_target):
+        """The two-point estimator charges 2 queries but evaluates only
+        f(x_t + alpha u): its f(x_t) is the trace row's own evaluation,
+        so only the final f and an early-stop check stay uncharged."""
+        obj, counts = counting_objective(make_quadratic(8, 1.0, 10.0, seed=7))
+        cfg = RunConfig(n=16, iterations=400, seed=3,
+                        alpha=AlphaPolicy.fixed(1e-3), eps_target=eps_target)
+        trace = baseline_value_zo(obj, cfg)
+        stopped_early = len(trace) < cfg.iterations
+        assert stopped_early == (eps_target is not None)
+        assert trace.total_queries == 2 * len(trace)
+        assert counts["evals"] - trace.total_queries == 1 + stopped_early
