@@ -34,6 +34,7 @@ __all__ = [
     "fit_log_gap_slope",
     "run_grid",
     "write_results_csv",
+    "write_json",
     "build_objective",
 ]
 
@@ -183,9 +184,7 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_results_csv(rows, os.path.join(out_dir, "results.csv"))
-        with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "summary.json"), summary)
     return rows, summary
 
 
@@ -243,6 +242,29 @@ def _fmt_opt(v) -> str:
     if isinstance(v, float):
         return repr(float(v))
     return str(v)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def write_json(path: str, data) -> None:
+    """Write ``data`` as strict JSON: non-finite floats become ``null``.
+
+    Sorted keys, two-space indent, '\\n' line endings and a trailing
+    newline; the one writer for every ``summary.json`` and
+    ``ablate_summary.json``.
+    """
+    with open(path, "w", newline="\n") as fh:
+        json.dump(_finite_or_null(data), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")
 
 
 def write_results_csv(rows: List[ResultRow], path: str) -> None:

@@ -2,10 +2,12 @@
 
 Configuration is a flat structured-text file, one ``dotted.key = value``
 per line, ``#`` comments allowed.  The full schema is documented in the
-README; the important keys are::
+README; these are all the keys (:data:`CONFIG_KEYS`), and any other key
+is a config error::
 
     objective.kind = quadratic | rosenbrock
-    objective.d, objective.mu, objective.L, objective.seed
+    objective.d, objective.mu, objective.L, objective.seed,
+    objective.curvature
     optimizer.N, optimizer.T, optimizer.scheme
     optimizer.step = instrumented | fixed | backtracking
     optimizer.alpha = instrumented | fixed | geometric
@@ -13,14 +15,17 @@ README; the important keys are::
     optimizer.alpha0, optimizer.gamma, optimizer.alpha_c
     optimizer.seed, optimizer.delta, optimizer.eps
     verify.events, verify.trials, verify.trials_appendix,
-    verify.n, verify.d, verify.delta, verify.alpha_scale, verify.seed
+    verify.n, verify.d, verify.delta, verify.alpha_scale, verify.seed,
+    verify.mu, verify.L, verify.objective_seed
     bench.dims, bench.kappas, bench.ns, bench.schemes, bench.seeds,
     bench.eps_rel, bench.mu, bench.objective_seed
+    ablate.seeds, ablate.eps_rel
 
-Exit codes: 0 success, 1 verification failure, 2 config error,
-3 runtime error.  All CSV output uses '.' decimals, '\\n' line endings
-and a header row; reruns with the same config and seed are byte
-identical.
+Exit codes: 0 success, 1 verification failure, 2 config error
+(including an unknown key), 3 runtime error.  All CSV output uses '.'
+decimals, '\\n' line endings and a header row; reruns with the same
+config and seed are byte identical.  Summaries are strict JSON, with
+non-finite values written as ``null``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bench import (ExperimentGrid, GridCell, _median_or_none, build_objective,
-                    queries_to_relative_target, run_grid)
+                    queries_to_relative_target, run_grid, write_json)
 from .optimizer import (AlphaPolicy, OptimizationError, RunConfig, RunTrace,
                         StepPolicy, run)
 from .sampling import new_generator
@@ -44,9 +49,25 @@ from .theory import (APPENDIX_IDS, EVENT_IDS, EventCheckReport, EventSetup,
                      c_d_delta, check_appendix_bounds, check_event, floors,
                      predict_complexity)
 
-__all__ = ["main", "parse_config", "ConfigError"]
+__all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS"]
 
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
+
+#: every key a config file may set: exactly the keys the subcommands read
+CONFIG_KEYS = frozenset([
+    "objective.kind", "objective.d", "objective.mu", "objective.L",
+    "objective.seed", "objective.curvature",
+    "optimizer.N", "optimizer.T", "optimizer.scheme", "optimizer.step",
+    "optimizer.alpha", "optimizer.eta0", "optimizer.shrink",
+    "optimizer.max_tries", "optimizer.alpha0", "optimizer.gamma",
+    "optimizer.alpha_c", "optimizer.seed", "optimizer.delta", "optimizer.eps",
+    "verify.events", "verify.trials", "verify.trials_appendix", "verify.n",
+    "verify.d", "verify.delta", "verify.alpha_scale", "verify.seed",
+    "verify.mu", "verify.L", "verify.objective_seed",
+    "bench.dims", "bench.kappas", "bench.ns", "bench.schemes", "bench.seeds",
+    "bench.eps_rel", "bench.mu", "bench.objective_seed",
+    "ablate.seeds", "ablate.eps_rel",
+])
 
 
 class ConfigError(ValueError):
@@ -58,7 +79,11 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_config(path: str) -> Dict[str, str]:
-    """Read a flat ``key = value`` file into a dict of strings."""
+    """Read a flat ``key = value`` file into a dict of strings.
+
+    A key outside :data:`CONFIG_KEYS` is a :class:`ConfigError`; a
+    repeated key takes its last value.
+    """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     out: Dict[str, str] = {}
@@ -72,6 +97,8 @@ def parse_config(path: str) -> Dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise ConfigError(f"{path}:{lineno}: empty key or value")
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             out[key] = value
     return out
 
@@ -161,9 +188,7 @@ def cmd_optimize(args) -> int:
 
 def _write_run(out: str, trace: RunTrace, status: str) -> None:
     trace.to_csv(os.path.join(out, "trace.csv"))
-    with open(os.path.join(out, "summary.json"), "w", newline="\n") as fh:
-        json.dump({**trace.summary(), "status": status}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "summary.json"), {**trace.summary(), "status": status})
 
 
 def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, int]]:
@@ -287,19 +312,29 @@ def cmd_ablate(args) -> int:
     eps_rel = _get(cfg, "ablate.eps_rel", float, 1e-4)
     os.makedirs(args.out, exist_ok=True)
     results = {"full": [], "positive_only": []}
+
+    def write_summary(status: str) -> dict:
+        med = {label: _median_or_none(qs) for label, qs in results.items()}
+        write_json(os.path.join(args.out, "ablate_summary.json"),
+                   {"eps_rel": eps_rel, "seeds": seeds, "status": status,
+                    "queries_to_target": results, "median": med})
+        return med
+
     for i, seed in enumerate(seeds):
         for label, pos in (("full", False), ("positive_only", True)):
-            trace = run(obj, replace(base, seed=seed, positive_only=pos))
+            try:
+                trace = run(obj, replace(base, seed=seed, positive_only=pos))
+            except OptimizationError as exc:
+                # keep what was recorded so far; main maps the error to 3
+                if i == 0:
+                    exc.trace.to_csv(os.path.join(args.out, f"trace_{label}.csv"))
+                write_summary("failed")
+                raise
             if i == 0:
                 trace.to_csv(os.path.join(args.out, f"trace_{label}.csv"))
             results[label].append(
                 queries_to_relative_target(trace, eps_rel, obj.f_star))
-    med = {label: _median_or_none(qs) for label, qs in results.items()}
-    summary = {"eps_rel": eps_rel, "seeds": seeds,
-               "queries_to_target": results, "median": med}
-    with open(os.path.join(args.out, "ablate_summary.json"), "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    med = write_summary("ok")
     if args.verbose:
         print(json.dumps(med, indent=2, sort_keys=True))
     return 0

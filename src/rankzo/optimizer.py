@@ -16,6 +16,9 @@ Two regimes are supported:
   the theory; it is not available to a rank-only user.
 * **practical** - rank-only: a fixed step or a comparison-based
   backtracking search whose probes are charged to the query ledger.
+  The search is warm-started: each iteration's first trial step is
+  ``min(eta0, eta_prev / shrink)``, one shrink above the step the
+  previous iteration accepted, and ``eta0`` again after a rejected move.
 
 Runs are deterministic given the config seed (Philox streams), and with
 a fixed or backtracking step the iterate sequence is invariant under any
@@ -291,14 +294,19 @@ def instrumented_alpha(grad_norm: float, L: float, c_d: float,
 
 
 def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
-                   policy: StepPolicy, ledger: QueryLedger):
+                   policy: StepPolicy, ledger: QueryLedger,
+                   eta_first: Optional[float] = None):
     """Rank-only update along ``direction``.
 
     ``fixed``: unconditional step of eta0, no extra queries.
     ``backtracking``: compare f(x + eta*direction) against f(x), two
-    charged evaluations per comparison, shrinking eta until the first
+    charged evaluations per comparison, starting at ``eta_first``
+    (default ``policy.eta0``) and shrinking eta until the first
     improvement; if no tried eta improves, the move is rejected and x is
-    returned unchanged (eta reported as 0).
+    returned unchanged (eta reported as 0).  :func:`run` warm-starts each
+    search at ``min(eta0, eta_prev / shrink)``, where ``eta_prev`` is the
+    step the previous iteration accepted, and at ``eta0`` after a
+    rejected move.
 
     Returns ``(x_new, eta_used, extra_queries)``.
     """
@@ -307,7 +315,7 @@ def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
     if policy.kind == "fixed":
         return x + policy.eta0 * direction, policy.eta0, 0
     extra = 0
-    eta = policy.eta0
+    eta = policy.eta0 if eta_first is None else eta_first
     for _ in range(policy.max_tries):
         ledger.charge(2)
         extra += 2
@@ -338,11 +346,18 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
                 if cfg.positive_only else c_N_d_delta(cfg.n, obj.dim, cfg.delta))
         update = partial(_instrumented_update, obj, cfg, w, c_nd)
     else:
+        eta0, shrink = cfg.step.eta0, cfg.step.shrink
+        eta_first = eta0
+
         def update(x, f_x, g, alpha, rng, ledger):
+            nonlocal eta_first
             batch = sample_directions(rng, cfg.n, obj.dim)
             ranked = rank_oracle(obj, x, alpha, batch, ledger)
             direction = descent_direction(ranked, w, cfg.positive_only)
-            x_new, eta, _extra = practical_step(obj, x, direction, cfg.step, ledger)
+            x_new, eta, _extra = practical_step(obj, x, direction, cfg.step,
+                                                ledger, eta_first)
+            # warm start: one step above the last accepted one, capped at eta0
+            eta_first = min(eta0, eta / shrink) if eta > 0 else eta0
             return x_new, alpha, eta
 
     return _drive(obj, cfg, cfg.scheme, update)

@@ -1,12 +1,16 @@
 """Baselines, ablation plumbing, query-counting, and the grid runner."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rankzo.bench import (ExperimentGrid, GridCell, ablate_positive_only,
                           baseline_value_zo, build_objective,
                           fit_log_gap_slope, queries_to_relative_target,
-                          queries_to_target, run_grid, write_results_csv)
+                          queries_to_target, run_grid, write_json,
+                          write_results_csv)
 from rankzo.objective import Objective, make_quadratic
 from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               RunTrace, StepPolicy, run)
@@ -219,6 +223,18 @@ class TestRunGrid:
                             "queries_to_target,final_gap,slope,wall_ms")
         assert len(lines) == 2
 
+    def test_summary_json_is_strict(self, tmp_path):
+        # a one-iteration run has a single trace row, so its slope is nan
+        cell = tiny_grid().cells[0]
+        cell = replace(cell, config=replace(cell.config, iterations=1))
+        grid = ExperimentGrid(cells=[cell], seeds=[1], eps_rel=1e-2)
+        _, summary = run_grid(grid, out_dir=str(tmp_path))
+        assert np.isnan(summary["cells"]["d8_k10"]["median_slope"])
+        text = (tmp_path / "summary.json").read_text()
+        assert json.loads(text, parse_constant=pytest.fail) == {
+            **summary, "cells": {"d8_k10": {
+                **summary["cells"]["d8_k10"], "median_slope": None}}}
+
     def test_parallel_matches_serial(self):
         rows1, _ = run_grid(tiny_grid(), jobs=1)
         rows2, _ = run_grid(tiny_grid(), jobs=2)
@@ -228,6 +244,17 @@ class TestRunGrid:
                     a.final_gap, a.slope) == \
                    (b.config_id, b.seed, b.queries_to_target,
                     b.final_gap, b.slope)
+
+
+class TestWriteJson:
+    def test_non_finite_floats_become_null(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(str(path), {"b": [float("nan"), 1.5, None],
+                               "a": {"c": float("-inf"), "d": (2, np.inf)}})
+        text = path.read_text()
+        assert text.endswith("}\n") and text.index('"a"') < text.index('"b"')
+        assert json.loads(text, parse_constant=pytest.fail) == {
+            "a": {"c": None, "d": [2, None]}, "b": [None, 1.5, None]}
 
 
 class TestBuildObjective:

@@ -1,10 +1,16 @@
 """CLI subcommands: exit codes, output files, determinism."""
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from rankzo.cli import ConfigError, main, parse_config
+from rankzo import cli
+from rankzo.cli import CONFIG_KEYS, ConfigError, main, parse_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 QUAD_CONFIG = """
 # canonical small quadratic
@@ -26,10 +32,29 @@ optimizer.eps = 1e-6
 """
 
 
+# a huge fixed step overflows after one iteration; the rank oracle then
+# sees a non-finite value and the run fails
+FAILING_CONFIG = """
+objective.d = 8
+optimizer.N = 16
+optimizer.T = 50
+optimizer.step = fixed
+optimizer.eta0 = 1e300
+optimizer.alpha = fixed
+"""
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def strict_json(path):
+    """Parse ``path`` the way a strict JSON parser would (no NaN/Infinity)."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 class TestParseConfig:
@@ -45,6 +70,28 @@ class TestParseConfig:
     def test_malformed_line(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, "optimizer.N\n"))
+
+    def test_unknown_key_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUAD_CONFIG + "optimizer.etao = 5\n")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "'optimizer.etao'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_known_keys_are_the_keys_read(self):
+        read = set(re.findall(r'_get\(cfg, "([^"]+)"', inspect.getsource(cli)))
+        assert read == CONFIG_KEYS
+
+    def test_readme_documents_every_key(self):
+        readme = (REPO / "README.md").read_text()
+        assert [k for k in sorted(CONFIG_KEYS) if k not in readme] == []
+
+    @pytest.mark.parametrize("name,command", [
+        ("quadratic.cfg", "optimize"), ("quadratic.cfg", "ablate"),
+        ("bench.cfg", "bench"), ("verify.cfg", "verify"),
+    ])
+    def test_demo_configs_run(self, tmp_path, name, command):
+        cfg = str(REPO / "demos" / "configs" / name)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 class TestOptimize:
@@ -87,16 +134,7 @@ class TestOptimize:
         assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
     def test_failed_run_keeps_partial_outputs(self, tmp_path, capsys):
-        # a huge fixed step overflows after one iteration; the rank
-        # oracle then sees a non-finite value and the run fails
-        cfg = write_config(tmp_path, """
-objective.d = 8
-optimizer.N = 16
-optimizer.T = 50
-optimizer.step = fixed
-optimizer.eta0 = 1e300
-optimizer.alpha = fixed
-""")
+        cfg = write_config(tmp_path, FAILING_CONFIG)
         out = tmp_path / "out"
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 3
         assert "iteration 1 failed" in capsys.readouterr().err
@@ -107,6 +145,13 @@ optimizer.alpha = fixed
         assert summary["status"] == "failed"
         assert summary["iterations"] == 1
         assert summary["total_queries"] > 0
+
+    def test_failed_run_summary_is_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path, FAILING_CONFIG)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 3
+        summary = strict_json(out / "summary.json")
+        assert summary["final_f"] is None and summary["final_gap"] is None
 
 
 VERIFY_SMALL = """
@@ -195,7 +240,7 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 1 cell x 2 seeds
-        summary = json.loads((out / "summary.json").read_text())
+        summary = strict_json(out / "summary.json")
         assert "d8_k10_N8_uniform" in summary["cells"]
 
     def test_missing_grid_keys_exit2(self, tmp_path):
@@ -221,8 +266,23 @@ class TestAblate:
         assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "trace_full.csv").exists()
         assert (out / "trace_positive_only.csv").exists()
-        summary = json.loads((out / "ablate_summary.json").read_text())
+        summary = strict_json(out / "ablate_summary.json")
         assert set(summary["median"]) == {"full", "positive_only"}
+        assert summary["status"] == "ok"
+
+    def test_failed_run_keeps_partial_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAILING_CONFIG + "ablate.seeds = 1,2\n")
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 3
+        assert "iteration 1 failed" in capsys.readouterr().err
+        lines = (out / "trace_full.csv").read_text().splitlines()
+        assert lines[0] == "t,f,fgap,gradnorm,alpha,eta,queries_cum"
+        assert len(lines) == 2 and lines[1].startswith("0,")
+        assert not (out / "trace_positive_only.csv").exists()
+        summary = strict_json(out / "ablate_summary.json")
+        assert summary["status"] == "failed"
+        assert summary["seeds"] == [1, 2]
+        assert summary["queries_to_target"] == {"full": [], "positive_only": []}
 
 
 class TestPredict:

@@ -137,6 +137,21 @@ class TestPracticalStep:
         assert extra == 4
         assert ledger.total_queries == 4
 
+    def test_backtracking_warm_start_hand_simulation(self):
+        # same search started at eta_first=0.5: x + 0.5*d = 0.5 improves
+        # on the first comparison, so eta0=10 is never tried (a cold start
+        # rejects 10 and accepts 1 at 4 queries)
+        obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
+        ledger = QueryLedger()
+        policy = StepPolicy.backtracking(eta0=10.0, shrink=0.1, max_tries=3)
+        x_new, eta, extra = practical_step(obj, np.array([1.0]),
+                                           np.array([-1.0]), policy, ledger,
+                                           0.5)
+        assert x_new == pytest.approx(np.array([0.5]))
+        assert eta == 0.5
+        assert extra == 2
+        assert ledger.total_queries == 2
+
     def test_fixed_policy_no_extra_queries(self):
         obj = Objective(dim=1, fn=lambda x: float(x[0]))
         ledger = QueryLedger()
@@ -296,6 +311,40 @@ class TestRun:
         with pytest.raises(ValueError, match="max_regime_retries"):
             RunConfig(n=8, iterations=5, max_regime_retries=0)
         assert RunConfig(n=8, iterations=5, max_regime_retries=1).max_regime_retries == 1
+
+
+class TestWarmStartLineSearch:
+    """Backtracking starts at min(eta0, eta_prev / shrink), or at eta0
+    after a rejected move."""
+
+    def test_first_trial_bounded_by_previous_step(self):
+        obj = make_quadratic(8, 1.0, 10.0, seed=2)
+        step = StepPolicy.backtracking(1.0, 0.5, 20)
+        below_eta0 = 0
+        for seed in range(3):
+            trace = run(obj, RunConfig(n=16, iterations=200, seed=seed,
+                                       step=step, alpha=AlphaPolicy.fixed(1e-3)))
+            for prev, eta in zip(trace.eta, trace.eta[1:]):
+                if eta > 0 and prev > 0:
+                    assert eta <= min(step.eta0, prev / step.shrink)
+                    below_eta0 += prev / step.shrink < step.eta0
+                assert eta <= step.eta0
+        assert below_eta0 > 0  # the warm start binds below eta0
+
+    def test_fewer_tries_in_criterion_2_setting(self):
+        # d=16, seeds 100-109, to 1e-4 of the initial gap: tries per row
+        # are the row's queries beyond its N oracle probes, over 2; a cold
+        # start at eta0 averages about 4.4
+        obj = make_quadratic(16, 1.0, 10.0, seed=7)
+        tries = []
+        for seed in range(100, 110):
+            cfg = RunConfig(n=16, iterations=6000, seed=seed, delta=0.1,
+                            step=StepPolicy.backtracking(1.0, 0.5, 60),
+                            alpha=AlphaPolicy.fixed(1e-3), eps_target=1e-4)
+            trace = run(obj, cfg)
+            per_row = np.diff(trace.queries_cum, prepend=0) - cfg.n
+            tries.extend(per_row / 2)
+        assert np.mean(tries) <= 3.0
 
 
 def counting_objective(obj):
