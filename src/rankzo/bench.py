@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -173,6 +172,8 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
     rows: List[ResultRow] = []
     errors: List[str] = []
     if jobs > 1:
+        # imported here so serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for task, outcome in zip(tasks, pool.map(_run_cell_safe, tasks)):
                 _collect(task, outcome, rows, errors)

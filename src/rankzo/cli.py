@@ -22,7 +22,8 @@ is a config error::
     ablate.seeds, ablate.eps_rel
 
 Exit codes: 0 success, 1 verification failure, 2 config error
-(including an unknown key), 3 runtime error.  All CSV output uses '.'
+(including an unknown or repeated key, a nan/inf value, or
+``--jobs`` < 1), 3 runtime error.  All CSV output uses '.'
 decimals, '\\n' line endings and a header row; reruns with the same
 config and seed are byte identical.  Summaries are strict JSON, with
 non-finite values written as ``null``.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -81,12 +83,13 @@ class ConfigError(ValueError):
 def parse_config(path: str) -> Dict[str, str]:
     """Read a flat ``key = value`` file into a dict of strings.
 
-    A key outside :data:`CONFIG_KEYS` is a :class:`ConfigError`; a
-    repeated key takes its last value.
+    A key outside :data:`CONFIG_KEYS` is a :class:`ConfigError`, and so
+    is a repeated key; its message names the key and both line numbers.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     out: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -99,6 +102,10 @@ def parse_config(path: str) -> Dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: empty key or value")
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats "
+                                  f"line {first_line[key]}")
+            first_line[key] = lineno
             out[key] = value
     return out
 
@@ -109,9 +116,12 @@ def _get(cfg: Dict[str, str], key: str, cast, default=None):
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("not finite")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from None
+    return value
 
 
 def _int_list(text: str) -> List[int]:
@@ -119,7 +129,10 @@ def _int_list(text: str) -> List[int]:
 
 
 def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("not finite")
+    return values
 
 
 def _str_list(text: str) -> List[str]:
@@ -366,11 +379,18 @@ def cmd_predict(args) -> int:
 # argument parsing / dispatch
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="config file path")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.add_argument("--trials", type=int, default=None,
                    help="Monte-Carlo trials override (verify)")
     p.add_argument("-v", "--verbose", action="store_true")

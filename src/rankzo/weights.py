@@ -5,15 +5,16 @@ to +1, best rank largest) and the worst quartile (negative weights
 summing to -1, worst rank largest in magnitude).  ``uniform`` assigns
 4/n everywhere; ``log`` uses log(n+1) - log(k); ``blom`` uses the
 magnitude of the expected Gaussian order statistic via Blom's quantile
-approximation Phi^{-1}((k - 0.375) / (n + 0.25)).
+approximation Phi^{-1}((k - 0.375) / (n + 0.25)), with Phi^{-1} from the
+standard library's ``statistics.NormalDist().inv_cdf`` (Wichura's AS241).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .sampling import selected_index_set
 
@@ -99,8 +100,9 @@ def blom_weights(n: int) -> WeightVector:
     normalized to +-1.
     """
     k_plus, k_minus = selected_index_set(n)
-    mag_plus = np.abs(ndtri((k_plus - 0.375) / (n + 0.25)))
-    mag_minus = np.abs(ndtri((k_minus - 0.375) / (n + 0.25)))
+    inv_cdf = NormalDist().inv_cdf
+    mag_plus = np.abs([inv_cdf(p) for p in (k_plus - 0.375) / (n + 0.25)])
+    mag_minus = np.abs([inv_cdf(p) for p in (k_minus - 0.375) / (n + 0.25)])
     return WeightVector(
         w_plus=mag_plus / mag_plus.sum(),
         w_minus=-mag_minus / mag_minus.sum(),

@@ -44,6 +44,16 @@ optimizer.alpha = fixed
 """
 
 
+def with_values(text, values):
+    """``text`` with each ``key = value`` line substituted, or appended if absent."""
+    for key, value in values.items():
+        line = f"{key} = {value}"
+        text, hits = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
+        if not hits:
+            text += line + "\n"
+    return text
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -75,6 +85,27 @@ class TestParseConfig:
         cfg = write_config(tmp_path, QUAD_CONFIG + "optimizer.etao = 5\n")
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "'optimizer.etao'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_exit2(self, tmp_path, capsys):
+        text = QUAD_CONFIG + "optimizer.N = 32\n"
+        first = text.splitlines().index("optimizer.N = 16") + 1
+        second = len(text.splitlines())
+        cfg = write_config(tmp_path, text)
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'optimizer.N'" in err
+        assert f":{second}:" in err and f"line {first}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("optimizer.eta0", "nan"), ("optimizer.eps", "nan"),
+        ("optimizer.alpha0", "inf"),
+    ])
+    def test_non_finite_value_exit2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, {key: value}))
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_known_keys_are_the_keys_read(self):
@@ -110,7 +141,7 @@ class TestOptimize:
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_bad_value_exit2(self, tmp_path):
-        cfg = write_config(tmp_path, QUAD_CONFIG + "optimizer.N = sixteen\n")
+        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, {"optimizer.N": "sixteen"}))
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_seed_override_changes_trace(self, tmp_path):
@@ -243,20 +274,36 @@ class TestBench:
         summary = strict_json(out / "summary.json")
         assert "d8_k10_N8_uniform" in summary["cells"]
 
+    @pytest.mark.parametrize("kappas", ["10,nan", "-inf"])
+    def test_non_finite_kappa_exit2(self, tmp_path, capsys, kappas):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, {"bench.kappas": kappas}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "'bench.kappas'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, BENCH_SMALL)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_grid_keys_exit2(self, tmp_path):
         cfg = write_config(tmp_path, "bench.dims = 8\n")
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-ABLATE_SMALL = QUAD_CONFIG + """
-optimizer.step = backtracking
-optimizer.eta0 = 1.0
-optimizer.alpha = fixed
-optimizer.alpha0 = 1e-3
-ablate.seeds = 1,2,3
-ablate.eps_rel = 1e-2
-optimizer.T = 200
-"""
+ABLATE_SMALL = with_values(QUAD_CONFIG, {
+    "optimizer.step": "backtracking",
+    "optimizer.eta0": "1.0",
+    "optimizer.alpha": "fixed",
+    "optimizer.alpha0": "1e-3",
+    "ablate.seeds": "1,2,3",
+    "ablate.eps_rel": "1e-2",
+    "optimizer.T": "200",
+})
 
 
 class TestAblate:

@@ -1,0 +1,79 @@
+"""Property tests: weight normalization, rank invariance, stable ties."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankzo.objective import Objective, make_quadratic
+from rankzo.sampling import (DirectionBatch, QueryLedger, new_generator,
+                             rank_oracle, sample_directions)
+from rankzo.weights import SCHEMES, weights_by_name
+
+PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
+
+
+@st.composite
+def piecewise_linear(draw):
+    """A random strictly increasing piecewise-linear map of the reals."""
+    knots = sorted(draw(st.lists(st.floats(-100.0, 100.0), max_size=6, unique=True)))
+    slopes = draw(st.lists(st.floats(0.1, 10.0), min_size=len(knots) + 1,
+                           max_size=len(knots) + 1))
+    offset = draw(st.floats(-1e3, 1e3))
+
+    def transform(v):
+        v = np.asarray(v, dtype=float)
+        out = offset + slopes[0] * v
+        for knot, before, after in zip(knots, slopes, slopes[1:]):
+            out = out + (after - before) * np.maximum(v - knot, 0.0)
+        return out
+    return transform
+
+
+def transformed(obj, transform):
+    return Objective(dim=obj.dim, fn=lambda x: float(transform(obj.fn(x))),
+                     batch_fn=lambda points: transform(obj.batch_fn(points)))
+
+
+def table_objective(values):
+    """1-d objective with f(i) = values[i] at the integers 0..n-1."""
+    table = np.asarray(values, dtype=float)
+
+    def batch_fn(points):
+        return table[np.rint(points[:, 0]).astype(int)]
+    return Objective(dim=1, fn=lambda x: float(batch_fn(x[None, :])[0]),
+                     batch_fn=batch_fn)
+
+
+@PROPERTY_SETTINGS
+@given(scheme=st.sampled_from(sorted(SCHEMES)), quarter=st.integers(1, 128))
+def test_weights_normalized_and_monotone(scheme, quarter):
+    w = weights_by_name(scheme, 4 * quarter)
+    assert abs(w.w_plus.sum() - 1.0) <= 1e-12
+    assert abs(w.w_minus.sum() + 1.0) <= 1e-12
+    assert np.all(np.diff(w.w_plus) <= 0)
+    assert np.all(np.diff(np.abs(w.w_minus)) >= 0)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
+       quarter=st.integers(1, 16), alpha=st.floats(1e-3, 10.0),
+       transform=piecewise_linear())
+def test_rank_invariant_under_increasing_transform(seed, d, quarter, alpha, transform):
+    obj = make_quadratic(d, 1.0, 10.0, seed=seed % 1000)
+    x = new_generator(seed).standard_normal(d)
+    batch = sample_directions(new_generator(seed + 1), 4 * quarter, d)
+    plain = rank_oracle(obj, x, alpha, batch, QueryLedger())
+    warped = rank_oracle(transformed(obj, transform), x, alpha, batch, QueryLedger())
+    np.testing.assert_array_equal(plain.perm, warped.perm)
+
+
+@PROPERTY_SETTINGS
+@given(values=st.integers(1, 16).flatmap(
+           lambda q: st.lists(st.integers(-3, 3), min_size=4 * q, max_size=4 * q)),
+       transform=piecewise_linear())
+def test_ties_broken_stably(values, transform):
+    expected = sorted(range(len(values)), key=values.__getitem__)  # stable sort
+    batch = DirectionBatch(u=np.arange(len(values), dtype=float)[:, None], n=len(values))
+    for obj in (table_objective(values), transformed(table_objective(values), transform)):
+        ranked = rank_oracle(obj, np.zeros(1), 1.0, batch, QueryLedger())
+        assert ranked.perm.tolist() == expected
