@@ -9,11 +9,12 @@ Two comparisons on the same quadratic:
    roughly doubles the queries needed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import rankzo as rz
-from rankzo.bench import (ablate_positive_only, baseline_value_zo,
-                          queries_to_relative_target)
+from rankzo.bench import baseline_value_zo, queries_to_relative_target
 
 obj = rz.make_quadratic(d=32, mu=1.0, L=10.0, seed=7)
 eps_rel = 1e-4
@@ -23,21 +24,21 @@ seeds = range(100, 106)
 def med(fn, cfg):
     qs = []
     for s in seeds:
-        trace = fn(obj, rz.RunConfig(**{**cfg, "seed": s}))
+        trace = fn(obj, replace(cfg, seed=s))
         q = queries_to_relative_target(trace, eps_rel, obj.f_star)
         qs.append(q if q is not None else np.inf)
     return float(np.median(qs))
 
 
-rank_cfg = dict(n=16, iterations=12_000, eps_target=eps_rel,
-                step=rz.StepPolicy.backtracking(1.0, 0.5, 60),
-                alpha=rz.AlphaPolicy.fixed(1e-3))
-value_cfg = dict(n=16, iterations=40_000, eps_target=eps_rel,
-                 alpha=rz.AlphaPolicy.fixed(1e-3))
+rank_cfg = rz.RunConfig(n=16, iterations=12_000, eps_target=eps_rel,
+                        step=rz.StepPolicy.backtracking(1.0, 0.5, 60),
+                        alpha=rz.AlphaPolicy.fixed(1e-3))
+value_cfg = rz.RunConfig(n=16, iterations=40_000, eps_target=eps_rel,
+                         alpha=rz.AlphaPolicy.fixed(1e-3))
 
 q_rank = med(rz.run, rank_cfg)
 q_value = med(baseline_value_zo, value_cfg)
-q_pos = med(ablate_positive_only, rank_cfg)
+q_pos = med(rz.run, replace(rank_cfg, positive_only=True))
 
 print(f"median queries to {eps_rel:g} x initial gap over {len(list(seeds))} seeds:")
 print(f"  rank-based (full)        : {q_rank:8.0f}")

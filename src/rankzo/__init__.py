@@ -11,9 +11,9 @@ constant the analysis relies on.
 from .objective import (Objective, MonotoneTransform, evaluate,
                         evaluate_batch, remainder, make_quadratic,
                         make_rosenbrock_like, wrap_monotone)
-from .sampling import (DirectionBatch, RankedBatch, QueryLedger,
-                       NonFiniteValueError, new_generator, sample_directions,
-                       rank_oracle, selected_index_set, selected_ranks)
+from .sampling import (QueryLedger, NonFiniteValueError, new_generator,
+                       sample_directions, rank_oracle, selected_index_set,
+                       selected_ranks)
 from .weights import (WeightVector, uniform_weights, log_weights,
                       blom_weights, weights_by_name, weight_ratio)
 from .optimizer import (StepPolicy, AlphaPolicy, RunConfig, RunTrace,
@@ -27,7 +27,7 @@ from .theory import (P_TAIL_EXACT, TheoryConstants, EventCheckReport,
                      ComplexityPrediction, predict_complexity, check_event,
                      check_appendix_bounds, recursion_fixed_point_check)
 from .bench import (ExperimentGrid, GridCell, ResultRow, baseline_value_zo,
-                    ablate_positive_only, queries_to_target,
-                    fit_log_gap_slope, run_grid, build_objective)
+                    queries_to_target, fit_log_gap_slope, run_grid,
+                    build_objective)
 
 __version__ = "0.1.0"

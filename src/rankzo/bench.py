@@ -1,4 +1,4 @@
-"""Experiment runner: ablations, grids, queries to target, persistence.
+"""Experiment runner: grids, queries to target, persistence.
 
 A grid is a list of cells (objective + run configuration) crossed with a
 seed list; every cell/seed pair produces one :class:`ResultRow` with the
@@ -27,7 +27,6 @@ __all__ = [
     "ResultRow",
     "RESULT_COLUMNS",
     "baseline_value_zo",
-    "ablate_positive_only",
     "queries_to_target",
     "queries_to_relative_target",
     "fit_log_gap_slope",
@@ -99,11 +98,6 @@ class ResultRow:
     final_gap: float
     slope: float
     wall_ms: int
-
-
-def ablate_positive_only(obj: Objective, cfg: RunConfig) -> RunTrace:
-    """Same pipeline, best quartile only, positive weights renormalized."""
-    return run(obj, replace(cfg, positive_only=True))
 
 
 def queries_to_target(trace: RunTrace, eps: float, f_star: float) -> Optional[int]:

@@ -22,8 +22,8 @@ is a config error::
     ablate.seeds, ablate.eps_rel
 
 Exit codes: 0 success, 1 verification failure, 2 config error
-(including an unknown or repeated key, a nan/inf value, or
-``--jobs`` < 1), 3 runtime error.  All CSV output uses '.'
+(including an unknown or repeated key, a nan/inf value or ``predict``
+flag, or ``--jobs`` < 1), 3 runtime error.  All CSV output uses '.'
 decimals, '\\n' line endings and a header row; reruns with the same
 config and seed are byte identical.  Summaries are strict JSON, with
 non-finite values written as ``null``.
@@ -293,14 +293,10 @@ def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:
         for kappa in kappas:
             for n in ns:
                 for scheme in schemes:
-                    cell_cfg = RunConfig(
-                        n=n, iterations=template.iterations, scheme=scheme,
-                        step=template.step, alpha=template.alpha,
-                        seed=template.seed, delta=template.delta)
                     cells.append(GridCell(
                         config_id=f"d{d}_k{kappa:g}_N{n}_{scheme}",
-                        objective_kind="quadratic", d=d, mu=mu,
-                        L=mu * kappa, config=cell_cfg,
+                        objective_kind="quadratic", d=d, mu=mu, L=mu * kappa,
+                        config=replace(template, n=n, scheme=scheme),
                         objective_seed=objective_seed))
     try:
         return ExperimentGrid(cells=cells, seeds=seeds, eps_rel=eps_rel)
@@ -386,13 +382,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="config file path")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
-    p.add_argument("--trials", type=int, default=None,
-                   help="Monte-Carlo trials override (verify)")
     p.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -402,25 +402,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rank-based zeroth-order optimization and verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("optimize", cmd_optimize), ("bench", cmd_bench),
-                     ("ablate", cmd_ablate)):
+    for name, fn in (("optimize", cmd_optimize), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)
 
+    p = sub.add_parser("bench")
+    _add_common(p)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
+    p.set_defaults(fn=cmd_bench)
+
     p = sub.add_parser("verify")
     _add_common(p, config_required=False)
+    p.add_argument("--trials", type=int, default=None,
+                   help="Monte-Carlo trials override")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("predict")
     p.add_argument("--kind", required=True, help="sc (strongly convex) or nc")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=float, required=True)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta-prime", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=1e-4)
-    p.add_argument("--c1", type=float, default=1.0)
+    p.add_argument("--L", type=_finite_float, required=True)
+    p.add_argument("--mu", type=_finite_float, default=None)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--delta-prime", type=_finite_float, default=0.1)
+    p.add_argument("--alpha", type=_finite_float, default=1e-4)
+    p.add_argument("--c1", type=_finite_float, default=1.0)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(fn=cmd_predict)
     return parser

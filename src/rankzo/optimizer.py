@@ -35,10 +35,10 @@ from typing import List, Optional
 import numpy as np
 
 from .objective import Objective, evaluate
-from .sampling import (QueryLedger, RankedBatch, new_generator, rank_oracle,
+from .sampling import (QueryLedger, new_generator, rank_oracle,
                        sample_directions, selected_ranks)
 from .theory import c_N_d_delta, c_d_delta, positive_only_norm_constant
-from .weights import WeightVector, weights_by_name
+from .weights import weights_by_name
 
 __all__ = [
     "StepPolicy",
@@ -243,19 +243,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def descent_direction(ranked: RankedBatch, w: WeightVector,
-                      positive_only: bool = False) -> np.ndarray:
-    """Signed weighted combination of the selected ranked directions."""
-    if ranked.n != w.n:
-        raise ValueError(f"batch size {ranked.n} != weight size {w.n}")
-    ranks = selected_ranks(ranked.n, positive_only)
-    u_sel = ranked.directions_at_ranks(ranks)
-    return w.signed(positive_only) @ u_sel
+def descent_direction(u_sel: np.ndarray, w_sel: np.ndarray) -> np.ndarray:
+    """Signed weighted combination ``w_sel @ u_sel`` of the selected
+    directions; row k of ``u_sel`` is the direction at the k-th selected
+    rank and ``w_sel`` its signed weight (``WeightVector.signed``)."""
+    return w_sel @ u_sel
 
 
-def instrumented_step_size(f_x: float, grad: np.ndarray, ranked: RankedBatch,
-                           w: WeightVector, alpha: float, L: float,
-                           c_nd: float, positive_only: bool = False) -> float:
+def instrumented_step_size(f_x: float, grad: np.ndarray, u_sel: np.ndarray,
+                           f_sel: np.ndarray, w_sel: np.ndarray, alpha: float,
+                           L: float, c_nd: float) -> float:
     """Analysis step size (instrumentation; reads the oracle's raw values).
 
     eta = min over selected ranks k of
@@ -265,14 +262,10 @@ def instrumented_step_size(f_x: float, grad: np.ndarray, ranked: RankedBatch,
     quartile both flip sign together, keeping every term positive.  A
     nonpositive (or non-finite) term means the smoothing radius is
     outside the regime the analysis assumes, and raises
-    :class:`StepRegimeError` for the driver to handle.
+    :class:`StepRegimeError` for the driver to handle.  ``u_sel``,
+    ``f_sel`` and ``w_sel`` are the directions, probe values and signed
+    weights at the selected ranks, in the same order.
     """
-    if ranked.n != w.n:
-        raise ValueError(f"batch size {ranked.n} != weight size {w.n}")
-    ranks = selected_ranks(ranked.n, positive_only)
-    u_sel = ranked.directions_at_ranks(ranks)
-    f_sel = ranked.values_at_ranks(ranks)
-    w_sel = w.signed(positive_only)
     ip = u_sel @ np.asarray(grad, dtype=float)
     fdiff_rate = (f_x - f_sel) / alpha
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -339,21 +332,23 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     """
     if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented step needs an objective with grad and L")
-    w = weights_by_name(cfg.scheme, cfg.n)
+    # the selected ranks and their signed weights are fixed for the run
+    sel = selected_ranks(cfg.n, cfg.positive_only) - 1
+    w_sel = weights_by_name(cfg.scheme, cfg.n).signed(cfg.positive_only)
 
     if cfg.step.kind == "instrumented":
         c_nd = (positive_only_norm_constant(cfg.n, obj.dim, cfg.delta)
                 if cfg.positive_only else c_N_d_delta(cfg.n, obj.dim, cfg.delta))
-        update = partial(_instrumented_update, obj, cfg, w, c_nd)
+        update = partial(_instrumented_update, obj, cfg, sel, w_sel, c_nd)
     else:
         eta0, shrink = cfg.step.eta0, cfg.step.shrink
         eta_first = eta0
 
         def update(x, f_x, g, alpha, rng, ledger):
             nonlocal eta_first
-            batch = sample_directions(rng, cfg.n, obj.dim)
-            ranked = rank_oracle(obj, x, alpha, batch, ledger)
-            direction = descent_direction(ranked, w, cfg.positive_only)
+            u = sample_directions(rng, cfg.n, obj.dim)
+            perm, _ = rank_oracle(obj, x, alpha, u, ledger)
+            direction = descent_direction(u[perm[sel]], w_sel)
             x_new, eta, _extra = practical_step(obj, x, direction, cfg.step,
                                                 ledger, eta_first)
             # warm start: one step above the last accepted one, capped at eta0
@@ -449,7 +444,8 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
     return _finalize(trace, x, obj, ledger, started, iterates)
 
 
-def _instrumented_update(obj, cfg, w, c_nd, x, f_x, g, alpha, rng, ledger):
+def _instrumented_update(obj, cfg, sel, w_sel, c_nd, x, f_x, g, alpha, rng,
+                         ledger):
     """One instrumented step; returns (x_new, alpha_used, eta).
 
     Shrinks alpha and resamples on regime violations unless the alpha
@@ -457,18 +453,19 @@ def _instrumented_update(obj, cfg, w, c_nd, x, f_x, g, alpha, rng, ledger):
     """
     retries = cfg.max_regime_retries if cfg.alpha.kind != "fixed" else 1
     for attempt in range(retries):
-        batch = sample_directions(rng, cfg.n, obj.dim)
-        ranked = rank_oracle(obj, x, alpha, batch, ledger)
+        u = sample_directions(rng, cfg.n, obj.dim)
+        perm, fvals = rank_oracle(obj, x, alpha, u, ledger)
+        idx = perm[sel]
+        u_sel = u[idx]
         try:
-            eta = instrumented_step_size(f_x, g, ranked, w, alpha, obj.L,
-                                         c_nd, cfg.positive_only)
+            eta = instrumented_step_size(f_x, g, u_sel, fvals[idx], w_sel,
+                                         alpha, obj.L, c_nd)
         except StepRegimeError:
             if attempt == retries - 1:
                 return x, alpha, 0.0
             alpha *= 0.5
             continue
-        direction = descent_direction(ranked, w, cfg.positive_only)
-        return x + eta * direction, alpha, eta
+        return x + eta * descent_direction(u_sel, w_sel), alpha, eta
 
 
 def _finalize(trace: RunTrace, x, obj, ledger, started, iterates) -> RunTrace:

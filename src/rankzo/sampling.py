@@ -7,9 +7,9 @@ because the selected index set splits into a best quartile and a worst
 quartile.
 
 The rank oracle evaluates the ``n`` probe points ``x + alpha * u_i``,
-charges ``n`` queries, and returns only the stable ascending permutation
-of the values.  Callers in the practical regime consume nothing but the
-permutation; the raw values stay on the :class:`RankedBatch` purely as an
+charges ``n`` queries, and returns the stable ascending permutation of
+the values together with the values.  Callers in the practical regime
+consume nothing but the permutation; the raw values are an
 instrumentation side channel for theory validation.
 """
 
@@ -23,8 +23,6 @@ import numpy as np
 from .objective import Objective, evaluate_batch
 
 __all__ = [
-    "DirectionBatch",
-    "RankedBatch",
     "QueryLedger",
     "NonFiniteValueError",
     "new_generator",
@@ -49,45 +47,6 @@ def new_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
-class DirectionBatch:
-    """``n`` standard normal rows of dimension ``d``."""
-
-    u: np.ndarray
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return self.u.shape[1]
-
-
-@dataclass(frozen=True)
-class RankedBatch:
-    """A direction batch together with the rank oracle's output.
-
-    ``perm[j]`` is the original sample index of the (j+1)-th smallest
-    probe value, i.e. ``fvals[perm[0]] <= fvals[perm[1]] <= ...`` with
-    ties broken by ascending original index.  ``fvals`` is
-    instrumentation only.
-    """
-
-    batch: DirectionBatch
-    perm: np.ndarray
-    fvals: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.batch.n
-
-    def directions_at_ranks(self, ranks: np.ndarray) -> np.ndarray:
-        """Rows ``u_(k)`` for 1-based ranks ``k`` (rank 1 = best)."""
-        return self.batch.u[self.perm[np.asarray(ranks) - 1]]
-
-    def values_at_ranks(self, ranks: np.ndarray) -> np.ndarray:
-        """Instrumentation: probe values at 1-based ranks."""
-        return self.fvals[self.perm[np.asarray(ranks) - 1]]
-
-
 @dataclass
 class QueryLedger:
     """Running count of charged objective queries."""
@@ -104,7 +63,7 @@ class QueryLedger:
         self._total += int(n)
 
 
-def sample_directions(rng: np.random.Generator, n: int, d: int) -> DirectionBatch:
+def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Draw an ``n x d`` standard normal batch, advancing ``rng``.
 
     Same generator state in, same batch out (bitwise).
@@ -113,24 +72,29 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> DirectionBatc
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 4 or n % 4 != 0:
         raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
-    return DirectionBatch(u=rng.standard_normal((n, d)), n=n)
+    return rng.standard_normal((n, d))
 
 
-def rank_oracle(obj: Objective, x: np.ndarray, alpha: float,
-                batch: DirectionBatch, ledger: QueryLedger) -> RankedBatch:
-    """Evaluate the ``n`` probes ``x + alpha*u_i``, charge ``n`` queries,
-    and return the stable ascending permutation of the values."""
+def rank_oracle(obj: Objective, x: np.ndarray, alpha: float, u: np.ndarray,
+                ledger: QueryLedger) -> Tuple[np.ndarray, np.ndarray]:
+    """Evaluate the probes ``x + alpha*u_i``, charge ``len(u)`` queries,
+    and return ``(perm, fvals)``.
+
+    ``perm[j]`` is the sample index of the (j+1)-th smallest probe value,
+    i.e. ``fvals[perm[0]] <= fvals[perm[1]] <= ...`` with ties broken by
+    ascending index.  ``fvals`` is instrumentation only.
+    """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x = np.asarray(x, dtype=float)
-    points = x[None, :] + alpha * batch.u
+    points = x[None, :] + alpha * u
     fvals = evaluate_batch(obj, points)
-    ledger.charge(batch.n)
+    ledger.charge(len(u))
     bad = np.flatnonzero(~np.isfinite(fvals))
     if bad.size:
         raise NonFiniteValueError(int(bad[0]), float(fvals[bad[0]]))
     perm = np.argsort(fvals, kind="stable")
-    return RankedBatch(batch=batch, perm=perm, fvals=fvals)
+    return perm, fvals
 
 
 def selected_index_set(n: int) -> Tuple[np.ndarray, np.ndarray]:

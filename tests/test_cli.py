@@ -177,6 +177,14 @@ class TestOptimize:
         assert summary["iterations"] == 1
         assert summary["total_queries"] > 0
 
+    def test_jobs_flag_exit2(self, tmp_path, capsys):
+        # only bench reads --jobs
+        cfg = write_config(tmp_path, QUAD_CONFIG)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_run_summary_is_strict_json(self, tmp_path):
         cfg = write_config(tmp_path, FAILING_CONFIG)
         out = tmp_path / "out"
@@ -331,6 +339,14 @@ class TestAblate:
         assert summary["seeds"] == [1, 2]
         assert summary["queries_to_target"] == {"full": [], "positive_only": []}
 
+    def test_trials_flag_exit2(self, tmp_path, capsys):
+        # only verify reads --trials
+        cfg = write_config(tmp_path, ABLATE_SMALL)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg, "--out", str(out), "--trials", "5"]) == 2
+        assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_strongly_convex_output(self, capsys):
@@ -366,6 +382,21 @@ class TestPredict:
                      "--mu", "1", "--eps", "1e-6"]) == 2
         assert main(["predict", "--kind", "huh", "--d", "3", "--L", "10",
                      "--eps", "1e-6"]) == 2
+
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("sc", "--L", "inf"),
+        ("nc", "--mu", "nan"),
+        ("sc", "--eps", "nan"),
+        ("sc", "--delta-prime", "inf"),
+        ("sc", "--alpha", "nan"),
+        ("sc", "--c1", "inf"),
+    ], ids=["L", "mu", "eps", "delta-prime", "alpha", "c1"])
+    def test_non_finite_flag_exit2(self, capsys, kind, flag, value):
+        # rejected while parsing, before any prediction is computed
+        argv = ["predict", "--kind", kind, "--d", "32", "--L", "10",
+                "--mu", "1", "--eps", "1e-6"]
+        assert main(argv + [flag, value]) == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
     def test_missing_required_flag_exit2(self):
         assert main(["predict", "--kind", "sc", "--d", "32"]) == 2

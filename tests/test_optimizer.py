@@ -11,9 +11,9 @@ from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               StepPolicy, StepRegimeError, baseline_value_zo,
                               descent_direction, instrumented_alpha,
                               instrumented_step_size, practical_step, run)
-from rankzo.sampling import (DirectionBatch, QueryLedger, new_generator,
-                             rank_oracle, sample_directions)
-from rankzo.theory import c_N_d_delta
+from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
+                             sample_directions, selected_ranks)
+from rankzo.theory import c_N_d_delta, c_d_delta, positive_only_norm_constant
 from rankzo.weights import uniform_weights
 
 
@@ -22,39 +22,37 @@ def linear_1d():
                      grad=lambda x: np.ones(1), L=1.0)
 
 
-def rank_manual(obj, rows, x=None, alpha=1.0):
+def select_manual(obj, rows, x=None, alpha=1.0, positive_only=False):
+    """Rank ``rows`` at ``x``; directions and values at the selected ranks."""
     u = np.asarray(rows, dtype=float)
-    batch = DirectionBatch(u=u, n=u.shape[0])
     x = np.zeros(u.shape[1]) if x is None else x
-    return rank_oracle(obj, x, alpha, batch, QueryLedger())
+    perm, fvals = rank_oracle(obj, x, alpha, u, QueryLedger())
+    idx = perm[selected_ranks(len(u), positive_only) - 1]
+    return u[idx], fvals[idx]
 
 
 class TestDescentDirection:
     def test_hand_example_1d(self):
         # ranks for f(x)=x at 0 with u=(3,-1,2,-2): best u=-2, worst u=3;
         # uniform n=4 gives d = 1*(-2) + (-1)*3 = -5
-        ranked = rank_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        d = descent_direction(ranked, uniform_weights(4))
+        u_sel, _ = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
+        d = descent_direction(u_sel, uniform_weights(4).signed())
         assert d == pytest.approx(np.array([-5.0]))
 
     def test_linearity_in_directions(self):
         obj = make_quadratic(3, 1.0, 10.0, seed=0)
         rows = new_generator(1).standard_normal((8, 3))
-        r1 = rank_manual(obj, rows, x=obj.x_star + 1.0, alpha=1e-6)
-        r2 = rank_manual(obj, 2.0 * rows, x=obj.x_star + 1.0, alpha=1e-6)
-        w = uniform_weights(8)
+        u1, _ = select_manual(obj, rows, x=obj.x_star + 1.0, alpha=1e-6)
+        u2, _ = select_manual(obj, 2.0 * rows, x=obj.x_star + 1.0, alpha=1e-6)
+        w = uniform_weights(8).signed()
         # tiny alpha keeps the ranking identical, so d scales linearly
-        np.testing.assert_allclose(descent_direction(r2, w),
-                                   2.0 * descent_direction(r1, w), rtol=1e-9)
-
-    def test_size_mismatch(self):
-        ranked = rank_manual(linear_1d(), [[1.0], [2.0], [3.0], [4.0]])
-        with pytest.raises(ValueError):
-            descent_direction(ranked, uniform_weights(8))
+        np.testing.assert_allclose(descent_direction(u2, w),
+                                   2.0 * descent_direction(u1, w), rtol=1e-9)
 
     def test_positive_only_uses_best_quartile(self):
-        ranked = rank_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        d = descent_direction(ranked, uniform_weights(4), positive_only=True)
+        u_sel, _ = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]],
+                                 positive_only=True)
+        d = descent_direction(u_sel, uniform_weights(4).signed(positive_only=True))
         assert d == pytest.approx(np.array([-2.0]))
 
 
@@ -62,17 +60,17 @@ class TestInstrumentedStepSize:
     def test_hand_example_zero_remainder(self):
         # linear objective: each term reduces to |u|/(2 L C w); with
         # boundary samples -2 and 3 and unit constants, eta = min(2,3)/2
-        ranked = rank_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        eta = instrumented_step_size(0.0, np.ones(1), ranked,
-                                     uniform_weights(4), alpha=1.0,
+        u_sel, f_sel = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
+        eta = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel,
+                                     uniform_weights(4).signed(), alpha=1.0,
                                      L=1.0, c_nd=1.0)
         assert eta == pytest.approx(1.0, rel=1e-12)
 
     def test_inverse_scaling_in_L(self):
-        ranked = rank_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        w = uniform_weights(4)
-        eta1 = instrumented_step_size(0.0, np.ones(1), ranked, w, 1.0, 1.0, 1.0)
-        eta10 = instrumented_step_size(0.0, np.ones(1), ranked, w, 1.0, 10.0, 1.0)
+        u_sel, f_sel = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
+        w = uniform_weights(4).signed()
+        eta1 = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel, w, 1.0, 1.0, 1.0)
+        eta10 = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel, w, 1.0, 10.0, 1.0)
         assert eta10 == pytest.approx(eta1 / 10.0, rel=1e-12)
 
     def test_small_alpha_limit(self):
@@ -83,12 +81,12 @@ class TestInstrumentedStepSize:
         g = obj.grad(x)
         batch = sample_directions(new_generator(3), 16, 12)
         alpha = 1e-8
-        ranked = rank_oracle(obj, x, alpha, batch, QueryLedger())
-        w = uniform_weights(16)
+        u_sel, f_sel = select_manual(obj, batch, x=x, alpha=alpha)
+        w = uniform_weights(16).signed()
         c_nd = c_N_d_delta(16, 12, 0.1)
-        eta = instrumented_step_size(obj.fn(x), g, ranked, w, alpha, obj.L, c_nd)
-        from rankzo.sampling import selected_ranks
-        ip = ranked.directions_at_ranks(selected_ranks(16)) @ g
+        eta = instrumented_step_size(obj.fn(x), g, u_sel, f_sel, w, alpha,
+                                     obj.L, c_nd)
+        ip = u_sel @ g
         closed_form = np.min(np.abs(ip) / (2 * obj.L * c_nd * 0.25))
         assert eta == pytest.approx(closed_form, rel=0.01)
 
@@ -97,11 +95,11 @@ class TestInstrumentedStepSize:
         # best-quartile f-differences have the wrong sign
         obj = make_quadratic(6, 1.0, 10.0, seed=5)
         batch = sample_directions(new_generator(6), 8, 6)
-        ranked = rank_oracle(obj, obj.x_star, 0.5, batch, QueryLedger())
+        u_sel, f_sel = select_manual(obj, batch, x=obj.x_star, alpha=0.5)
         with pytest.raises(StepRegimeError):
             instrumented_step_size(obj.fn(obj.x_star), obj.grad(obj.x_star),
-                                   ranked, uniform_weights(8), 0.5, obj.L,
-                                   c_N_d_delta(8, 6, 0.1))
+                                   u_sel, f_sel, uniform_weights(8).signed(),
+                                   0.5, obj.L, c_N_d_delta(8, 6, 0.1))
 
 
 class TestInstrumentedAlpha:
@@ -304,6 +302,42 @@ class TestRun:
         np.testing.assert_array_equal(trace.final_x, x0)
         # every iteration still pays for its batch exactly once
         assert trace.total_queries == 5 * 8
+
+    @pytest.mark.parametrize("positive_only", [False, True],
+                             ids=["full", "positive_only"])
+    def test_first_instrumented_step_matches_hand_computation(self, positive_only):
+        # x1 = x0 + eta * sum_k w_k u_(k) over the best quartile (w = 4/n)
+        # and, unless ablated, the worst quartile (w = -4/n), with
+        # alpha = ||g|| / (4 L C_d) and eta the smallest selected quotient
+        # <g, u_(k)>^2 / (2 L C w_k) / ((f(x0) - f(x0 + alpha u_(k))) / alpha);
+        # x0 and u are the first two draws of the run's Philox stream
+        n, d, delta, seed = 16, 8, 0.1, 21
+        obj = make_quadratic(d, 1.0, 10.0, seed=4)
+        trace = run(obj, RunConfig(n=n, iterations=1, seed=seed, delta=delta,
+                                   positive_only=positive_only,
+                                   record_iterates=True))
+        rng = new_generator(seed)
+        x0 = rng.standard_normal(d)
+        u = rng.standard_normal((n, d))
+        g = obj.grad(x0)
+        alpha = np.linalg.norm(g) / (4.0 * obj.L * c_d_delta(d, delta))
+        fvals = obj.batch_fn(x0 + alpha * u)
+        perm = np.argsort(fvals, kind="stable")
+        q = n // 4
+        if positive_only:
+            idx, w = perm[:q], np.full(q, 4.0 / n)
+            c_nd = positive_only_norm_constant(n, d, delta)
+        else:
+            idx = np.concatenate([perm[:q], perm[-q:]])
+            w = np.concatenate([np.full(q, 4.0 / n), np.full(q, -4.0 / n)])
+            c_nd = c_N_d_delta(n, d, delta)
+        quotients = ((u[idx] @ g) ** 2 / (2.0 * obj.L * c_nd * w)
+                     / ((obj.fn(x0) - fvals[idx]) / alpha))
+        assert np.all(quotients > 0)  # inside the regime: no retry
+        eta = quotients.min()
+        assert trace.alpha[0] == alpha and trace.eta[0] == eta
+        np.testing.assert_array_equal(trace.iterates[0], x0)
+        np.testing.assert_array_equal(trace.iterates[1], x0 + eta * (w @ u[idx]))
 
     def test_rejects_no_regime_attempts(self):
         # zero attempts would turn every instrumented iteration into a

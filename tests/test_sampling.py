@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rankzo.objective import MonotoneTransform, Objective, make_quadratic, wrap_monotone
-from rankzo.sampling import (DirectionBatch, NonFiniteValueError, QueryLedger,
-                             new_generator, rank_oracle, sample_directions,
+from rankzo.sampling import (NonFiniteValueError, QueryLedger, new_generator,
+                             rank_oracle, sample_directions,
                              selected_index_set, selected_ranks)
 
 
@@ -15,20 +15,19 @@ def linear_1d():
 
 
 def batch_from_rows(rows):
-    u = np.asarray(rows, dtype=float)
-    return DirectionBatch(u=u, n=u.shape[0])
+    return np.asarray(rows, dtype=float)
 
 
 class TestSampleDirections:
     def test_same_seed_identical(self):
         b1 = sample_directions(new_generator(42), 16, 5)
         b2 = sample_directions(new_generator(42), 16, 5)
-        np.testing.assert_array_equal(b1.u, b2.u)
+        np.testing.assert_array_equal(b1, b2)
 
     def test_moments_1d(self):
         # CLT scale tolerances: |mean| <= 4/sqrt(n), |var-1| <= 0.06
         b = sample_directions(new_generator(7), 10_000, 1)
-        flat = b.u.ravel()
+        flat = b.ravel()
         assert abs(flat.mean()) <= 4.0 / np.sqrt(10_000)
         assert abs(flat.var() - 1.0) <= 0.06
 
@@ -41,22 +40,22 @@ class TestSampleDirections:
         rng = new_generator(1)
         b1 = sample_directions(rng, 8, 3)
         b2 = sample_directions(rng, 8, 3)
-        assert not np.array_equal(b1.u, b2.u)
+        assert not np.array_equal(b1, b2)
 
 
 class TestRankOracle:
     def test_linear_ordering(self):
         batch = batch_from_rows([[3.0], [-1.0], [2.0], [-2.0]])
         ledger = QueryLedger()
-        ranked = rank_oracle(linear_1d(), np.zeros(1), 1.0, batch, ledger)
+        perm, _ = rank_oracle(linear_1d(), np.zeros(1), 1.0, batch, ledger)
         # ascending f(0 + u) = u: order -2 < -1 < 2 < 3, 0-based indices
-        np.testing.assert_array_equal(ranked.perm, [3, 1, 2, 0])
+        np.testing.assert_array_equal(perm, [3, 1, 2, 0])
 
     def test_stable_tie_break(self):
         const = Objective(dim=2, fn=lambda x: 1.0)
         batch = sample_directions(new_generator(3), 8, 2)
-        ranked = rank_oracle(const, np.zeros(2), 0.5, batch, QueryLedger())
-        np.testing.assert_array_equal(ranked.perm, np.arange(8))
+        perm, _ = rank_oracle(const, np.zeros(2), 0.5, batch, QueryLedger())
+        np.testing.assert_array_equal(perm, np.arange(8))
 
     def test_ledger_accounting(self):
         ledger = QueryLedger()
@@ -68,8 +67,8 @@ class TestRankOracle:
     def test_sorted_values(self):
         obj = make_quadratic(4, 1.0, 10.0, seed=1)
         batch = sample_directions(new_generator(6), 12, 4)
-        ranked = rank_oracle(obj, np.ones(4), 0.3, batch, QueryLedger())
-        ordered = ranked.fvals[ranked.perm]
+        perm, fvals = rank_oracle(obj, np.ones(4), 0.3, batch, QueryLedger())
+        ordered = fvals[perm]
         assert np.all(np.diff(ordered) >= 0)
 
     def test_non_finite_value_carries_index(self):
@@ -97,8 +96,8 @@ class TestRankOracle:
             wrapped = wrap_monotone(obj, MonotoneTransform(kind, a=a, b=b))
             batch = sample_directions(new_generator(1000 + i), 8, 6)
             x = rng.standard_normal(6)
-            p1 = rank_oracle(obj, x, 0.05, batch, QueryLedger()).perm
-            p2 = rank_oracle(wrapped, x, 0.05, batch, QueryLedger()).perm
+            p1, _ = rank_oracle(obj, x, 0.05, batch, QueryLedger())
+            p2, _ = rank_oracle(wrapped, x, 0.05, batch, QueryLedger())
             np.testing.assert_array_equal(p1, p2)
 
 
