@@ -16,7 +16,8 @@ import numpy as np
 
 import rankzo as rz
 from rankzo.sampling import new_generator
-from rankzo.theory import c_d_delta
+from rankzo.theory import (P_TAIL_EXACT, c_N_d_delta, c_d_delta, floors,
+                           instrumented_alpha, kl_bernoulli, rho)
 
 # a state on an instrumented quadratic, with the smoothing radius at the
 # regime bound ||grad|| / (4 L C_d)
@@ -24,7 +25,7 @@ d, n, delta = 50, 32, 0.1
 obj = rz.make_quadratic(d, 1.0, 10.0, seed=3)
 x = obj.x_star + new_generator(909).standard_normal(d)
 gnorm = float(np.linalg.norm(obj.grad(x)))
-alpha = gnorm / (4.0 * obj.L * c_d_delta(d, delta))
+alpha = instrumented_alpha(gnorm, obj.L, c_d_delta(d, delta))
 setup = rz.EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
 
 print(f"{'check':12s} {'trials':>7s} {'empirical':>10s} {'bound':>10s}  pass")
@@ -40,11 +41,10 @@ for which in ("chernoff", "gauss_max", "chi2", "spectral",
           f"{r.theoretical_bound:10.3g}  {r.passed}")
 
 print("\nconstants at (n=32, d=100, delta=0.1, L=10, mu=1, alpha=1e-4):")
-tc = rz.theory_constants(32, 100, 0.1, L=10.0, mu=1.0, alpha=1e-4)
-print(f"  C_d          = {tc.c_d_delta:.4f}")
-print(f"  C_N          = {tc.c_N_d_delta:.4f}")
-print(f"  tail p       = {tc.p_tail:.6f}  (exact 1 - Phi(2))")
-print(f"  D(1/4 || p)  = {tc.kl_quarter:.6f}")
-print(f"  rho          = {tc.rho:.3e}")
-print(f"  floors       = {tc.delta_floor_sc:.3e} (sc), "
-      f"{tc.delta_floor_nc:.3e} (nc)")
+floor_sc, floor_nc = floors(32, 100, 0.1, L=10.0, alpha=1e-4)
+print(f"  C_d          = {c_d_delta(100, 0.1):.4f}")
+print(f"  C_N          = {c_N_d_delta(32, 100, 0.1):.4f}")
+print(f"  tail p       = {P_TAIL_EXACT:.6f}  (exact 1 - Phi(2))")
+print(f"  D(1/4 || p)  = {kl_bernoulli(0.25, P_TAIL_EXACT):.6f}")
+print(f"  rho          = {rho(32, 100, 0.1, mu=1.0, L=10.0):.3e}")
+print(f"  floors       = {floor_sc:.3e} (sc), {floor_nc:.3e} (nc)")

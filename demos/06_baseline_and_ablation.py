@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 import rankzo as rz
-from rankzo.bench import baseline_value_zo, queries_to_relative_target
+from rankzo.bench import queries_to_relative_target
+from rankzo.optimizer import baseline_value_zo
 
 obj = rz.make_quadratic(d=32, mu=1.0, L=10.0, seed=7)
 eps_rel = 1e-4

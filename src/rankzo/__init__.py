@@ -11,23 +11,22 @@ constant the analysis relies on.
 from .objective import (Objective, MonotoneTransform, evaluate,
                         evaluate_batch, remainder, make_quadratic,
                         make_rosenbrock_like, wrap_monotone)
-from .sampling import (QueryLedger, NonFiniteValueError, new_generator,
-                       sample_directions, rank_oracle, selected_index_set,
-                       selected_ranks)
+from .sampling import (QueryLedger, NonFiniteValueError, check_sample_size,
+                       new_generator, sample_directions, rank_oracle,
+                       selected_index_set, selected_ranks)
 from .weights import (WeightVector, uniform_weights, log_weights,
                       blom_weights, weights_by_name, weight_ratio)
 from .optimizer import (StepPolicy, AlphaPolicy, RunConfig, RunTrace,
                         StepRegimeError, OptimizationError,
                         descent_direction, instrumented_step_size,
-                        instrumented_alpha, practical_step, run)
-from .theory import (P_TAIL_EXACT, TheoryConstants, EventCheckReport,
-                     EventSetup, c_d_delta, c_N_d_delta,
+                        practical_step, run, baseline_value_zo)
+from .theory import (P_TAIL_EXACT, EventCheckReport, EventSetup, c_d_delta,
+                     instrumented_alpha, c_N_d_delta,
                      positive_only_norm_constant, kl_bernoulli,
-                     event_bound_E45, rho, floors, theory_constants,
-                     ComplexityPrediction, predict_complexity, check_event,
-                     check_appendix_bounds, recursion_fixed_point_check)
-from .bench import (ExperimentGrid, GridCell, ResultRow, baseline_value_zo,
-                    queries_to_target, fit_log_gap_slope, run_grid,
-                    build_objective)
+                     event_bound_E45, rho, floors, ComplexityPrediction,
+                     predict_complexity, check_event, check_appendix_bounds,
+                     recursion_fixed_point_check)
+from .bench import (ExperimentGrid, GridCell, ResultRow, queries_to_target,
+                    fit_log_gap_slope, run_grid, build_objective)
 
 __version__ = "0.1.0"

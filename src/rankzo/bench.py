@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .objective import Objective, make_quadratic, make_rosenbrock_like
-from .optimizer import RunConfig, RunTrace, baseline_value_zo, run
+from .optimizer import RunConfig, RunTrace, run
 from .theory import predict_complexity
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ExperimentGrid",
     "ResultRow",
     "RESULT_COLUMNS",
-    "baseline_value_zo",
     "queries_to_target",
     "queries_to_relative_target",
     "fit_log_gap_slope",

@@ -23,10 +23,11 @@ is a config error::
 
 Exit codes: 0 success, 1 verification failure, 2 config error
 (including an unknown or repeated key, a nan/inf value or ``predict``
-flag, or ``--jobs`` < 1), 3 runtime error.  All CSV output uses '.'
-decimals, '\\n' line endings and a header row; reruns with the same
-config and seed are byte identical.  Summaries are strict JSON, with
-non-finite values written as ``null``.
+flag, ``--jobs`` < 1, an ``n`` that is not a positive multiple of 4, a
+dimension below 1, or a ``verify`` input no check can run with), 3
+runtime error.  All CSV output uses '.' decimals, '\\n' line endings and
+a header row; reruns with the same config and seed are byte identical.
+Summaries are strict JSON, with non-finite values written as ``null``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -46,10 +48,10 @@ from .bench import (ExperimentGrid, GridCell, _median_or_none, build_objective,
                     queries_to_relative_target, run_grid, write_json)
 from .optimizer import (AlphaPolicy, OptimizationError, RunConfig, RunTrace,
                         StepPolicy, run)
-from .sampling import new_generator
-from .theory import (APPENDIX_IDS, EVENT_IDS, EventCheckReport, EventSetup,
-                     c_d_delta, check_appendix_bounds, check_event, floors,
-                     predict_complexity)
+from .sampling import check_sample_size, new_generator
+from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
+                     EventSetup, c_d_delta, check_appendix_bounds, check_event,
+                     floors, instrumented_alpha, predict_complexity)
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS"]
 
@@ -74,6 +76,16 @@ CONFIG_KEYS = frozenset([
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration; maps to exit code 2."""
+
+
+@contextmanager
+def _config_errors(keys: str = ""):
+    """Re-raise a library ``ValueError`` as a :class:`ConfigError`,
+    prefixed with the config keys or flags it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}" if keys else str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +158,14 @@ def build_objective_from_config(cfg: Dict[str, str]):
     l_const = _get(cfg, "objective.L", float, 10.0)
     seed = _get(cfg, "objective.seed", int, 7)
     curvature = _get(cfg, "objective.curvature", float, 0.5)
-    try:
+    with _config_errors():
         return build_objective(kind, d, mu, l_const, seed, curvature)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunConfig:
     step_kind = _get(cfg, "optimizer.step", str, "instrumented")
     alpha_kind = _get(cfg, "optimizer.alpha", str, "instrumented")
-    try:
+    with _config_errors():
         step = StepPolicy(kind=step_kind,
                           eta0=_get(cfg, "optimizer.eta0", float, 1.0),
                           shrink=_get(cfg, "optimizer.shrink", float, 0.5),
@@ -174,8 +184,6 @@ def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunCo
             delta=_get(cfg, "optimizer.delta", float, 0.1),
             eps_target=_get(cfg, "optimizer.eps", float, float("nan")),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +213,12 @@ def _write_run(out: str, trace: RunTrace, status: str) -> None:
 
 
 def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, int]]:
-    """Run the requested checks; each report comes with its wall ms."""
+    """Run the requested checks; each report comes with its wall ms.
+
+    Inputs are checked before the first check runs, so a value no check
+    can run with is a config error; ``verify.alpha_scale > 1`` is the
+    negative control and fails the checks instead.
+    """
     events_text = _get(cfg, "verify.events", str, "all")
     names = list(ALL_CHECKS) if events_text == "all" else _str_list(events_text)
     if not names:
@@ -214,6 +227,7 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     if unknown:
         raise ConfigError(f"unknown verification events: {unknown}")
 
+    trials_key = "--trials" if args.trials is not None else "verify.trials"
     trials = args.trials if args.trials is not None \
         else _get(cfg, "verify.trials", int, 10_000)
     trials_appendix = _get(cfg, "verify.trials_appendix", int, 100_000)
@@ -222,16 +236,27 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     delta = _get(cfg, "verify.delta", float, 0.1)
     alpha_scale = _get(cfg, "verify.alpha_scale", float, 1.0)
     seed = args.seed if args.seed is not None else _get(cfg, "verify.seed", int, 7)
+    mu = _get(cfg, "verify.mu", float, 1.0)
+    l_const = _get(cfg, "verify.L", float, 10.0)
+    objective_seed = _get(cfg, "verify.objective_seed", int, 3)
 
-    obj = build_objective(
-        "quadratic", d,
-        _get(cfg, "verify.mu", float, 1.0),
-        _get(cfg, "verify.L", float, 10.0),
-        _get(cfg, "verify.objective_seed", int, 3))
+    for key, value in ((trials_key, trials),
+                       ("verify.trials_appendix", trials_appendix)):
+        if value < MIN_TRIALS:
+            raise ConfigError(f"{key} must be >= {MIN_TRIALS}, got {value}")
+    if alpha_scale <= 0:
+        raise ConfigError(f"verify.alpha_scale must be positive, got {alpha_scale!r}")
+    with _config_errors("verify.n"):
+        check_sample_size(n)
+    with _config_errors("verify.d, verify.mu, verify.L, verify.objective_seed"):
+        obj = build_objective("quadratic", d, mu, l_const, objective_seed)
+    with _config_errors("verify.delta"):
+        c_d = c_d_delta(d, delta)
+
     state_rng = new_generator(seed + 909)
     x = obj.x_star + state_rng.standard_normal(d)
     gnorm = float(np.linalg.norm(obj.grad(x)))
-    alpha = alpha_scale * gnorm / (4.0 * obj.L * c_d_delta(d, delta))
+    alpha = alpha_scale * instrumented_alpha(gnorm, obj.L, c_d)
     setup = EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
 
     reports: List[Tuple[EventCheckReport, int]] = []
@@ -288,6 +313,9 @@ def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:
     eps_rel = _get(cfg, "bench.eps_rel", float, 1e-4)
     objective_seed = _get(cfg, "bench.objective_seed", int, 7)
     template = build_run_config(cfg, args.seed)
+    with _config_errors("bench.ns"):
+        for n in ns:
+            check_sample_size(n)
     cells = []
     for d in dims:
         for kappa in kappas:
@@ -298,10 +326,8 @@ def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:
                         objective_kind="quadratic", d=d, mu=mu, L=mu * kappa,
                         config=replace(template, n=n, scheme=scheme),
                         objective_seed=objective_seed))
-    try:
+    with _config_errors():
         return ExperimentGrid(cells=cells, seeds=seeds, eps_rel=eps_rel)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def cmd_bench(args) -> int:
@@ -354,14 +380,10 @@ def cmd_predict(args) -> int:
         else "nonconvex" if args.kind in ("nc", "nonconvex") else None
     if kind is None:
         raise ConfigError(f"unknown kind {args.kind!r}; use sc or nc")
-    if min(args.d, args.L, args.eps, args.delta_prime) <= 0:
-        raise ConfigError("d, L, eps, delta-prime must be positive")
-    try:
+    with _config_errors():
         pred = predict_complexity(kind, args.d, args.L, args.eps,
                                   args.delta_prime, mu=args.mu, c1=args.c1)
         floor_sc, floor_nc = floors(pred.n, args.d, pred.delta, args.L, args.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     print(f"N = {pred.n}")
     print(f"T = {pred.t}")
     print(f"Q = {pred.q}")

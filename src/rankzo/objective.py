@@ -169,6 +169,8 @@ def make_quadratic(d: int, mu: float, L: float, seed: int) -> Objective:
     strong-convexity constants are exact.  ``x*`` is drawn from the same
     seed; ``f_star = 0``.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if not (0 < mu <= L):
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -35,9 +35,10 @@ from typing import List, Optional
 import numpy as np
 
 from .objective import Objective, evaluate
-from .sampling import (QueryLedger, new_generator, rank_oracle,
-                       sample_directions, selected_ranks)
-from .theory import c_N_d_delta, c_d_delta, positive_only_norm_constant
+from .sampling import (QueryLedger, check_sample_size, new_generator,
+                       rank_oracle, sample_directions, selected_ranks)
+from .theory import (c_N_d_delta, c_d_delta, instrumented_alpha,
+                     positive_only_norm_constant)
 from .weights import weights_by_name
 
 __all__ = [
@@ -49,14 +50,18 @@ __all__ = [
     "OptimizationError",
     "descent_direction",
     "instrumented_step_size",
-    "instrumented_alpha",
     "practical_step",
     "run",
     "baseline_value_zo",
     "TRACE_COLUMNS",
+    "MAX_REGIME_RETRIES",
 ]
 
 TRACE_COLUMNS = ("t", "f", "fgap", "gradnorm", "alpha", "eta", "queries_cum")
+
+#: samples an instrumented iteration draws, halving alpha after each regime
+#: violation, before it records a null step (a fixed alpha gets one sample)
+MAX_REGIME_RETRIES = 30
 
 
 class StepRegimeError(RuntimeError):
@@ -163,18 +168,14 @@ class RunConfig:
     eps_target: Optional[float] = None
     x0: Optional[np.ndarray] = None
     positive_only: bool = False
-    max_regime_retries: int = 30
     record_iterates: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 4 or self.n % 4 != 0:
-            raise ValueError(f"n must be >= 4 and divisible by 4, got {self.n}")
+        check_sample_size(self.n)
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.max_regime_retries < 1:
-            raise ValueError("max_regime_retries must be >= 1")
 
 
 @dataclass
@@ -276,16 +277,6 @@ def instrumented_step_size(f_x: float, grad: np.ndarray, u_sel: np.ndarray,
     return float(terms.min())
 
 
-def instrumented_alpha(grad_norm: float, L: float, c_d: float,
-                       c: float = 1.0) -> float:
-    """Smoothing radius ``c ||grad|| / (4 L C_d)`` with c in (0, 1]."""
-    if grad_norm <= 0:
-        raise ValueError("at stationary point: gradient norm is zero")
-    if not (0.0 < c <= 1.0):
-        raise ValueError(f"c must lie in (0, 1], got {c}")
-    return c * grad_norm / (4.0 * L * c_d)
-
-
 def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
                    policy: StepPolicy, ledger: QueryLedger,
                    eta_first: Optional[float] = None):
@@ -327,8 +318,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     objective to carry ``grad`` and ``L``.  When the instrumented step
     size reports a regime violation, the driver shrinks alpha by half
     and resamples (charging the queries) for the instrumented/geometric
-    alpha policies; under a fixed alpha the iteration records a null
-    step instead, which is what produces the alpha-floor plateau.
+    alpha policies, up to ``MAX_REGIME_RETRIES`` samples; under a fixed
+    alpha the iteration records a null step instead, which is what
+    produces the alpha-floor plateau.
     """
     if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented step needs an objective with grad and L")
@@ -451,7 +443,7 @@ def _instrumented_update(obj, cfg, sel, w_sel, c_nd, x, f_x, g, alpha, rng,
     Shrinks alpha and resamples on regime violations unless the alpha
     policy is fixed, in which case the step is null.
     """
-    retries = cfg.max_regime_retries if cfg.alpha.kind != "fixed" else 1
+    retries = MAX_REGIME_RETRIES if cfg.alpha.kind != "fixed" else 1
     for attempt in range(retries):
         u = sample_directions(rng, cfg.n, obj.dim)
         perm, fvals = rank_oracle(obj, x, alpha, u, ledger)

@@ -2,9 +2,9 @@
 
 The sampler draws ``n`` i.i.d. standard normal directions per iteration
 from a counter-based Philox generator (64-bit seed), so every batch is
-reproducible bit for bit across platforms.  ``n`` must be divisible by 4
-because the selected index set splits into a best quartile and a worst
-quartile.
+reproducible bit for bit across platforms.  ``n`` must be a positive
+multiple of 4 (:func:`check_sample_size`) because the selected index set
+splits into a best quartile and a worst quartile.
 
 The rank oracle evaluates the ``n`` probe points ``x + alpha * u_i``,
 charges ``n`` queries, and returns the stable ascending permutation of
@@ -25,6 +25,7 @@ from .objective import Objective, evaluate_batch
 __all__ = [
     "QueryLedger",
     "NonFiniteValueError",
+    "check_sample_size",
     "new_generator",
     "sample_directions",
     "rank_oracle",
@@ -40,6 +41,12 @@ class NonFiniteValueError(ValueError):
         self.index = index
         self.value = value
         super().__init__(f"non-finite objective value {value!r} at sample index {index}")
+
+
+def check_sample_size(n: int) -> None:
+    """Reject a batch size ``n`` that is not a positive multiple of 4."""
+    if n < 4 or n % 4 != 0:
+        raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
 
 
 def new_generator(seed: int) -> np.random.Generator:
@@ -70,8 +77,7 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if n < 4 or n % 4 != 0:
-        raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
+    check_sample_size(n)
     return rng.standard_normal((n, d))
 
 
@@ -103,8 +109,7 @@ def selected_index_set(n: int) -> Tuple[np.ndarray, np.ndarray]:
     ``k_plus`` = ranks 1..n/4, ``k_minus`` = ranks 3n/4+1..n; their union
     is the selected set of size n/2 that receives nonzero weights.
     """
-    if n % 4 != 0 or n < 4:
-        raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
+    check_sample_size(n)
     k_plus = np.arange(1, n // 4 + 1)
     k_minus = np.arange(3 * n // 4 + 1, n + 1)
     return k_plus, k_minus

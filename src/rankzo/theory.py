@@ -2,15 +2,15 @@
 
 Everything the convergence analysis quantifies lives here:
 
-* closed-form constants: ``c_d_delta``, ``c_N_d_delta``, the Bernoulli
-  KL divergence, the quartile-event bound ``exp(-n D(1/4 || p))`` with
-  ``p = 1 - Phi(2)`` computed exactly, the contraction factor ``rho``
-  and the two alpha-floor terms;
+* closed-form constants: ``c_d_delta``, the regime radius
+  ``instrumented_alpha``, ``c_N_d_delta``, the Bernoulli KL divergence,
+  the quartile-event bound ``exp(-n D(1/4 || p))`` with
+  ``p = 1 - Phi(2)`` computed exactly, ``rho`` and the alpha floors;
 * the standard normal CDF ``Phi``, from the standard library as
   ``0.5 * math.erfc(-x / sqrt(2))``, for ``p`` and the order-statistic
   checks;
 * predicted iteration/query complexities for the strongly convex and
-  nonconvex regimes;
+  nonconvex regimes, in closed form: T first, then N from T;
 * Monte-Carlo checkers that re-run the defining random experiment of
   each high-probability event (E1..E5) and of the supporting
   probability bounds (Chernoff, Gaussian max, chi-square tail, spectral
@@ -29,21 +29,21 @@ from typing import Dict, Optional
 import numpy as np
 
 from .objective import Objective, evaluate, evaluate_batch
-from .sampling import selected_ranks
+from .sampling import check_sample_size, selected_ranks
 
 __all__ = [
     "P_TAIL_EXACT",
-    "TheoryConstants",
+    "MIN_TRIALS",
     "EventCheckReport",
     "EventSetup",
     "c_d_delta",
+    "instrumented_alpha",
     "c_N_d_delta",
     "positive_only_norm_constant",
     "kl_bernoulli",
     "event_bound_E45",
     "rho",
     "floors",
-    "theory_constants",
     "ComplexityPrediction",
     "predict_complexity",
     "check_event",
@@ -63,6 +63,9 @@ def _normal_cdf(x: float) -> float:
 #: 0.0224 sometimes quoted for this tail is treated as a display value.
 P_TAIL_EXACT = 1.0 - _normal_cdf(2.0)
 
+#: fewest Monte-Carlo trials either checker accepts
+MIN_TRIALS = 1000
+
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
 APPENDIX_IDS = ("chernoff", "gauss_max", "chi2", "spectral",
                 "order_low1", "order_low2")
@@ -80,6 +83,17 @@ def c_d_delta(d: int, delta: float) -> float:
     return d + 2.0 * math.log(1.0 / delta)
 
 
+def instrumented_alpha(grad_norm: float, L: float, c_d: float,
+                       c: float = 1.0) -> float:
+    """Smoothing radius ``c ||grad|| / (4 L C_d)`` with c in (0, 1];
+    at c = 1 it is the quartile-event regime bound."""
+    if grad_norm <= 0:
+        raise ValueError("at stationary point: gradient norm is zero")
+    if not (0.0 < c <= 1.0):
+        raise ValueError(f"c must lie in (0, 1], got {c}")
+    return c * grad_norm / (4.0 * L * c_d)
+
+
 def _matrix_norm_bound(n_cols: int, d: int, delta: float) -> float:
     # (sqrt(cols) + sqrt(d) + sqrt(2 ln(2/delta)))^2, the squared
     # high-probability spectral bound for a d x cols Gaussian matrix
@@ -89,8 +103,7 @@ def _matrix_norm_bound(n_cols: int, d: int, delta: float) -> float:
 
 def c_N_d_delta(n: int, d: int, delta: float) -> float:
     """Squared spectral bound for the n/2 selected directions."""
-    if n % 4 != 0 or n < 4:
-        raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
+    check_sample_size(n)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_delta(delta)
@@ -99,8 +112,7 @@ def c_N_d_delta(n: int, d: int, delta: float) -> float:
 
 def positive_only_norm_constant(n: int, d: int, delta: float) -> float:
     """Variant of ``c_N_d_delta`` for the n/4 best-quartile-only ablation."""
-    if n % 4 != 0 or n < 4:
-        raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
+    check_sample_size(n)
     _check_delta(delta)
     return _matrix_norm_bound(n // 4, d, delta)
 
@@ -114,8 +126,7 @@ def kl_bernoulli(q: float, p: float) -> float:
 
 def event_bound_E45(n: int) -> float:
     """Failure bound ``exp(-n D(1/4 || 1 - Phi(2)))`` for the quartile events."""
-    if n % 4 != 0 or n < 4:
-        raise ValueError(f"n must be >= 4 and divisible by 4, got {n}")
+    check_sample_size(n)
     return math.exp(-n * kl_bernoulli(0.25, P_TAIL_EXACT))
 
 
@@ -161,34 +172,6 @@ def floors(n: int, d: int, delta: float, L: float, alpha: float,
     return floor_sc, floor_nc
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
-    """All constants the analysis uses for one (n, d, delta, L, mu, alpha)."""
-
-    c_d_delta: float
-    c_N_d_delta: float
-    p_tail: float
-    kl_quarter: float
-    rho: Optional[float]
-    delta_floor_sc: float
-    delta_floor_nc: float
-
-
-def theory_constants(n: int, d: int, delta: float, L: float,
-                     mu: Optional[float] = None, alpha: float = 0.0,
-                     weight_ratio: float = 1.0) -> TheoryConstants:
-    floor_sc, floor_nc = floors(n, d, delta, L, alpha, weight_ratio)
-    return TheoryConstants(
-        c_d_delta=c_d_delta(d, delta),
-        c_N_d_delta=c_N_d_delta(n, d, delta),
-        p_tail=P_TAIL_EXACT,
-        kl_quarter=kl_bernoulli(0.25, P_TAIL_EXACT),
-        rho=None if mu is None else rho(n, d, delta, mu, L, weight_ratio),
-        delta_floor_sc=floor_sc,
-        delta_floor_nc=floor_nc,
-    )
-
-
 # ---------------------------------------------------------------------------
 # predicted complexities
 # ---------------------------------------------------------------------------
@@ -208,16 +191,15 @@ class ComplexityPrediction:
 
 def predict_complexity(kind: str, d: int, L: float, eps: float,
                        delta_prime: float, mu: Optional[float] = None,
-                       c1: float = 1.0, max_passes: int = 100) -> ComplexityPrediction:
-    """Predicted (T, Q, N) for a relative target ``eps``.
+                       c1: float = 1.0) -> ComplexityPrediction:
+    """Predicted (T, Q, N) for a relative target ``eps``, in closed form.
 
-    T follows the headline complexity with unit constant:
-    ``ceil((d L / mu) ln(1/eps))`` for the strongly convex regime and
-    ``ceil(d L / eps)`` for the nonconvex one.  The sample size is
-    ``N = ceil_4(c1 (ln(T/delta') + ln ln(T/delta')))`` and the per-event
-    failure budget is ``delta = delta'/(T N)``.  T and N are resolved by
-    fixed-point iteration (T here does not feed back through N, so the
-    loop settles on the second pass).
+    T follows the headline complexity with unit constant and does not
+    depend on N: ``ceil((d L / mu) ln(1/eps))`` for the strongly convex
+    regime and ``ceil(d L / eps)`` for the nonconvex one.  N follows from
+    T as ``ceil_4(c1 (l + ln l))``, at least 4, with
+    ``l = max(ln(max(T, 2) / delta'), 2)``; then ``Q = T N`` and the
+    per-event failure budget is ``delta = delta'/(T N)``.
     """
     if kind not in ("strongly_convex", "nonconvex"):
         raise ValueError(f"kind must be strongly_convex or nonconvex, got {kind!r}")
@@ -226,20 +208,13 @@ def predict_complexity(kind: str, d: int, L: float, eps: float,
     if kind == "strongly_convex":
         if mu is None or not (0 < mu <= L):
             raise ValueError("strongly_convex prediction needs 0 < mu <= L")
-        t_of = lambda: math.ceil(d * L / mu * math.log(1.0 / eps))
+        t = math.ceil(d * L / mu * math.log(1.0 / eps))
     else:
-        t_of = lambda: math.ceil(d * L / eps)
-
-    t, n = t_of(), 4
-    for _ in range(max_passes):
-        inner = max(math.log(max(t, 2) / delta_prime), 2.0)
-        n_new = _ceil4(c1 * (inner + math.log(inner)))
-        t_new = t_of()
-        if (t_new, n_new) == (t, n):
-            delta = delta_prime / (t * n)
-            return ComplexityPrediction(kind=kind, t=t, q=t * n, n=n, delta=delta)
-        t, n = t_new, n_new
-    raise ValueError(f"T/N fixed point did not settle in {max_passes} passes")
+        t = math.ceil(d * L / eps)
+    inner = max(math.log(max(t, 2) / delta_prime), 2.0)
+    n = _ceil4(c1 * (inner + math.log(inner)))
+    return ComplexityPrediction(kind=kind, t=t, q=t * n, n=n,
+                                delta=delta_prime / (t * n))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +266,7 @@ def _require_instrumented(setup: EventSetup) -> tuple[np.ndarray, float, float]:
     gn = float(np.linalg.norm(g))
     if gn <= 0:
         raise ValueError("event check needs a state with nonzero gradient")
-    alpha_max = gn / (4.0 * obj.L * c_d_delta(obj.dim, setup.delta))
+    alpha_max = instrumented_alpha(gn, obj.L, c_d_delta(obj.dim, setup.delta))
     if setup.alpha > alpha_max * (1.0 + 1e-12):
         raise ValueError(
             f"alpha {setup.alpha:g} violates the quartile-event regime "
@@ -327,14 +302,14 @@ def check_event(event_id: str, setup: EventSetup, trials: int,
     Chernoff argument with tau = 2 actually controls, at exactly the
     quoted bound, is the boundary crossing tested here.
 
-    Preconditions: trials >= 1000; for E1/E4/E5 the objective must carry
-    grad and L, the gradient at ``setup.x`` must be nonzero, and
+    Preconditions: trials >= MIN_TRIALS; for E1/E4/E5 the objective must
+    carry grad and L, the gradient at ``setup.x`` must be nonzero, and
     ``setup.alpha`` must respect the ``||grad||/(4 L C_d)`` regime bound.
     """
     if event_id not in EVENT_IDS:
         raise ValueError(f"unknown event id {event_id!r}")
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     obj, x, alpha, n, delta = (setup.obj, np.asarray(setup.x, float),
                                setup.alpha, setup.n, setup.delta)
     _check_delta(delta)
@@ -441,8 +416,8 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
     """
     if which not in APPENDIX_IDS:
         raise ValueError(f"unknown appendix check {which!r}")
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     p = dict(params or {})
 
     if which == "chernoff":

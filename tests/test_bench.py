@@ -6,14 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankzo.bench import (ExperimentGrid, GridCell, baseline_value_zo,
-                          build_objective,
+from rankzo.bench import (ExperimentGrid, GridCell, build_objective,
                           fit_log_gap_slope, queries_to_relative_target,
                           queries_to_target, run_grid, write_json,
                           write_results_csv)
 from rankzo.objective import Objective, make_quadratic
 from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
-                              RunTrace, StepPolicy, run)
+                              RunTrace, StepPolicy, baseline_value_zo, run)
 from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
 from rankzo.optimizer import descent_direction

@@ -144,6 +144,13 @@ class TestOptimize:
         cfg = write_config(tmp_path, with_values(QUAD_CONFIG, {"optimizer.N": "sixteen"}))
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_zero_dimension_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, {"objective.d": "0"}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+        assert "d must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -236,6 +243,31 @@ verify.alpha_scale = 10.0
         report_line = (out / "reports.csv").read_text().splitlines()[1]
         assert report_line.startswith("E4") and report_line.endswith("false")
 
+    @pytest.mark.parametrize("values,flags,named", [
+        ({}, ["--trials", "0"], "--trials"),
+        ({}, ["--trials", "500"], "--trials"),
+        ({"verify.trials": "-5"}, [], "verify.trials"),
+        ({"verify.trials_appendix": "0"}, [], "verify.trials_appendix"),
+        ({"verify.n": "6"}, [], "verify.n"),
+        ({"verify.alpha_scale": "0"}, [], "verify.alpha_scale"),
+        ({"verify.alpha_scale": "-1"}, [], "verify.alpha_scale"),
+        ({"verify.d": "0"}, [], "verify.d"),
+        ({"verify.delta": "1.5"}, [], "verify.delta"),
+        ({"verify.L": "-2"}, [], "verify.L"),
+        ({"verify.mu": "20"}, [], "verify.mu"),
+    ], ids=["trials_flag_0", "trials_flag_500", "trials_key_neg",
+            "trials_appendix_0", "n_6", "alpha_scale_0", "alpha_scale_neg",
+            "d_0", "delta_1.5", "L_neg", "mu_above_L"])
+    def test_bad_input_exit2_before_any_check(self, tmp_path, capsys,
+                                              values, flags, named):
+        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, values))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)] + flags) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""  # no check ran
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, VERIFY_SMALL)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -296,6 +328,14 @@ class TestBench:
         out = tmp_path / "out"
         assert main(["bench", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_batch_size_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, {"bench.ns": "8,6"}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bench.ns" in err and "divisible by 4, got 6" in err
         assert not out.exists()
 
     def test_missing_grid_keys_exit2(self, tmp_path):

@@ -125,6 +125,11 @@ class TestMakeQuadratic:
         with pytest.raises(ValueError):
             make_quadratic(4, 10.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_dimension_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+            make_quadratic(d, 1.0, 10.0, seed=0)
+
     def test_deterministic_in_seed(self):
         a1 = recover_matrix(make_quadratic(5, 1.0, 10.0, seed=9))
         a2 = recover_matrix(make_quadratic(5, 1.0, 10.0, seed=9))

@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rankzo import optimizer
 from rankzo.objective import (MonotoneTransform, Objective, make_quadratic,
                               wrap_monotone)
 from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               StepPolicy, StepRegimeError, baseline_value_zo,
-                              descent_direction, instrumented_alpha,
-                              instrumented_step_size, practical_step, run)
+                              descent_direction, instrumented_step_size,
+                              practical_step, run)
 from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
-from rankzo.theory import c_N_d_delta, c_d_delta, positive_only_norm_constant
+from rankzo.theory import (c_N_d_delta, c_d_delta, instrumented_alpha,
+                           positive_only_norm_constant)
 from rankzo.weights import uniform_weights
 
 
@@ -339,12 +341,42 @@ class TestRun:
         np.testing.assert_array_equal(trace.iterates[0], x0)
         np.testing.assert_array_equal(trace.iterates[1], x0 + eta * (w @ u[idx]))
 
-    def test_rejects_no_regime_attempts(self):
-        # zero attempts would turn every instrumented iteration into a
-        # null step at zero queries
-        with pytest.raises(ValueError, match="max_regime_retries"):
-            RunConfig(n=8, iterations=5, max_regime_retries=0)
-        assert RunConfig(n=8, iterations=5, max_regime_retries=1).max_regime_retries == 1
+
+class TestRegimeRetries:
+    """A regime violation halves alpha and resamples, 30 samples at most
+    per iteration, under instrumented step size and geometric alpha."""
+
+    def test_all_samples_violate_null_step(self):
+        # alpha is still ~1.9e3 after 29 halvings: every f-difference in
+        # the best quartile has the wrong sign
+        obj = make_quadratic(16, 1.0, 10.0, seed=7)
+        trace = run(obj, RunConfig(n=8, iterations=1, seed=4,
+                                   alpha=AlphaPolicy.geometric(1e12, 0.5),
+                                   record_iterates=True))
+        assert trace.eta == [0.0]
+        assert trace.queries_cum == [30 * 8]
+        assert trace.alpha == [1e12 / 2**29]
+        np.testing.assert_array_equal(trace.iterates[1], trace.iterates[0])
+
+    @pytest.mark.parametrize("k", [1, 3, 29])
+    def test_kth_retry_records_halved_alpha(self, monkeypatch, k):
+        calls = []
+
+        def violate_k_times(f_x, grad, u_sel, f_sel, w_sel, alpha, L, c_nd):
+            calls.append(alpha)
+            if len(calls) <= k:
+                raise StepRegimeError("forced")
+            return 0.01
+
+        monkeypatch.setattr(optimizer, "instrumented_step_size", violate_k_times)
+        obj = make_quadratic(16, 1.0, 10.0, seed=7)
+        alpha0 = 1e-4
+        trace = run(obj, RunConfig(n=8, iterations=1, seed=4,
+                                   alpha=AlphaPolicy.geometric(alpha0, 0.5)))
+        assert calls == [alpha0 / 2**j for j in range(k + 1)]
+        assert trace.alpha == [alpha0 / 2**k]
+        assert trace.eta == [0.01]
+        assert trace.queries_cum == [(k + 1) * 8]
 
 
 class TestWarmStartLineSearch:

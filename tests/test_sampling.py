@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from rankzo.objective import MonotoneTransform, Objective, make_quadratic, wrap_monotone
-from rankzo.sampling import (NonFiniteValueError, QueryLedger, new_generator,
-                             rank_oracle, sample_directions,
-                             selected_index_set, selected_ranks)
+from rankzo.optimizer import RunConfig
+from rankzo.sampling import (NonFiniteValueError, QueryLedger,
+                             check_sample_size, new_generator, rank_oracle,
+                             sample_directions, selected_index_set,
+                             selected_ranks)
+from rankzo.theory import (c_N_d_delta, event_bound_E45,
+                           positive_only_norm_constant)
 
 
 def linear_1d():
@@ -99,6 +103,30 @@ class TestRankOracle:
             p1, _ = rank_oracle(obj, x, 0.05, batch, QueryLedger())
             p2, _ = rank_oracle(wrapped, x, 0.05, batch, QueryLedger())
             np.testing.assert_array_equal(p1, p2)
+
+
+class TestCheckSampleSize:
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    def test_accepts_positive_multiples_of_4(self, n):
+        check_sample_size(n)
+
+    @pytest.mark.parametrize("n", [-4, 0, 2, 6, 18])
+    def test_rejects_others(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 4 and divisible by 4, got {n}$"):
+            check_sample_size(n)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: RunConfig(n=n, iterations=1),
+        lambda n: sample_directions(new_generator(0), n, 3),
+        selected_index_set,
+        lambda n: c_N_d_delta(n, 3, 0.1),
+        lambda n: positive_only_norm_constant(n, 3, 0.1),
+        event_bound_E45,
+    ], ids=["RunConfig", "sample_directions", "selected_index_set",
+            "c_N_d_delta", "positive_only_norm_constant", "event_bound_E45"])
+    def test_every_caller_uses_it(self, build):
+        with pytest.raises(ValueError, match="n must be >= 4 and divisible by 4, got 6$"):
+            build(6)
 
 
 class TestSelectedIndexSet:

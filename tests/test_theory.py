@@ -15,7 +15,7 @@ from rankzo.theory import (P_TAIL_EXACT, EventSetup, c_N_d_delta, c_d_delta,
                            check_appendix_bounds, check_event,
                            event_bound_E45, floors, kl_bernoulli,
                            positive_only_norm_constant, predict_complexity,
-                           recursion_fixed_point_check, rho, theory_constants)
+                           recursion_fixed_point_check, rho)
 
 
 class TestConstants:
@@ -137,14 +137,25 @@ class TestFloors:
         assert fh[0] == pytest.approx(2 * fu[0], rel=1e-12)
         assert fh[1] == pytest.approx(4 * fu[1], rel=1e-12)
 
-    def test_assembled_constants(self):
-        tc = theory_constants(32, 100, 0.01, L=1.0, mu=0.1, alpha=1e-4)
-        assert tc.rho == pytest.approx(0.00016044275827780598, rel=1e-12)
-        assert tc.kl_quarter == pytest.approx(0.40072062079842224, rel=1e-12)
-        assert tc.c_d_delta == pytest.approx(109.21034037197619, rel=1e-14)
-
 
 class TestPredictComplexity:
+    @pytest.mark.parametrize("args,kw,expected", [
+        (("strongly_convex", 32, 10.0, 1e-6, 0.1), {"mu": 1.0},
+         (4421, 16, 70736, 1.4137073060393577e-06)),
+        (("nonconvex", 32, 10.0, 1e-3, 0.1), {},
+         (320000, 20, 6400000, 1.5625e-08)),
+        # T = 1: both clamps (max(T, 2) and the inner max(., 2)) bind, N = 4
+        (("strongly_convex", 1, 1.0, 0.5, 0.5), {"mu": 1.0},
+         (1, 4, 4, 0.125)),
+        (("strongly_convex", 32, 10.0, 1e-6, 0.1), {"mu": 1.0, "c1": 3.0},
+         (4421, 40, 176840, 5.654829224157431e-07)),
+        (("nonconvex", 100, 2.0, 1e-2, 1e-3), {"c1": 3.0},
+         (20000, 60, 1200000, 8.333333333333334e-10)),
+    ], ids=["sc", "nc", "tiny_t", "sc_c1_3", "nc_c1_3"])
+    def test_frozen_values(self, args, kw, expected):
+        pred = predict_complexity(*args, **kw)
+        assert (pred.t, pred.n, pred.q, pred.delta) == expected
+
     def test_doubling_d_doubles_t(self):
         small = predict_complexity("strongly_convex", 32, 10.0, 1e-6, 0.1, mu=1.0)
         big = predict_complexity("strongly_convex", 64, 10.0, 1e-6, 0.1, mu=1.0)
