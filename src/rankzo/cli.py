@@ -24,7 +24,8 @@ is a config error::
 Exit codes: 0 success, 1 verification failure, 2 config error
 (including an unknown or repeated key, a nan/inf value or ``predict``
 flag, ``--jobs`` < 1, an ``n`` that is not a positive multiple of 4, a
-dimension below 1, or a ``verify`` input no check can run with), 3
+dimension below 1, a negative seed, or a ``verify`` input no check can
+run with), 3
 runtime error.  All CSV output uses '.' decimals, '\\n' line endings and
 a header row; reruns with the same config and seed are byte identical.
 Summaries are strict JSON, with non-finite values written as ``null``.
@@ -49,9 +50,12 @@ from .bench import (ExperimentGrid, GridCell, _median_or_none, build_objective,
 from .optimizer import (AlphaPolicy, OptimizationError, RunConfig, RunTrace,
                         StepPolicy, run)
 from .sampling import check_sample_size, new_generator
+# check_event is not called here, but perfbench/tracer.py wraps
+# rankzo.cli.check_event, so the name stays importable from this module
 from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
                      EventSetup, c_d_delta, check_appendix_bounds, check_event,
-                     floors, instrumented_alpha, predict_complexity)
+                     check_events, event_precondition_errors, floors,
+                     instrumented_alpha, predict_complexity)
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS"]
 
@@ -136,6 +140,13 @@ def _get(cfg: Dict[str, str], key: str, cast, default=None):
     return value
 
 
+def _at_least(key: str, values, low) -> None:
+    """Raise a :class:`ConfigError` naming ``key`` unless every value is >= ``low``."""
+    for value in values:
+        if value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
+
+
 def _int_list(text: str) -> List[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -158,6 +169,7 @@ def build_objective_from_config(cfg: Dict[str, str]):
     l_const = _get(cfg, "objective.L", float, 10.0)
     seed = _get(cfg, "objective.seed", int, 7)
     curvature = _get(cfg, "objective.curvature", float, 0.5)
+    _at_least("objective.seed", [seed], 0)
     with _config_errors():
         return build_objective(kind, d, mu, l_const, seed, curvature)
 
@@ -174,8 +186,10 @@ def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunCo
                             alpha0=_get(cfg, "optimizer.alpha0", float, 1e-3),
                             gamma=_get(cfg, "optimizer.gamma", float, 0.99),
                             c=_get(cfg, "optimizer.alpha_c", float, 1.0))
+        seed_key = "optimizer.seed" if seed_override is None else "--seed"
         seed = seed_override if seed_override is not None \
             else _get(cfg, "optimizer.seed", int, 0)
+        _at_least(seed_key, [seed], 0)
         return RunConfig(
             n=_get(cfg, "optimizer.N", int),
             iterations=_get(cfg, "optimizer.T", int),
@@ -218,6 +232,11 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     Inputs are checked before the first check runs, so a value no check
     can run with is a config error; ``verify.alpha_scale > 1`` is the
     negative control and fails the checks instead.
+
+    The requested events E1..E5 whose preconditions hold run as one
+    shared Monte-Carlo pass on the first check's stream (seed + 101);
+    the pass's wall ms goes to the first of them and the others get 0.
+    Each appendix check draws from its own stream.
     """
     events_text = _get(cfg, "verify.events", str, "all")
     names = list(ALL_CHECKS) if events_text == "all" else _str_list(events_text)
@@ -235,15 +254,15 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     d = _get(cfg, "verify.d", int, 100)
     delta = _get(cfg, "verify.delta", float, 0.1)
     alpha_scale = _get(cfg, "verify.alpha_scale", float, 1.0)
+    seed_key = "--seed" if args.seed is not None else "verify.seed"
     seed = args.seed if args.seed is not None else _get(cfg, "verify.seed", int, 7)
     mu = _get(cfg, "verify.mu", float, 1.0)
     l_const = _get(cfg, "verify.L", float, 10.0)
     objective_seed = _get(cfg, "verify.objective_seed", int, 3)
 
-    for key, value in ((trials_key, trials),
-                       ("verify.trials_appendix", trials_appendix)):
-        if value < MIN_TRIALS:
-            raise ConfigError(f"{key} must be >= {MIN_TRIALS}, got {value}")
+    _at_least(trials_key, [trials], MIN_TRIALS)
+    _at_least("verify.trials_appendix", [trials_appendix], MIN_TRIALS)
+    _at_least(seed_key, [seed], 0)
     if alpha_scale <= 0:
         raise ConfigError(f"verify.alpha_scale must be positive, got {alpha_scale!r}")
     with _config_errors("verify.n"):
@@ -259,26 +278,40 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     alpha = alpha_scale * instrumented_alpha(gnorm, obj.L, c_d)
     setup = EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
 
+    events = [e for e in names if e in EVENT_IDS]
+    started = time.perf_counter()
+    errors = event_precondition_errors(events, setup)
+    runnable = [e for e in events if e not in errors]
+    shared = {}
+    if runnable:
+        shared = dict(zip(runnable, check_events(runnable, setup, trials,
+                                                 new_generator(seed + 101))))
+    pass_ms = _ms_since(started)
+
     reports: List[Tuple[EventCheckReport, int]] = []
     for name in names:
-        rng = new_generator(seed + 101 * (ALL_CHECKS.index(name) + 1))
-        started = time.perf_counter()
-        try:
-            if name in EVENT_IDS:
-                report = check_event(name, setup, trials, rng)
-            else:
-                report = check_appendix_bounds(name, None, trials_appendix, rng)
-        except ValueError as exc:
+        if name in errors:
             # a violated checker precondition (e.g. alpha outside the
             # regime bound) is reported as a failure, not a crash
-            report = EventCheckReport(
+            reports.append((EventCheckReport(
                 event_id=name, trials=0, empirical_failure_rate=float("nan"),
                 theoretical_bound=float("nan"), passed=False,
-                params={"precondition_error": 1.0})
+                params={"precondition_error": 1.0}), 0))
             if args.verbose:
-                print(f"{name}: precondition violated: {exc}", file=sys.stderr)
-        reports.append((report, int(round((time.perf_counter() - started) * 1000))))
+                print(f"{name}: precondition violated: {errors[name]}", file=sys.stderr)
+        elif name in shared:
+            reports.append((shared[name], pass_ms))
+            pass_ms = 0
+        else:
+            rng = new_generator(seed + 101 * (ALL_CHECKS.index(name) + 1))
+            started = time.perf_counter()
+            report = check_appendix_bounds(name, None, trials_appendix, rng)
+            reports.append((report, _ms_since(started)))
     return reports
+
+
+def _ms_since(started: float) -> int:
+    return int(round((time.perf_counter() - started) * 1000))
 
 
 def cmd_verify(args) -> int:
@@ -313,6 +346,9 @@ def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:
     eps_rel = _get(cfg, "bench.eps_rel", float, 1e-4)
     objective_seed = _get(cfg, "bench.objective_seed", int, 7)
     template = build_run_config(cfg, args.seed)
+    _at_least("bench.dims", dims, 1)
+    _at_least("bench.seeds", seeds, 0)
+    _at_least("bench.objective_seed", [objective_seed], 0)
     with _config_errors("bench.ns"):
         for n in ns:
             check_sample_size(n)
@@ -344,6 +380,7 @@ def cmd_ablate(args) -> int:
     obj = build_objective_from_config(cfg)
     base = build_run_config(cfg, args.seed)
     seeds = _get(cfg, "ablate.seeds", _int_list, [base.seed])
+    _at_least("ablate.seeds", seeds, 0)
     eps_rel = _get(cfg, "ablate.eps_rel", float, 1e-4)
     os.makedirs(args.out, exist_ok=True)
     results = {"full": [], "positive_only": []}

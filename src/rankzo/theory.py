@@ -11,11 +11,14 @@ Everything the convergence analysis quantifies lives here:
   checks;
 * predicted iteration/query complexities for the strongly convex and
   nonconvex regimes, in closed form: T first, then N from T;
-* Monte-Carlo checkers that re-run the defining random experiment of
-  each high-probability event (E1..E5) and of the supporting
-  probability bounds (Chernoff, Gaussian max, chi-square tail, spectral
-  norm, order-statistic tails) and compare the empirical failure rate
-  against the stated bound at a 3-sigma binomial tolerance.
+* Monte-Carlo checkers that compare an empirical failure rate against
+  its stated bound at a 3-sigma binomial tolerance.  The per-iteration
+  events E1..E5 are all events of one random experiment (an n x d
+  Gaussian batch at x, with the probes ranked), so ``check_events``
+  runs that experiment once and reads every requested event off the
+  same trials.  Each supporting probability bound (Chernoff, Gaussian
+  max, chi-square tail, spectral norm, order-statistic tails) has its
+  own experiment in ``check_appendix_bounds``.
 
 Every checker is pure given its RNG stream, so trials can be sharded.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +49,8 @@ __all__ = [
     "floors",
     "ComplexityPrediction",
     "predict_complexity",
+    "event_precondition_errors",
+    "check_events",
     "check_event",
     "check_appendix_bounds",
     "recursion_fixed_point_check",
@@ -258,29 +263,61 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def _require_instrumented(setup: EventSetup) -> tuple[np.ndarray, float, float]:
+def _preconditions(event_ids: Sequence[str], setup: EventSetup
+                   ) -> tuple[Dict[str, str], Optional[np.ndarray], float]:
+    """Precondition failures by event id, and the gradient at ``setup.x``
+    with its norm (``None`` and nan when no requested event needs it or
+    the objective has none)."""
+    unknown = [e for e in event_ids if e not in EVENT_IDS]
+    if unknown:
+        raise ValueError(f"unknown event id {unknown[0]!r}")
     obj = setup.obj
-    if obj.grad is None or obj.L is None:
-        raise ValueError("event check needs an objective with grad and L")
-    g = np.asarray(obj.grad(setup.x), dtype=float)
-    gn = float(np.linalg.norm(g))
-    if gn <= 0:
-        raise ValueError("event check needs a state with nonzero gradient")
-    alpha_max = instrumented_alpha(gn, obj.L, c_d_delta(obj.dim, setup.delta))
-    if setup.alpha > alpha_max * (1.0 + 1e-12):
-        raise ValueError(
-            f"alpha {setup.alpha:g} violates the quartile-event regime "
-            f"bound {alpha_max:g} (grad-norm / (4 L C_d))")
-    return g, gn, float(obj.L)
+    g, gn = None, float("nan")
+    if obj.grad is not None and any(e != "E2" for e in event_ids):
+        g = np.asarray(obj.grad(setup.x), dtype=float)
+        gn = float(np.linalg.norm(g))
+    errors: Dict[str, str] = {}
+    for e in event_ids:
+        if e == "E2":  # only ranks probes; no gradient needed
+            continue
+        if e == "E3":
+            if g is None:
+                errors[e] = "E3 needs an objective with a gradient"
+            elif gn <= 0:
+                errors[e] = "E3 needs a state with nonzero gradient"
+            continue
+        if g is None or obj.L is None:
+            errors[e] = "event check needs an objective with grad and L"
+        elif gn <= 0:
+            errors[e] = "event check needs a state with nonzero gradient"
+        else:
+            alpha_max = instrumented_alpha(gn, obj.L, c_d_delta(obj.dim, setup.delta))
+            if setup.alpha > alpha_max * (1.0 + 1e-12):
+                errors[e] = (
+                    f"alpha {setup.alpha:g} violates the quartile-event regime "
+                    f"bound {alpha_max:g} (grad-norm / (4 L C_d))")
+    return errors, g, gn
 
 
-def check_event(event_id: str, setup: EventSetup, trials: int,
-                rng: np.random.Generator, chunk: int = 512) -> EventCheckReport:
-    """Simulate one per-iteration event and compare against its bound.
+def event_precondition_errors(event_ids: Sequence[str],
+                              setup: EventSetup) -> Dict[str, str]:
+    """Why each event in ``event_ids`` cannot be checked at ``setup``.
+
+    E2 needs nothing beyond the common inputs; E3 needs a nonzero
+    gradient at ``setup.x``; E1/E4/E5 also need the objective's ``L``
+    and ``setup.alpha`` within the ``||grad||/(4 L C_d)`` regime bound.
+    Events that can be checked are absent from the result.
+    """
+    return _preconditions(event_ids, setup)[0]
+
+
+def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
+                 rng: np.random.Generator, chunk: int = 512) -> List[EventCheckReport]:
+    """Simulate the per-iteration events in one shared experiment.
 
     Each trial draws a fresh n x d Gaussian batch at ``setup.x``, ranks
-    the probes ``x + alpha u_i`` by objective value, and tests the
-    event's inequality:
+    the probes ``x + alpha u_i`` by objective value, and tests every
+    requested event's inequality on that one batch:
 
     * E1: every selected direction's Taylor remainder stays within
       ``C_{d,delta} L alpha^2``  (bound n*delta/2);
@@ -294,6 +331,14 @@ def check_event(event_id: str, setup: EventSetup, trials: int,
       ``<grad, u_(n/4)> >= -2||grad|| - 2 C_d L alpha``
       (bound exp(-n D(1/4 || 1-Phi(2)))).
 
+    Trials run in chunks of ``chunk``; each chunk makes one draw, one
+    batch evaluation, one stable argsort and one ``u @ grad``, whatever
+    the requested events.  The draws do not depend on which events are
+    requested, so an event's report for a given ``rng`` state is the same
+    alone or in company.  Each estimate is unbiased; estimates of
+    different events are correlated, and each passes or fails on its own.
+    One report comes back per requested id, in the order requested.
+
     Note on E4/E5: the analysis states these quartile events as lower
     bounds |<grad, u_(k)>| >= ||grad|| on every selected direction, but
     the n/4-th extreme of n standard normals concentrates at
@@ -302,12 +347,13 @@ def check_event(event_id: str, setup: EventSetup, trials: int,
     Chernoff argument with tau = 2 actually controls, at exactly the
     quoted bound, is the boundary crossing tested here.
 
-    Preconditions: trials >= MIN_TRIALS; for E1/E4/E5 the objective must
-    carry grad and L, the gradient at ``setup.x`` must be nonzero, and
-    ``setup.alpha`` must respect the ``||grad||/(4 L C_d)`` regime bound.
+    Preconditions: trials >= MIN_TRIALS, and every requested event's
+    (see :func:`event_precondition_errors`); a violated one raises
+    ``ValueError`` before anything is drawn.
     """
-    if event_id not in EVENT_IDS:
-        raise ValueError(f"unknown event id {event_id!r}")
+    ids = tuple(event_ids)
+    if not ids:
+        raise ValueError("no event ids given")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     obj, x, alpha, n, delta = (setup.obj, np.asarray(setup.x, float),
@@ -315,30 +361,20 @@ def check_event(event_id: str, setup: EventSetup, trials: int,
     _check_delta(delta)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    errors, g, gn = _preconditions(ids, setup)
+    if errors:
+        raise ValueError(next(iter(errors.values())))
     d = obj.dim
     cd = c_d_delta(d, delta)
-
-    if event_id in ("E1", "E4", "E5"):
-        g, gn, L = _require_instrumented(setup)
-    elif event_id == "E3":
-        if obj.grad is None:
-            raise ValueError("E3 needs an objective with a gradient")
-        g = np.asarray(obj.grad(x), dtype=float)
-        gn = float(np.linalg.norm(g))
-        if gn <= 0:
-            raise ValueError("E3 needs a state with nonzero gradient")
-        L = obj.L
-    else:  # E2 only ranks probes; no gradient needed
-        g = np.zeros(d)
-        gn = float("nan")
-        L = obj.L
-
-    f_x = evaluate(obj, x)
-    sel = selected_ranks(n) - 1          # positions into the permutation
+    failures = dict.fromkeys(ids, 0)
+    if "E1" in failures:
+        f_x = evaluate(obj, x)
+        rem_max = cd * float(obj.L) * alpha**2
+    if "E4" in failures or "E5" in failures:
+        slack = 2.0 * gn + 2.0 * cd * float(obj.L) * alpha
     cn = c_N_d_delta(n, d, delta)
     thr_e3 = math.sqrt(2.0 * math.log(2.0 * n / delta)) * gn
-    slack = 2.0 * gn + 2.0 * cd * (L if L is not None else 0.0) * alpha
-
+    sel = selected_ranks(n) - 1          # positions into the permutation
     bounds = {
         "E1": n * delta / 2.0,
         "E2": delta,
@@ -347,7 +383,6 @@ def check_event(event_id: str, setup: EventSetup, trials: int,
         "E5": event_bound_E45(n),
     }
 
-    failures = 0
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
@@ -355,39 +390,41 @@ def check_event(event_id: str, setup: EventSetup, trials: int,
         pts = x[None, None, :] + alpha * u
         fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
         perm = np.argsort(fv, axis=1, kind="stable")
-        if event_id == "E1":
-            sel_idx = perm[:, sel]
-            fv_sel = np.take_along_axis(fv, sel_idx, axis=1)
-            ip_sel = np.take_along_axis(u @ g, sel_idx, axis=1)
-            rem = fv_sel - f_x - alpha * ip_sel
-            failures += int(np.sum(np.any(np.abs(rem) > cd * L * alpha**2, axis=1)))
-        elif event_id == "E2":
-            sel_idx = perm[:, sel]
+        sel_idx = perm[:, sel]
+        if g is not None:
+            # <grad, u> of every probe, in rank order
+            ip = np.take_along_axis(u @ g, perm, axis=1)
+        if "E1" in failures:
+            rem = np.take_along_axis(fv, sel_idx, axis=1) - f_x - alpha * ip[:, sel]
+            failures["E1"] += int(np.sum(np.any(np.abs(rem) > rem_max, axis=1)))
+        if "E2" in failures:
             u_sel = np.take_along_axis(u, sel_idx[:, :, None], axis=1)
             gram = u_sel @ np.swapaxes(u_sel, 1, 2)
             smax2 = np.linalg.eigvalsh(gram)[:, -1]
-            failures += int(np.sum(smax2 > cn))
-        elif event_id == "E3":
-            sel_idx = perm[:, sel]
-            ip_sel = np.take_along_axis(u @ g, sel_idx, axis=1)
-            failures += int(np.sum(np.max(np.abs(ip_sel), axis=1) > thr_e3))
-        elif event_id == "E4":
-            boundary = perm[:, 3 * n // 4]
-            ip = np.take_along_axis(u @ g, boundary[:, None], axis=1)[:, 0]
-            failures += int(np.sum(ip > slack))
-        else:  # E5
-            boundary = perm[:, n // 4 - 1]
-            ip = np.take_along_axis(u @ g, boundary[:, None], axis=1)[:, 0]
-            failures += int(np.sum(ip < -slack))
+            failures["E2"] += int(np.sum(smax2 > cn))
+        if "E3" in failures:
+            failures["E3"] += int(np.sum(np.max(np.abs(ip[:, sel]), axis=1) > thr_e3))
+        if "E4" in failures:
+            failures["E4"] += int(np.sum(ip[:, 3 * n // 4] > slack))
+        if "E5" in failures:
+            failures["E5"] += int(np.sum(ip[:, n // 4 - 1] < -slack))
         done += m
 
-    bound = bounds[event_id]
-    emp, ok = _three_sigma_pass(failures, trials, bound)
-    return EventCheckReport(
-        event_id=event_id, trials=trials, empirical_failure_rate=emp,
-        theoretical_bound=bound, passed=ok, failures=failures,
-        params={"n": n, "d": d, "delta": delta, "alpha": alpha, "grad_norm": gn},
-    )
+    reports = []
+    for e in ids:
+        emp, ok = _three_sigma_pass(failures[e], trials, bounds[e])
+        reports.append(EventCheckReport(
+            event_id=e, trials=trials, empirical_failure_rate=emp,
+            theoretical_bound=bounds[e], passed=ok, failures=failures[e],
+            params={"n": n, "d": d, "delta": delta, "alpha": alpha,
+                    "grad_norm": float("nan") if e == "E2" else gn}))
+    return reports
+
+
+def check_event(event_id: str, setup: EventSetup, trials: int,
+                rng: np.random.Generator, chunk: int = 512) -> EventCheckReport:
+    """:func:`check_events` for the single event ``event_id``."""
+    return check_events((event_id,), setup, trials, rng, chunk)[0]
 
 
 def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],

@@ -151,6 +151,18 @@ class TestOptimize:
         assert "d must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values,flags,named", [
+        ({"optimizer.seed": "-1"}, [], "optimizer.seed"),
+        ({}, ["--seed", "-1"], "--seed"),
+        ({"objective.seed": "-1"}, [], "objective.seed"),
+    ], ids=["key", "flag", "objective_seed"])
+    def test_negative_seed_exit2(self, tmp_path, capsys, values, flags, named):
+        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, values))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert f"{named} must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -255,9 +267,13 @@ verify.alpha_scale = 10.0
         ({"verify.delta": "1.5"}, [], "verify.delta"),
         ({"verify.L": "-2"}, [], "verify.L"),
         ({"verify.mu": "20"}, [], "verify.mu"),
+        ({"verify.seed": "-50"}, [], "verify.seed"),
+        ({"verify.seed": "-500"}, [], "verify.seed"),
+        ({}, ["--seed", "-1"], "--seed"),
     ], ids=["trials_flag_0", "trials_flag_500", "trials_key_neg",
             "trials_appendix_0", "n_6", "alpha_scale_0", "alpha_scale_neg",
-            "d_0", "delta_1.5", "L_neg", "mu_above_L"])
+            "d_0", "delta_1.5", "L_neg", "mu_above_L", "seed_-50", "seed_-500",
+            "seed_flag_neg"])
     def test_bad_input_exit2_before_any_check(self, tmp_path, capsys,
                                               values, flags, named):
         cfg = write_config(tmp_path, with_values(VERIFY_SMALL, values))
@@ -267,6 +283,32 @@ verify.alpha_scale = 10.0
         assert named in captured.err
         assert captured.out == ""  # no check ran
         assert not out.exists()
+
+    def test_precondition_failures_leave_other_events_running(self, tmp_path):
+        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {
+            "verify.events": "all", "verify.trials_appendix": "1000",
+            "verify.alpha_scale": "10.0"}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        rows = {line.split(",")[0]: line.split(",")
+                for line in (out / "reports.csv").read_text().splitlines()[1:]}
+        assert len(rows) == 11
+        for event in ("E1", "E4", "E5"):
+            assert rows[event][1:3] == ["precondition_error=1", "0"]
+            assert rows[event][-1] == "false"
+        for event in ("E2", "E3"):
+            assert rows[event][2] == "1000"
+
+    def test_event_row_independent_of_other_events(self, tmp_path):
+        rows = {}
+        for events in ("E2", "all"):
+            cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {
+                "verify.events": events, "verify.trials_appendix": "1000"}))
+            out = tmp_path / events
+            main(["verify", "--config", cfg, "--out", str(out)])
+            rows[events] = [line for line in (out / "reports.csv").read_text().splitlines()
+                            if line.startswith("E2,")]
+        assert len(rows["E2"]) == 1 and rows["E2"] == rows["all"]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, VERIFY_SMALL)
@@ -285,6 +327,8 @@ verify.alpha_scale = 10.0
         for line in lines:
             wall = line.rsplit(" ", 1)[1]
             assert wall.startswith("wall_ms=") and int(wall[len("wall_ms="):]) >= 0
+        # E2 and E3 share one pass, whose time is printed on E2's line
+        assert lines[1].endswith(" wall_ms=0")
         assert "wall_ms" not in (out / "reports.csv").read_text()
 
 
@@ -338,6 +382,20 @@ class TestBench:
         assert "bench.ns" in err and "divisible by 4, got 6" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values,flags,named,bad", [
+        ({"bench.seeds": "1,-2"}, [], "bench.seeds", "0, got -2"),
+        ({}, ["--seed", "-1"], "--seed", "0, got -1"),
+        ({"bench.dims": "0,8"}, [], "bench.dims", "1, got 0"),
+        ({"bench.objective_seed": "-1"}, [], "bench.objective_seed", "0, got -1"),
+    ], ids=["seeds_entry", "seed_flag", "dims_entry", "objective_seed"])
+    def test_bad_entry_exit2_before_any_cell(self, tmp_path, capsys,
+                                             values, flags, named, bad):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, values))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert f"{named} must be >= {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_grid_keys_exit2(self, tmp_path):
         cfg = write_config(tmp_path, "bench.dims = 8\n")
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -378,6 +436,17 @@ class TestAblate:
         assert summary["status"] == "failed"
         assert summary["seeds"] == [1, 2]
         assert summary["queries_to_target"] == {"full": [], "positive_only": []}
+
+    @pytest.mark.parametrize("values,flags,named", [
+        ({"ablate.seeds": "1,-1"}, [], "ablate.seeds"),
+        ({}, ["--seed", "-1"], "--seed"),
+    ], ids=["seeds_entry", "seed_flag"])
+    def test_negative_seed_exit2(self, tmp_path, capsys, values, flags, named):
+        cfg = write_config(tmp_path, with_values(ABLATE_SMALL, values))
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert f"{named} must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trials_flag_exit2(self, tmp_path, capsys):
         # only verify reads --trials

@@ -4,16 +4,19 @@ Reference values are frozen from direct high-precision evaluation of the
 closed forms (independent of the implementation path under test).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from rankzo import theory
 from rankzo.objective import Objective, make_quadratic
 from rankzo.sampling import new_generator
-from rankzo.theory import (P_TAIL_EXACT, EventSetup, c_N_d_delta, c_d_delta,
-                           check_appendix_bounds, check_event,
-                           event_bound_E45, floors, kl_bernoulli,
+from rankzo.theory import (EVENT_IDS, P_TAIL_EXACT, EventSetup, c_N_d_delta,
+                           c_d_delta, check_appendix_bounds, check_event,
+                           check_events, event_bound_E45,
+                           event_precondition_errors, floors, kl_bernoulli,
                            positive_only_norm_constant, predict_complexity,
                            recursion_fixed_point_check, rho)
 
@@ -251,6 +254,104 @@ class TestCheckEvent:
         r1 = check_event("E2", setup, 1500, new_generator(9))
         r2 = check_event("E2", setup, 1500, new_generator(9))
         assert r1.empirical_failure_rate == r2.empirical_failure_rate
+
+
+def recorded_l_setup(n, delta, recorded_l, d=20, seed=3):
+    """A state on the L=10 quadratic whose objective records ``recorded_l``,
+    with alpha at the regime bound that the recorded value implies."""
+    obj = dataclasses.replace(make_quadratic(d, 1.0, 10.0, seed=seed), L=recorded_l)
+    x = obj.x_star + new_generator(seed + 909).standard_normal(d)
+    gn = float(np.linalg.norm(obj.grad(x)))
+    alpha = gn / (4.0 * obj.L * c_d_delta(d, delta))
+    return EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
+
+
+# failure counts of E1..E5 frozen from the per-event checker that ran one
+# experiment per event, each event on its own new_generator(seed) stream;
+# recorded L = 0.1 on the L = 10 quadratic is the negative control below
+FROZEN_FAILURES = [
+    # (n, delta, recorded L, trials, seed), failures of E1..E5
+    ((16, 0.1, 10.0, 1000, 11), (0, 0, 11, 0, 0)),
+    ((32, 0.5, 10.0, 1500, 5), (0, 1, 73, 0, 0)),
+    ((8, 0.9, 10.0, 1100, 29), (0, 3, 128, 0, 3)),
+    ((16, 0.1, 0.1, 1000, 13), (1000, 0, 9, 2, 7)),
+    ((32, 0.1, 0.1, 2000, 13), (2000, 0, 15, 2, 17)),
+]
+
+
+class TestCheckEvents:
+    @pytest.mark.parametrize("key,expected", FROZEN_FAILURES,
+                             ids=[str(k) for k, _ in FROZEN_FAILURES])
+    def test_matches_one_experiment_per_event(self, key, expected):
+        n, delta, recorded_l, trials, seed = key
+        setup = recorded_l_setup(n, delta, recorded_l)
+        reports = check_events(EVENT_IDS, setup, trials, new_generator(seed))
+        assert [r.event_id for r in reports] == list(EVENT_IDS)
+        assert tuple(r.failures for r in reports) == expected
+        gn = float(np.linalg.norm(setup.obj.grad(setup.x)))
+        for r, failures in zip(reports, expected):
+            assert r.trials == trials
+            assert r.empirical_failure_rate == failures / trials
+            assert r.passed == theory._three_sigma_pass(
+                failures, trials, r.theoretical_bound)[1]
+            grad_norm = r.params.pop("grad_norm")
+            assert math.isnan(grad_norm) if r.event_id == "E2" else grad_norm == gn
+            assert r.params == {"n": n, "d": 20, "delta": delta, "alpha": setup.alpha}
+
+    def test_each_event_same_alone_or_in_company(self):
+        setup = quadratic_setup(n=8, delta=0.9)
+        together = check_events(("E5", "E2", "E3"), setup, 1100, new_generator(29))
+        assert [r.event_id for r in together] == ["E5", "E2", "E3"]
+        for r in together:
+            alone = check_event(r.event_id, setup, 1100, new_generator(29))
+            assert alone.params_string() == r.params_string()
+            assert (alone.failures, alone.passed, alone.theoretical_bound) == \
+                (r.failures, r.passed, r.theoretical_bound)
+
+    def test_repeated_id_repeats_report(self):
+        setup = quadratic_setup()
+        a, b = check_events(("E3", "E3"), setup, 1000, new_generator(1))
+        assert a.failures == b.failures and a.params_string() == b.params_string()
+
+    def test_preconditions_isolated_per_event(self):
+        setup = quadratic_setup(alpha_scale=10.0)
+        errors = event_precondition_errors(EVENT_IDS, setup)
+        assert sorted(errors) == ["E1", "E4", "E5"]
+        assert all("regime" in msg for msg in errors.values())
+        with pytest.raises(ValueError, match="regime"):
+            check_events(("E2", "E4"), setup, 1000, new_generator(0))
+        assert check_events(("E2", "E3"), setup, 1000, new_generator(0))[1].trials == 1000
+
+    def test_rejects_no_ids_and_unknown_ids(self):
+        setup = quadratic_setup()
+        with pytest.raises(ValueError):
+            check_events((), setup, 1000, new_generator(0))
+        with pytest.raises(ValueError, match="E9"):
+            event_precondition_errors(("E1", "E9"), setup)
+
+
+class TestNegativeControls:
+    """Each event check fails once its inequality is deliberately broken."""
+
+    def test_e1_fails_with_understated_l(self):
+        # true L = 10, recorded L = 0.1: the remainder bound C_d L alpha^2
+        # is 100x too small for the radius the recorded L allows
+        setup = recorded_l_setup(16, 0.1, 0.1)
+        (r,) = check_events(("E1",), setup, 1000, new_generator(13))
+        assert r.theoretical_bound == pytest.approx(0.8)
+        assert r.empirical_failure_rate == 1.0 and not r.passed
+
+    def test_e4_e5_fail_with_understated_l(self):
+        # at n = 32 the quartile bound is 2.7e-6, so a few crossings fail it
+        setup = recorded_l_setup(32, 0.1, 0.1)
+        for r in check_events(("E4", "E5"), setup, 4000, new_generator(13)):
+            assert r.theoretical_bound == pytest.approx(2.697837948496467e-06)
+            assert r.failures > 0 and not r.passed, r
+
+    def test_e2_fails_with_shrunk_spectral_constant(self, monkeypatch):
+        monkeypatch.setattr(theory, "c_N_d_delta", lambda n, d, delta: 1.0)
+        (r,) = check_events(("E2",), quadratic_setup(), 1000, new_generator(3))
+        assert r.empirical_failure_rate == 1.0 and not r.passed
 
 
 class TestCheckAppendixBounds:
