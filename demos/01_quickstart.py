@@ -15,8 +15,8 @@ cfg = rz.RunConfig(
     n=16,                                  # probes per iteration
     iterations=2000,
     scheme="uniform",                      # 4/n on every selected rank
-    step=rz.StepPolicy.instrumented(),
-    alpha=rz.AlphaPolicy.instrumented(c=1.0),
+    step=rz.StepPolicy("instrumented"),
+    alpha=rz.AlphaPolicy("instrumented", c=1.0),
     seed=123,
 )
 

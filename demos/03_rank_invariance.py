@@ -14,8 +14,8 @@ import rankzo as rz
 obj = rz.make_quadratic(d=8, mu=1.0, L=10.0, seed=2)
 cfg = rz.RunConfig(
     n=16, iterations=40, seed=31,
-    step=rz.StepPolicy.backtracking(eta0=1.0, shrink=0.5, max_tries=20),
-    alpha=rz.AlphaPolicy.fixed(1e-2),
+    step=rz.StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=20),
+    alpha=rz.AlphaPolicy("fixed", alpha0=1e-2),
     record_iterates=True,
 )
 

@@ -12,8 +12,8 @@ from rankzo.bench import ExperimentGrid, GridCell, run_grid
 
 cfg = rz.RunConfig(
     n=16, iterations=20_000, seed=0,
-    step=rz.StepPolicy.backtracking(1.0, 0.5, 60),
-    alpha=rz.AlphaPolicy.fixed(1e-3),
+    step=rz.StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=60),
+    alpha=rz.AlphaPolicy("fixed", alpha0=1e-3),
 )
 
 cells = [

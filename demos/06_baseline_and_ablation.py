@@ -32,10 +32,11 @@ def med(fn, cfg):
 
 
 rank_cfg = rz.RunConfig(n=16, iterations=12_000, eps_target=eps_rel,
-                        step=rz.StepPolicy.backtracking(1.0, 0.5, 60),
-                        alpha=rz.AlphaPolicy.fixed(1e-3))
+                        step=rz.StepPolicy("backtracking", eta0=1.0,
+                                           shrink=0.5, max_tries=60),
+                        alpha=rz.AlphaPolicy("fixed", alpha0=1e-3))
 value_cfg = rz.RunConfig(n=16, iterations=40_000, eps_target=eps_rel,
-                         alpha=rz.AlphaPolicy.fixed(1e-3))
+                         alpha=rz.AlphaPolicy("fixed", alpha0=1e-3))
 
 q_rank = med(rz.run, rank_cfg)
 q_value = med(baseline_value_zo, value_cfg)

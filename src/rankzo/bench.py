@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .objective import Objective, make_quadratic, make_rosenbrock_like
-from .optimizer import RunConfig, RunTrace, run
+from .optimizer import RunConfig, RunTrace, run, write_csv
 from .theory import predict_complexity
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "queries_to_target",
     "queries_to_relative_target",
     "fit_log_gap_slope",
+    "median_or_none",
     "run_grid",
     "write_results_csv",
     "write_json",
@@ -86,6 +87,8 @@ class ExperimentGrid:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One grid run; the fields are in :data:`RESULT_COLUMNS` order."""
+
     config_id: str
     seed: int
     scheme: str
@@ -197,7 +200,8 @@ def _collect(task, outcome, rows, errors):
         rows.append(outcome)
 
 
-def _median_or_none(values):
+def median_or_none(values) -> Optional[float]:
+    """Median of the values that are not None; None when there are none."""
     vals = [v for v in values if v is not None]
     return float(np.median(vals)) if vals else None
 
@@ -219,7 +223,7 @@ def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
         except ValueError:
             predicted = None
         per_cell[cell.config_id] = {
-            "median_queries_to_target": _median_or_none(
+            "median_queries_to_target": median_or_none(
                 [r.queries_to_target for r in cell_rows]),
             "reached": sum(r.queries_to_target is not None for r in cell_rows),
             "runs": len(cell_rows),
@@ -228,14 +232,6 @@ def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
             "predicted": predicted,
         }
     return {"eps_rel": grid.eps_rel, "cells": per_cell, "errors": errors}
-
-
-def _fmt_opt(v) -> str:
-    if v is None:
-        return "not_reached"
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
 
 
 def _finite_or_null(value):
@@ -262,11 +258,6 @@ def write_json(path: str, data) -> None:
 
 
 def write_results_csv(rows: List[ResultRow], path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join([
-                r.config_id, str(r.seed), r.scheme, str(r.n), str(r.d),
-                repr(float(r.kappa)), r.policy, _fmt_opt(r.queries_to_target),
-                repr(float(r.final_gap)), repr(float(r.slope)), str(r.wall_ms),
-            ]) + "\n")
+    """One :data:`RESULT_COLUMNS` line per row; an unreached target is
+    written as ``not_reached``."""
+    write_csv(path, RESULT_COLUMNS, map(astuple, rows))

@@ -24,9 +24,11 @@ is a config error::
 Exit codes: 0 success, 1 verification failure, 2 config error
 (including an unknown or repeated key, a nan/inf value or ``predict``
 flag, ``--jobs`` < 1, an ``n`` that is not a positive multiple of 4, a
-dimension below 1, a negative seed, or a ``verify`` input no check can
-run with), 3
-runtime error.  All CSV output uses '.' decimals, '\\n' line endings and
+dimension below 1, a negative seed, an unknown weight scheme, an
+``optimizer.eps`` or ``ablate.eps_rel`` outside (0, 1), an empty
+``ablate.seeds``, a ``bench.kappas`` entry below 1, a nonpositive
+``bench.mu``, or a ``verify`` input no check can run with), 3 runtime
+error.  All CSV output uses '.' decimals, '\\n' line endings and
 a header row; reruns with the same config and seed are byte identical.
 Summaries are strict JSON, with non-finite values written as ``null``.
 """
@@ -45,10 +47,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bench import (ExperimentGrid, GridCell, _median_or_none, build_objective,
+from .bench import (ExperimentGrid, GridCell, build_objective, median_or_none,
                     queries_to_relative_target, run_grid, write_json)
 from .optimizer import (AlphaPolicy, OptimizationError, RunConfig, RunTrace,
-                        StepPolicy, run)
+                        StepPolicy, run, write_csv)
 from .sampling import check_sample_size, new_generator
 # check_event is not called here, but perfbench/tracer.py wraps
 # rankzo.cli.check_event, so the name stays importable from this module
@@ -60,6 +62,7 @@ from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS"]
 
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
+REPORT_COLUMNS = ("event_id", "params", "trials", "empirical", "bound", "pass")
 
 #: every key a config file may set: exactly the keys the subcommands read
 CONFIG_KEYS = frozenset([
@@ -196,7 +199,8 @@ def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunCo
             scheme=_get(cfg, "optimizer.scheme", str, "uniform"),
             step=step, alpha=alpha, seed=seed,
             delta=_get(cfg, "optimizer.delta", float, 0.1),
-            eps_target=_get(cfg, "optimizer.eps", float, float("nan")),
+            eps_target=(_get(cfg, "optimizer.eps", float)
+                        if "optimizer.eps" in cfg else None),
         )
 
 
@@ -318,16 +322,9 @@ def cmd_verify(args) -> int:
     cfg = parse_config(args.config) if args.config else {}
     reports = _verify_reports(cfg, args)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "reports.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("event_id,params,trials,empirical,bound,pass\n")
-        for r, _ in reports:
-            fh.write(",".join([
-                r.event_id, r.params_string(), str(r.trials),
-                repr(float(r.empirical_failure_rate)),
-                repr(float(r.theoretical_bound)),
-                "true" if r.passed else "false",
-            ]) + "\n")
+    write_csv(os.path.join(args.out, "reports.csv"), REPORT_COLUMNS,
+              [(r.event_id, r.params_string(), r.trials, r.empirical_failure_rate,
+                r.theoretical_bound, r.passed) for r, _ in reports])
     # wall time goes to stdout only; reports.csv stays deterministic
     for r, wall_ms in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -347,21 +344,18 @@ def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:
     objective_seed = _get(cfg, "bench.objective_seed", int, 7)
     template = build_run_config(cfg, args.seed)
     _at_least("bench.dims", dims, 1)
+    _at_least("bench.kappas", kappas, 1)
     _at_least("bench.seeds", seeds, 0)
     _at_least("bench.objective_seed", [objective_seed], 0)
-    with _config_errors("bench.ns"):
-        for n in ns:
-            check_sample_size(n)
-    cells = []
-    for d in dims:
-        for kappa in kappas:
-            for n in ns:
-                for scheme in schemes:
-                    cells.append(GridCell(
-                        config_id=f"d{d}_k{kappa:g}_N{n}_{scheme}",
-                        objective_kind="quadratic", d=d, mu=mu, L=mu * kappa,
-                        config=replace(template, n=n, scheme=scheme),
-                        objective_seed=objective_seed))
+    if mu <= 0:
+        raise ConfigError(f"bench.mu must be positive, got {mu!r}")
+    with _config_errors("bench.ns, bench.schemes"):
+        configs = {(n, scheme): replace(template, n=n, scheme=scheme)
+                   for n in ns for scheme in schemes}
+    cells = [GridCell(config_id=f"d{d}_k{kappa:g}_N{n}_{scheme}",
+                      objective_kind="quadratic", d=d, mu=mu, L=mu * kappa,
+                      config=configs[n, scheme], objective_seed=objective_seed)
+             for d in dims for kappa in kappas for n in ns for scheme in schemes]
     with _config_errors():
         return ExperimentGrid(cells=cells, seeds=seeds, eps_rel=eps_rel)
 
@@ -380,13 +374,17 @@ def cmd_ablate(args) -> int:
     obj = build_objective_from_config(cfg)
     base = build_run_config(cfg, args.seed)
     seeds = _get(cfg, "ablate.seeds", _int_list, [base.seed])
+    if not seeds:
+        raise ConfigError("ablate.seeds is empty")
     _at_least("ablate.seeds", seeds, 0)
     eps_rel = _get(cfg, "ablate.eps_rel", float, 1e-4)
+    if not (0.0 < eps_rel < 1.0):
+        raise ConfigError(f"ablate.eps_rel must lie in (0, 1), got {eps_rel!r}")
     os.makedirs(args.out, exist_ok=True)
     results = {"full": [], "positive_only": []}
 
     def write_summary(status: str) -> dict:
-        med = {label: _median_or_none(qs) for label, qs in results.items()}
+        med = {label: median_or_none(qs) for label, qs in results.items()}
         write_json(os.path.join(args.out, "ablate_summary.json"),
                    {"eps_rel": eps_rel, "seeds": seeds, "status": status,
                     "queries_to_target": results, "median": med})

@@ -39,7 +39,7 @@ from .sampling import (QueryLedger, check_sample_size, new_generator,
                        rank_oracle, sample_directions, selected_ranks)
 from .theory import (c_N_d_delta, c_d_delta, instrumented_alpha,
                      positive_only_norm_constant)
-from .weights import weights_by_name
+from .weights import check_scheme, weights_by_name
 
 __all__ = [
     "StepPolicy",
@@ -53,6 +53,7 @@ __all__ = [
     "practical_step",
     "run",
     "baseline_value_zo",
+    "write_csv",
     "TRACE_COLUMNS",
     "MAX_REGIME_RETRIES",
 ]
@@ -85,7 +86,7 @@ class OptimizationError(RuntimeError):
 class StepPolicy:
     """Step-size rule: ``instrumented``, ``fixed`` or ``backtracking``."""
 
-    kind: str
+    kind: str = "instrumented"
     eta0: float = 1.0
     shrink: float = 0.5
     max_tries: int = 40
@@ -100,20 +101,6 @@ class StepPolicy:
         if self.max_tries < 1:
             raise ValueError("max_tries must be >= 1")
 
-    @staticmethod
-    def instrumented() -> "StepPolicy":
-        return StepPolicy(kind="instrumented")
-
-    @staticmethod
-    def fixed(eta0: float) -> "StepPolicy":
-        return StepPolicy(kind="fixed", eta0=eta0)
-
-    @staticmethod
-    def backtracking(eta0: float, shrink: float = 0.5,
-                     max_tries: int = 40) -> "StepPolicy":
-        return StepPolicy(kind="backtracking", eta0=eta0, shrink=shrink,
-                          max_tries=max_tries)
-
 
 @dataclass(frozen=True)
 class AlphaPolicy:
@@ -124,7 +111,7 @@ class AlphaPolicy:
     (the /4) and the weaker rate-level bound.
     """
 
-    kind: str
+    kind: str = "instrumented"
     alpha0: float = 1e-3
     gamma: float = 0.99
     c: float = 1.0
@@ -139,18 +126,6 @@ class AlphaPolicy:
         if not (0.0 < self.c <= 1.0):
             raise ValueError("c must lie in (0, 1]")
 
-    @staticmethod
-    def instrumented(c: float = 1.0) -> "AlphaPolicy":
-        return AlphaPolicy(kind="instrumented", c=c)
-
-    @staticmethod
-    def fixed(alpha0: float) -> "AlphaPolicy":
-        return AlphaPolicy(kind="fixed", alpha0=alpha0)
-
-    @staticmethod
-    def geometric(alpha0: float, gamma: float) -> "AlphaPolicy":
-        return AlphaPolicy(kind="geometric", alpha0=alpha0, gamma=gamma)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -159,12 +134,13 @@ class RunConfig:
     n: int
     iterations: int
     scheme: str = "uniform"
-    step: StepPolicy = field(default_factory=StepPolicy.instrumented)
-    alpha: AlphaPolicy = field(default_factory=AlphaPolicy.instrumented)
+    step: StepPolicy = field(default_factory=StepPolicy)
+    alpha: AlphaPolicy = field(default_factory=AlphaPolicy)
     seed: int = 0
     delta: float = 0.1
-    #: stop early once (f(x_t) - f_star) <= eps_target * initial gap;
-    #: needs obj.f_star, ignored otherwise (relative target, scale-free)
+    #: stop early once (f(x_t) - f_star) <= eps_target * initial gap, with
+    #: eps_target in (0, 1); needs obj.f_star, ignored otherwise (relative
+    #: target, scale-free).  None runs every iteration.
     eps_target: Optional[float] = None
     x0: Optional[np.ndarray] = None
     positive_only: bool = False
@@ -172,10 +148,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_sample_size(self.n)
+        check_scheme(self.scheme)
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        if self.eps_target is not None and not (0.0 < self.eps_target < 1.0):
+            raise ValueError(f"eps_target must lie in (0, 1), got {self.eps_target}")
 
 
 @dataclass
@@ -230,18 +209,32 @@ class RunTrace:
         }
 
     def to_csv(self, path) -> None:
-        """Write the trace with '.' decimals, \\n line endings, header row."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                row = (str(self.t[i]), _fmt(self.f[i]), _fmt(self.fgap[i]),
-                       _fmt(self.gradnorm[i]), _fmt(self.alpha[i]),
-                       _fmt(self.eta[i]), str(self.queries_cum[i]))
-                fh.write(",".join(row) + "\n")
+        """Write the trace through :func:`write_csv`."""
+        write_csv(path, TRACE_COLUMNS,
+                  zip(self.t, self.f, self.fgap, self.gradnorm, self.alpha,
+                      self.eta, self.queries_cum))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    return "not_reached" if v is None else str(v)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header row, then one line per row of ``rows``.
+
+    Floats are written as ``repr(float(v))`` ('.' decimals, round-trip
+    exact), bools as ``true``/``false`` and ``None`` as ``not_reached``,
+    with '\\n' line endings; the one writer for ``trace.csv``,
+    ``results.csv`` and ``reports.csv``.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 def descent_direction(u_sel: np.ndarray, w_sel: np.ndarray) -> np.ndarray:
@@ -278,19 +271,17 @@ def instrumented_step_size(f_x: float, grad: np.ndarray, u_sel: np.ndarray,
 
 
 def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
-                   policy: StepPolicy, ledger: QueryLedger,
-                   eta_first: Optional[float] = None):
+                   policy: StepPolicy, ledger: QueryLedger, eta_first: float):
     """Rank-only update along ``direction``.
 
     ``fixed``: unconditional step of eta0, no extra queries.
     ``backtracking``: compare f(x + eta*direction) against f(x), two
-    charged evaluations per comparison, starting at ``eta_first``
-    (default ``policy.eta0``) and shrinking eta until the first
-    improvement; if no tried eta improves, the move is rejected and x is
-    returned unchanged (eta reported as 0).  :func:`run` warm-starts each
-    search at ``min(eta0, eta_prev / shrink)``, where ``eta_prev`` is the
-    step the previous iteration accepted, and at ``eta0`` after a
-    rejected move.
+    charged evaluations per comparison, starting at ``eta_first`` and
+    shrinking eta until the first improvement; if no tried eta improves,
+    the move is rejected and x is returned unchanged (eta reported as
+    0).  :func:`run` warm-starts each search at
+    ``min(eta0, eta_prev / shrink)``, where ``eta_prev`` is the step the
+    previous iteration accepted, and at ``eta0`` after a rejected move.
 
     Returns ``(x_new, eta_used, extra_queries)``.
     """
@@ -299,7 +290,7 @@ def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
     if policy.kind == "fixed":
         return x + policy.eta0 * direction, policy.eta0, 0
     extra = 0
-    eta = policy.eta0 if eta_first is None else eta_first
+    eta = eta_first
     for _ in range(policy.max_tries):
         ledger.charge(2)
         extra += 2
@@ -399,8 +390,7 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
     for t in range(cfg.iterations):
         f_x = evaluate(obj, x)
         gap = f_x - f_star if f_star is not None else float("nan")
-        if (cfg.eps_target is not None and f_star is not None
-                and np.isfinite(cfg.eps_target)):
+        if cfg.eps_target is not None and f_star is not None:
             if gap_target is None:
                 gap_target = cfg.eps_target * gap
             if gap <= gap_target:

@@ -71,6 +71,9 @@ P_TAIL_EXACT = 1.0 - _normal_cdf(2.0)
 #: fewest Monte-Carlo trials either checker accepts
 MIN_TRIALS = 1000
 
+#: trials per draw in :func:`check_events`
+_EVENT_CHUNK = 512
+
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
 APPENDIX_IDS = ("chernoff", "gauss_max", "chi2", "spectral",
                 "order_low1", "order_low2")
@@ -187,7 +190,6 @@ def _ceil4(x: float) -> int:
 
 @dataclass(frozen=True)
 class ComplexityPrediction:
-    kind: str
     t: int
     q: int
     n: int
@@ -218,8 +220,7 @@ def predict_complexity(kind: str, d: int, L: float, eps: float,
         t = math.ceil(d * L / eps)
     inner = max(math.log(max(t, 2) / delta_prime), 2.0)
     n = _ceil4(c1 * (inner + math.log(inner)))
-    return ComplexityPrediction(kind=kind, t=t, q=t * n, n=n,
-                                delta=delta_prime / (t * n))
+    return ComplexityPrediction(t=t, q=t * n, n=n, delta=delta_prime / (t * n))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,7 @@ def event_precondition_errors(event_ids: Sequence[str],
 
 
 def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
-                 rng: np.random.Generator, chunk: int = 512) -> List[EventCheckReport]:
+                 rng: np.random.Generator) -> List[EventCheckReport]:
     """Simulate the per-iteration events in one shared experiment.
 
     Each trial draws a fresh n x d Gaussian batch at ``setup.x``, ranks
@@ -331,11 +332,11 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
       ``<grad, u_(n/4)> >= -2||grad|| - 2 C_d L alpha``
       (bound exp(-n D(1/4 || 1-Phi(2)))).
 
-    Trials run in chunks of ``chunk``; each chunk makes one draw, one
-    batch evaluation, one stable argsort and one ``u @ grad``, whatever
-    the requested events.  The draws do not depend on which events are
-    requested, so an event's report for a given ``rng`` state is the same
-    alone or in company.  Each estimate is unbiased; estimates of
+    Trials run in chunks of 512 (``_EVENT_CHUNK``); each chunk makes one
+    draw, one batch evaluation, one stable argsort and one ``u @ grad``,
+    whatever the requested events.  The draws do not depend on which
+    events are requested, so an event's report for a given ``rng`` state
+    is the same alone or in company.  Each estimate is unbiased; estimates of
     different events are correlated, and each passes or fails on its own.
     One report comes back per requested id, in the order requested.
 
@@ -385,7 +386,7 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
 
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_EVENT_CHUNK, trials - done)
         u = rng.standard_normal((m, n, d))
         pts = x[None, None, :] + alpha * u
         fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
@@ -422,9 +423,9 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
 
 
 def check_event(event_id: str, setup: EventSetup, trials: int,
-                rng: np.random.Generator, chunk: int = 512) -> EventCheckReport:
+                rng: np.random.Generator) -> EventCheckReport:
     """:func:`check_events` for the single event ``event_id``."""
-    return check_events((event_id,), setup, trials, rng, chunk)[0]
+    return check_events((event_id,), setup, trials, rng)[0]
 
 
 def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],

@@ -24,6 +24,7 @@ __all__ = [
     "log_weights",
     "blom_weights",
     "weights_by_name",
+    "check_scheme",
     "weight_ratio",
     "SCHEMES",
 ]
@@ -52,10 +53,6 @@ class WeightVector:
             raise ValueError("w_plus must be positive and w_minus negative")
         if abs(wp.sum() - 1.0) > _SUM_TOL or abs(wm.sum() + 1.0) > _SUM_TOL:
             raise ValueError("weights must normalize to +1 / -1")
-
-    @property
-    def n(self) -> int:
-        return 4 * self.w_plus.size
 
     def signed(self, positive_only: bool = False) -> np.ndarray:
         """Signed weights aligned with ``selected_ranks(n, positive_only)``."""
@@ -117,13 +114,16 @@ SCHEMES = {
 }
 
 
-def weights_by_name(scheme: str, n: int) -> WeightVector:
-    try:
-        builder = SCHEMES[scheme]
-    except KeyError:
+def check_scheme(scheme: str) -> None:
+    """Reject a weight scheme name that is not a key of :data:`SCHEMES`."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown weight scheme {scheme!r}; "
-                         f"choose from {sorted(SCHEMES)}") from None
-    return builder(n)
+                         f"choose from {sorted(SCHEMES)}")
+
+
+def weights_by_name(scheme: str, n: int) -> WeightVector:
+    check_scheme(scheme)
+    return SCHEMES[scheme](n)
 
 
 def weight_ratio(w: WeightVector) -> float:

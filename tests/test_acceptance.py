@@ -45,8 +45,8 @@ def test_criterion_01_linear_convergence():
     started = time.perf_counter()
     obj = canonical_quadratic()
     cfg = rz.RunConfig(n=16, iterations=4000, seed=123, scheme="uniform",
-                       step=rz.StepPolicy.instrumented(),
-                       alpha=rz.AlphaPolicy.instrumented(c=1.0), delta=DELTA)
+                       step=rz.StepPolicy(),
+                       alpha=rz.AlphaPolicy(c=1.0), delta=DELTA)
     trace = rz.run(obj, cfg)
     elapsed = time.perf_counter() - started
 
@@ -78,8 +78,8 @@ def test_criterion_01_linear_convergence():
 def test_criterion_02_dimension_scaling():
     """Median queries to 1e-4 relative scale with dimension, ratio in [2, 8]."""
     started = time.perf_counter()
-    step = rz.StepPolicy.backtracking(1.0, 0.5, 60)
-    alpha = rz.AlphaPolicy.fixed(1e-3)
+    step = rz.StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=60)
+    alpha = rz.AlphaPolicy("fixed", alpha0=1e-3)
     q16 = median_queries(rz.make_quadratic(16, 1.0, 10.0, seed=7),
                          step, alpha, SEEDS, 6000)
     q64 = median_queries(rz.make_quadratic(64, 1.0, 10.0, seed=7),
@@ -95,8 +95,8 @@ def test_criterion_02_dimension_scaling():
 
 def test_criterion_03_condition_scaling():
     """Median queries grow with the condition number, ratio in [4, 25]."""
-    step = rz.StepPolicy.instrumented()
-    alpha = rz.AlphaPolicy.instrumented(c=1.0)
+    step = rz.StepPolicy()
+    alpha = rz.AlphaPolicy(c=1.0)
     q_k10 = median_queries(rz.make_quadratic(32, 1.0, 10.0, seed=7),
                            step, alpha, SEEDS, 10_000)
     q_k100 = median_queries(rz.make_quadratic(32, 1.0, 100.0, seed=7),
@@ -115,8 +115,8 @@ def test_criterion_04_alpha_floor():
         levels = []
         for seed in SEEDS:
             cfg = rz.RunConfig(n=16, iterations=4000, seed=seed, delta=DELTA,
-                               step=rz.StepPolicy.instrumented(),
-                               alpha=rz.AlphaPolicy.fixed(alpha0))
+                               step=rz.StepPolicy(),
+                               alpha=rz.AlphaPolicy("fixed", alpha0=alpha0))
             trace = rz.run(obj, cfg)
             levels.append(float(np.median(trace.fgap[-1000:])))
         return float(np.median(levels))
@@ -132,8 +132,8 @@ def test_criterion_04_alpha_floor():
 def test_criterion_05_negative_sample_ablation():
     """Dropping the worst-quartile directions costs >= 1.5x the queries."""
     obj = canonical_quadratic()
-    step = rz.StepPolicy.backtracking(1.0, 0.5, 60)
-    alpha = rz.AlphaPolicy.fixed(1e-3)
+    step = rz.StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=60)
+    alpha = rz.AlphaPolicy("fixed", alpha0=1e-3)
     q_full = median_queries(obj, step, alpha, SEEDS, 6000)
     q_pos = median_queries(obj, step, alpha, SEEDS, 12_000, positive_only=True)
     ratio = q_pos / q_full
@@ -164,13 +164,13 @@ def test_criterion_07_monotone_transform_invariance():
     obj = rz.make_quadratic(8, 1.0, 10.0, seed=2)
     transforms = [rz.MonotoneTransform("affine", a=3.0, b=7.0),
                   rz.MonotoneTransform("exponential")]
-    policies = [rz.StepPolicy.fixed(0.05),
-                rz.StepPolicy.backtracking(1.0, 0.5, 20)]
+    policies = [rz.StepPolicy("fixed", eta0=0.05),
+                rz.StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=20)]
     mismatches = 0
     for step in policies:
         for seed in range(5):
             cfg = rz.RunConfig(n=16, iterations=30, seed=seed, step=step,
-                               alpha=rz.AlphaPolicy.fixed(1e-2),
+                               alpha=rz.AlphaPolicy("fixed", alpha0=1e-2),
                                record_iterates=True)
             base = rz.run(obj, cfg)
             for transform in transforms:

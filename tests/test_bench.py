@@ -21,7 +21,7 @@ from rankzo.weights import uniform_weights
 
 def small_cfg(**kw):
     defaults = dict(n=8, iterations=30, seed=1,
-                    alpha=AlphaPolicy.fixed(1e-3))
+                    alpha=AlphaPolicy("fixed", alpha0=1e-3))
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -59,8 +59,8 @@ class TestBaselineValueZO:
         with pytest.raises(ValueError):
             baseline_value_zo(bare, small_cfg())
 
-    @pytest.mark.parametrize("alpha", [AlphaPolicy.fixed(1e-3),
-                                       AlphaPolicy.instrumented()],
+    @pytest.mark.parametrize("alpha", [AlphaPolicy("fixed", alpha0=1e-3),
+                                       AlphaPolicy()],
                              ids=["fixed", "instrumented"])
     def test_gradnorm_is_at_row_iterate(self, alpha):
         obj = make_quadratic(6, 1.0, 10.0, seed=2)
@@ -72,7 +72,7 @@ class TestBaselineValueZO:
 
     def test_stationary_start_raises_with_trace(self):
         obj = make_quadratic(5, 1.0, 10.0, seed=9)
-        cfg = small_cfg(alpha=AlphaPolicy.instrumented(), x0=obj.x_star.copy())
+        cfg = small_cfg(alpha=AlphaPolicy(), x0=obj.x_star.copy())
         with pytest.raises(OptimizationError) as err:
             baseline_value_zo(obj, cfg)
         assert len(err.value.trace) == 0
@@ -173,8 +173,8 @@ class TestFitSlope:
 
 def tiny_grid(seeds=(1, 2, 3)):
     cfg = RunConfig(n=8, iterations=150, seed=0,
-                    step=StepPolicy.backtracking(1.0, 0.5, 20),
-                    alpha=AlphaPolicy.fixed(1e-3))
+                    step=StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=20),
+                    alpha=AlphaPolicy("fixed", alpha0=1e-3))
     cell = GridCell(config_id="d8_k10", objective_kind="quadratic", d=8,
                     mu=1.0, L=10.0, config=cfg)
     return ExperimentGrid(cells=[cell], seeds=list(seeds), eps_rel=1e-2)
@@ -246,6 +246,20 @@ class TestRunGrid:
                     b.final_gap, b.slope)
 
 
+class TestExperimentGrid:
+    @pytest.mark.parametrize("cells,seeds,eps_rel,message", [
+        ([], [1], 1e-2, "grid needs at least one cell and one seed"),
+        (None, [], 1e-2, "grid needs at least one cell and one seed"),
+        (None, [1], 0.0, "eps_rel must lie in (0, 1)"),
+        (None, [1], 1.0, "eps_rel must lie in (0, 1)"),
+    ], ids=["no_cells", "no_seeds", "eps_zero", "eps_one"])
+    def test_rejected(self, cells, seeds, eps_rel, message):
+        cells = tiny_grid().cells if cells is None else cells
+        with pytest.raises(ValueError) as exc:
+            ExperimentGrid(cells=cells, seeds=seeds, eps_rel=eps_rel)
+        assert str(exc.value) == message
+
+
 class TestWriteJson:
     def test_non_finite_floats_become_null(self, tmp_path):
         path = tmp_path / "out.json"
@@ -278,11 +292,12 @@ class TestComparisons:
         q_rank, q_value = [], []
         for seed in (100, 101, 102):
             rank_cfg = RunConfig(n=16, iterations=6000, seed=seed,
-                                 step=StepPolicy.backtracking(1.0, 0.5, 60),
-                                 alpha=AlphaPolicy.fixed(1e-3),
+                                 step=StepPolicy("backtracking", eta0=1.0,
+                                                 shrink=0.5, max_tries=60),
+                                 alpha=AlphaPolicy("fixed", alpha0=1e-3),
                                  eps_target=eps_rel)
             value_cfg = RunConfig(n=16, iterations=40_000, seed=seed,
-                                  alpha=AlphaPolicy.fixed(1e-3),
+                                  alpha=AlphaPolicy("fixed", alpha0=1e-3),
                                   eps_target=eps_rel)
             q_rank.append(_queries(run, obj, rank_cfg, eps_rel))
             q_value.append(_queries(baseline_value_zo, obj, value_cfg, eps_rel))
@@ -301,8 +316,9 @@ class TestComparisons:
             qs = []
             for seed in range(100, 105):
                 cfg = RunConfig(n=16, iterations=6000, seed=seed, scheme=scheme,
-                                step=StepPolicy.backtracking(1.0, 0.5, 60),
-                                alpha=AlphaPolicy.fixed(1e-3),
+                                step=StepPolicy("backtracking", eta0=1.0,
+                                                shrink=0.5, max_tries=60),
+                                alpha=AlphaPolicy("fixed", alpha0=1e-3),
                                 eps_target=eps_rel)
                 q = _queries(run, obj, cfg, eps_rel)
                 assert q is not None, (scheme, seed)

@@ -81,6 +81,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, "optimizer.N\n"))
 
+    @pytest.mark.parametrize("line", ["optimizer.N =", "= 16"])
+    def test_empty_key_or_value(self, tmp_path, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write_config(tmp_path, f"{line}\n"))
+        assert str(exc.value).endswith(":1: empty key or value")
+
     def test_unknown_key_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUAD_CONFIG + "optimizer.etao = 5\n")
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -161,6 +167,19 @@ class TestOptimize:
         out = tmp_path / "out"
         assert main(["optimize", "--config", cfg, "--out", str(out)] + flags) == 2
         assert f"{named} must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values,message", [
+        ({"optimizer.scheme": "foo"}, "unknown weight scheme 'foo'"),
+        ({"optimizer.eps": "2"}, "eps_target must lie in (0, 1), got 2.0"),
+        ({"optimizer.eps": "0"}, "eps_target must lie in (0, 1), got 0.0"),
+        ({"optimizer.eps": "-1"}, "eps_target must lie in (0, 1), got -1.0"),
+    ], ids=["scheme", "eps_two", "eps_zero", "eps_negative"])
+    def test_run_config_rejected_exit2(self, tmp_path, capsys, values, message):
+        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, values))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_trace(self, tmp_path):
@@ -382,6 +401,29 @@ class TestBench:
         assert "bench.ns" in err and "divisible by 4, got 6" in err
         assert not out.exists()
 
+    def test_unknown_scheme_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL,
+                                                 {"bench.schemes": "uniform,foo"}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert ("bench.ns, bench.schemes: unknown weight scheme 'foo'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_kappa_below_one_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, {"bench.kappas": "10,0.5"}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "bench.kappas must be >= 1, got 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonpositive_mu_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, {"bench.mu": "-1"}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "bench.mu must be positive, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("values,flags,named,bad", [
         ({"bench.seeds": "1,-2"}, [], "bench.seeds", "0, got -2"),
         ({}, ["--seed", "-1"], "--seed", "0, got -1"),
@@ -446,6 +488,20 @@ class TestAblate:
         out = tmp_path / "out"
         assert main(["ablate", "--config", cfg, "--out", str(out)] + flags) == 2
         assert f"{named} must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eps_rel_outside_unit_interval_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_values(ABLATE_SMALL, {"ablate.eps_rel": "5"}))
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+        assert "ablate.eps_rel must lie in (0, 1), got 5.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_seeds_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_values(ABLATE_SMALL, {"ablate.seeds": ","}))
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+        assert "ablate.seeds is empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_trials_flag_exit2(self, tmp_path, capsys):

@@ -55,3 +55,14 @@ def test_reexports_are_public_where_defined():
         if name not in getattr(module, "__all__", ()):
             stray.append(f"{name} ({module.__name__})")
     assert stray == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_cross_module_imports(name):
+    """A module reaches another rankzo module only through its public names."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("rankzo"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

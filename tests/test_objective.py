@@ -58,6 +58,25 @@ class TestEvaluate:
         np.testing.assert_allclose(batch, scalar, rtol=1e-12)
 
 
+class TestValidation:
+    """Every input check of ``Objective`` and ``evaluate_batch`` fires."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Objective(dim=0, fn=float), "dim must be >= 1, got 0"),
+        (lambda: Objective(dim=2, fn=float, L=0.0), "L must be positive, got 0.0"),
+        (lambda: Objective(dim=2, fn=float, mu=-1.0),
+         "mu must be nonnegative, got -1.0"),
+        (lambda: evaluate_batch(half_norm_squared(2), np.zeros(2)),
+         "expected shape (m, 2), got (2,)"),
+        (lambda: evaluate_batch(half_norm_squared(2), np.zeros((3, 4))),
+         "expected shape (m, 2), got (3, 4)"),
+    ], ids=["dim", "L", "mu", "batch_1d", "batch_columns"])
+    def test_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 class TestRemainder:
     def test_quadratic_exact_second_order(self):
         obj = half_norm_squared(3)

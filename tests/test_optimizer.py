@@ -129,9 +129,10 @@ class TestPracticalStep:
         # eta=1 lands at the optimum; each comparison charges 2
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
         ledger = QueryLedger()
-        policy = StepPolicy.backtracking(eta0=10.0, shrink=0.1, max_tries=3)
+        policy = StepPolicy("backtracking", eta0=10.0, shrink=0.1, max_tries=3)
         x_new, eta, extra = practical_step(obj, np.array([1.0]),
-                                           np.array([-1.0]), policy, ledger)
+                                           np.array([-1.0]), policy, ledger,
+                                           10.0)
         assert x_new == pytest.approx(np.array([0.0]))
         assert eta == pytest.approx(1.0)
         assert extra == 4
@@ -143,7 +144,7 @@ class TestPracticalStep:
         # rejects 10 and accepts 1 at 4 queries)
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
         ledger = QueryLedger()
-        policy = StepPolicy.backtracking(eta0=10.0, shrink=0.1, max_tries=3)
+        policy = StepPolicy("backtracking", eta0=10.0, shrink=0.1, max_tries=3)
         x_new, eta, extra = practical_step(obj, np.array([1.0]),
                                            np.array([-1.0]), policy, ledger,
                                            0.5)
@@ -157,7 +158,8 @@ class TestPracticalStep:
         ledger = QueryLedger()
         x_new, eta, extra = practical_step(obj, np.array([2.0]),
                                            np.array([1.5]),
-                                           StepPolicy.fixed(0.5), ledger)
+                                           StepPolicy("fixed", eta0=0.5), ledger,
+                                           0.5)
         assert extra == 0 and ledger.total_queries == 0
         assert x_new == pytest.approx(np.array([2.75]))
         assert eta == 0.5
@@ -166,9 +168,10 @@ class TestPracticalStep:
         # ascent direction: no eta improves, so the move is rejected
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
         ledger = QueryLedger()
-        policy = StepPolicy.backtracking(eta0=1.0, shrink=0.5, max_tries=4)
+        policy = StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=4)
         x_new, eta, extra = practical_step(obj, np.array([1.0]),
-                                           np.array([1.0]), policy, ledger)
+                                           np.array([1.0]), policy, ledger,
+                                           1.0)
         assert x_new == pytest.approx(np.array([1.0]))
         assert eta == 0.0
         assert extra == 8
@@ -177,7 +180,7 @@ class TestPracticalStep:
         obj = Objective(dim=1, fn=lambda x: float(x[0]))
         with pytest.raises(ValueError):
             practical_step(obj, np.zeros(1), np.ones(1),
-                           StepPolicy.instrumented(), QueryLedger())
+                           StepPolicy(), QueryLedger(), 1.0)
 
 
 class TestRun:
@@ -210,8 +213,8 @@ class TestRun:
     def test_query_accounting_fixed_step(self):
         obj = make_quadratic(6, 1.0, 10.0, seed=3)
         cfg = RunConfig(n=16, iterations=10, seed=5,
-                        step=StepPolicy.fixed(1e-3),
-                        alpha=AlphaPolicy.fixed(1e-2))
+                        step=StepPolicy("fixed", eta0=1e-3),
+                        alpha=AlphaPolicy("fixed", alpha0=1e-2))
         trace = run(obj, cfg)
         assert trace.total_queries == 160
         assert trace.queries_cum[-1] == 160
@@ -220,8 +223,9 @@ class TestRun:
     def test_query_accounting_backtracking(self):
         obj = make_quadratic(6, 1.0, 10.0, seed=3)
         cfg = RunConfig(n=16, iterations=10, seed=5,
-                        step=StepPolicy.backtracking(1.0, 0.5, 10),
-                        alpha=AlphaPolicy.fixed(1e-2))
+                        step=StepPolicy("backtracking", eta0=1.0, shrink=0.5,
+                                        max_tries=10),
+                        alpha=AlphaPolicy("fixed", alpha0=1e-2))
         trace = run(obj, cfg)
         assert trace.total_queries > 160  # comparisons charged on top
         assert trace.total_queries == trace.queries_cum[-1]
@@ -263,10 +267,10 @@ class TestRun:
         obj = make_quadratic(8, 1.0, 10.0, seed=2)
         transforms = [MonotoneTransform("affine", a=3.0, b=7.0),
                       MonotoneTransform("exponential")]
-        for step in (StepPolicy.fixed(0.05),
-                     StepPolicy.backtracking(1.0, 0.5, 20)):
+        for step in (StepPolicy("fixed", eta0=0.05),
+                     StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=20)):
             cfg = RunConfig(n=16, iterations=25, seed=31, step=step,
-                            alpha=AlphaPolicy.fixed(1e-2),
+                            alpha=AlphaPolicy("fixed", alpha0=1e-2),
                             record_iterates=True)
             base = run(obj, cfg)
             for tr in transforms:
@@ -297,8 +301,8 @@ class TestRun:
         obj = make_quadratic(6, 1.0, 10.0, seed=4)
         x0 = obj.x_star + 1e-8 * np.ones(6)
         cfg = RunConfig(n=8, iterations=5, seed=9,
-                        alpha=AlphaPolicy.fixed(0.5),
-                        step=StepPolicy.instrumented(), x0=x0)
+                        alpha=AlphaPolicy("fixed", alpha0=0.5),
+                        step=StepPolicy(), x0=x0)
         trace = run(obj, cfg)
         assert all(e == 0.0 for e in trace.eta)
         np.testing.assert_array_equal(trace.final_x, x0)
@@ -351,7 +355,8 @@ class TestRegimeRetries:
         # the best quartile has the wrong sign
         obj = make_quadratic(16, 1.0, 10.0, seed=7)
         trace = run(obj, RunConfig(n=8, iterations=1, seed=4,
-                                   alpha=AlphaPolicy.geometric(1e12, 0.5),
+                                   alpha=AlphaPolicy("geometric", alpha0=1e12,
+                                                     gamma=0.5),
                                    record_iterates=True))
         assert trace.eta == [0.0]
         assert trace.queries_cum == [30 * 8]
@@ -372,7 +377,8 @@ class TestRegimeRetries:
         obj = make_quadratic(16, 1.0, 10.0, seed=7)
         alpha0 = 1e-4
         trace = run(obj, RunConfig(n=8, iterations=1, seed=4,
-                                   alpha=AlphaPolicy.geometric(alpha0, 0.5)))
+                                   alpha=AlphaPolicy("geometric", alpha0=alpha0,
+                                                     gamma=0.5)))
         assert calls == [alpha0 / 2**j for j in range(k + 1)]
         assert trace.alpha == [alpha0 / 2**k]
         assert trace.eta == [0.01]
@@ -385,11 +391,12 @@ class TestWarmStartLineSearch:
 
     def test_first_trial_bounded_by_previous_step(self):
         obj = make_quadratic(8, 1.0, 10.0, seed=2)
-        step = StepPolicy.backtracking(1.0, 0.5, 20)
+        step = StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=20)
         below_eta0 = 0
         for seed in range(3):
             trace = run(obj, RunConfig(n=16, iterations=200, seed=seed,
-                                       step=step, alpha=AlphaPolicy.fixed(1e-3)))
+                                       step=step,
+                                       alpha=AlphaPolicy("fixed", alpha0=1e-3)))
             for prev, eta in zip(trace.eta, trace.eta[1:]):
                 if eta > 0 and prev > 0:
                     assert eta <= min(step.eta0, prev / step.shrink)
@@ -405,8 +412,9 @@ class TestWarmStartLineSearch:
         tries = []
         for seed in range(100, 110):
             cfg = RunConfig(n=16, iterations=6000, seed=seed, delta=0.1,
-                            step=StepPolicy.backtracking(1.0, 0.5, 60),
-                            alpha=AlphaPolicy.fixed(1e-3), eps_target=1e-4)
+                            step=StepPolicy("backtracking", eta0=1.0,
+                                            shrink=0.5, max_tries=60),
+                            alpha=AlphaPolicy("fixed", alpha0=1e-3), eps_target=1e-4)
             trace = run(obj, cfg)
             per_row = np.diff(trace.queries_cum, prepend=0) - cfg.n
             tries.extend(per_row / 2)
@@ -435,9 +443,9 @@ class TestQueryLedgerAudit:
     early-stop check ends the run."""
 
     @pytest.mark.parametrize("step,alpha", [
-        (StepPolicy.instrumented(), AlphaPolicy.instrumented()),
-        (StepPolicy.fixed(0.02), AlphaPolicy.fixed(1e-3)),
-        (StepPolicy.backtracking(1.0), AlphaPolicy.fixed(1e-3)),
+        (StepPolicy(), AlphaPolicy()),
+        (StepPolicy("fixed", eta0=0.02), AlphaPolicy("fixed", alpha0=1e-3)),
+        (StepPolicy("backtracking", eta0=1.0), AlphaPolicy("fixed", alpha0=1e-3)),
     ], ids=["instrumented", "fixed", "backtracking"])
     @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "early_stop"])
     def test_uncharged_evaluations(self, step, alpha, eps_target):
@@ -458,9 +466,63 @@ class TestQueryLedgerAudit:
         so only the final f and an early-stop check stay uncharged."""
         obj, counts = counting_objective(make_quadratic(8, 1.0, 10.0, seed=7))
         cfg = RunConfig(n=16, iterations=400, seed=3,
-                        alpha=AlphaPolicy.fixed(1e-3), eps_target=eps_target)
+                        alpha=AlphaPolicy("fixed", alpha0=1e-3), eps_target=eps_target)
         trace = baseline_value_zo(obj, cfg)
         stopped_early = len(trace) < cfg.iterations
         assert stopped_early == (eps_target is not None)
         assert trace.total_queries == 2 * len(trace)
         assert counts["evals"] - trace.total_queries == 1 + stopped_early
+
+
+class TestValidation:
+    """Every input check of the policies, the run config and the iteration loop
+    fires, with its message."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: StepPolicy("newton"), "unknown step policy 'newton'"),
+        (lambda: StepPolicy("fixed", eta0=0.0), "eta0 must be positive"),
+        (lambda: StepPolicy("backtracking", shrink=1.0), "shrink must lie in (0, 1)"),
+        (lambda: StepPolicy("backtracking", max_tries=0), "max_tries must be >= 1"),
+        (lambda: AlphaPolicy("adaptive"), "unknown alpha policy 'adaptive'"),
+        (lambda: AlphaPolicy("fixed", alpha0=-1e-3), "alpha0 must be positive"),
+        (lambda: AlphaPolicy("geometric", gamma=1.0), "gamma must lie in (0, 1)"),
+        (lambda: AlphaPolicy(c=0.0), "c must lie in (0, 1]"),
+        (lambda: RunConfig(n=8, iterations=-1), "iterations must be nonnegative"),
+        (lambda: RunConfig(n=8, iterations=5, delta=1.0), "delta must lie in (0, 1)"),
+        (lambda: RunConfig(n=8, iterations=5, scheme="foo"),
+         "unknown weight scheme 'foo'; choose from ['blom', 'log', 'uniform']"),
+        (lambda: RunConfig(n=8, iterations=5, eps_target=1.5),
+         "eps_target must lie in (0, 1), got 1.5"),
+        (lambda: RunConfig(n=8, iterations=5, eps_target=0.0),
+         "eps_target must lie in (0, 1), got 0.0"),
+        (lambda: RunConfig(n=8, iterations=5, eps_target=-1.0),
+         "eps_target must lie in (0, 1), got -1.0"),
+    ], ids=["step_kind", "eta0", "shrink", "max_tries", "alpha_kind", "alpha0",
+            "gamma", "c", "iterations", "delta", "scheme", "eps_above_1",
+            "eps_zero", "eps_negative"])
+    def test_config_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("obj,cfg,message", [
+        (Objective(dim=4, fn=lambda x: float(x @ x)),
+         RunConfig(n=8, iterations=3, step=StepPolicy("fixed", eta0=0.1)),
+         "instrumented alpha needs an objective with grad and L"),
+        (make_quadratic(6, 1.0, 10.0, seed=3),
+         RunConfig(n=8, iterations=3, x0=np.zeros(5)), "x0 must have shape (6,)"),
+    ], ids=["instrumented_alpha_without_grad", "x0_shape"])
+    def test_run_rejected(self, obj, cfg, message):
+        with pytest.raises(ValueError) as exc:
+            run(obj, cfg)
+        assert str(exc.value) == message
+
+
+class TestWriteCsv:
+    def test_cell_formats(self, tmp_path):
+        path = tmp_path / "out.csv"
+        optimizer.write_csv(path, ("a", "b", "c", "d", "e"),
+                            [(1, 0.1, True, None, "x"),
+                             (np.int64(2), np.float64(1e-300), False, 7, float("nan"))])
+        assert path.read_bytes() == (b"a,b,c,d,e\n1,0.1,true,not_reached,x\n"
+                                     b"2,1e-300,false,7,nan\n")

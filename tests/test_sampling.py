@@ -40,6 +40,11 @@ class TestSampleDirections:
         with pytest.raises(ValueError):
             sample_directions(new_generator(0), n, 2)
 
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            sample_directions(new_generator(0), 8, 0)
+        assert str(exc.value) == "d must be >= 1, got 0"
+
     def test_advances_state(self):
         rng = new_generator(1)
         b1 = sample_directions(rng, 8, 3)

@@ -16,7 +16,8 @@ from rankzo.sampling import new_generator
 from rankzo.theory import (EVENT_IDS, P_TAIL_EXACT, EventSetup, c_N_d_delta,
                            c_d_delta, check_appendix_bounds, check_event,
                            check_events, event_bound_E45,
-                           event_precondition_errors, floors, kl_bernoulli,
+                           event_precondition_errors, floors,
+                           instrumented_alpha, kl_bernoulli,
                            positive_only_norm_constant, predict_complexity,
                            recursion_fixed_point_check, rho)
 
@@ -55,6 +56,20 @@ class TestConstants:
         assert P_TAIL_EXACT == pytest.approx(0.02275013194817921, rel=1e-12)
         # the rounded display value 0.0224 is within 2% of the exact tail
         assert abs(P_TAIL_EXACT - 0.0224) / P_TAIL_EXACT < 0.02
+
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: c_d_delta(0, 0.1), "d must be >= 1, got 0"),
+        (lambda: c_N_d_delta(8, 0, 0.1), "d must be >= 1, got 0"),
+        (lambda: instrumented_alpha(1.0, 10.0, 5.0, c=0.0),
+         "c must lie in (0, 1], got 0.0"),
+        (lambda: instrumented_alpha(1.0, 10.0, 5.0, c=1.5),
+         "c must lie in (0, 1], got 1.5"),
+    ], ids=["c_d_dim", "c_N_dim", "alpha_c_zero", "alpha_c_above_1"])
+    def test_invalid_inputs_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 class TestKlBernoulli:
@@ -116,6 +131,15 @@ class TestRho:
             rho(32, 100, 0.01, mu=2.0, L=1.0)
         with pytest.raises(ValueError):
             rho(32, 100, 0.01, 0.1, 1.0, weight_ratio=1.5)
+
+
+    def test_contraction_factor_at_least_one_rejected(self, monkeypatch):
+        # C_{N,d,delta} > n/2 keeps rho below 1/16 for every valid input,
+        # so only a shrunk spectral constant reaches this check
+        monkeypatch.setattr(theory, "c_N_d_delta", lambda n, d, delta: 1e-6)
+        with pytest.raises(ValueError,
+                           match=r"^contraction factor .* >= 1: invalid regime$"):
+            rho(32, 100, 0.01, mu=1.0, L=1.0)
 
 
 class TestFloors:
@@ -183,6 +207,19 @@ class TestPredictComplexity:
             predict_complexity("strongly_convex", 32, 10.0, 1e-6, 0.1, mu=None)
         with pytest.raises(ValueError):
             predict_complexity("nonconvex", 32, 10.0, 2.0, 0.1)
+
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"alpha": -1e-4}, "alpha must be nonnegative, got -0.0001"),
+        ({"alpha": 1e-4, "weight_ratio": 0.0},
+         "weight_ratio must be in (0, 1], got 0.0"),
+        ({"alpha": 1e-4, "weight_ratio": 1.5},
+         "weight_ratio must be in (0, 1], got 1.5"),
+    ], ids=["alpha", "ratio_zero", "ratio_above_1"])
+    def test_invalid_inputs_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            floors(32, 100, 0.01, L=1.0, **kwargs)
+        assert str(exc.value) == message
 
 
 def linear_objective(d, grad_vec):
@@ -330,6 +367,31 @@ class TestCheckEvents:
             event_precondition_errors(("E1", "E9"), setup)
 
 
+    @pytest.mark.parametrize("event,obj,at_optimum,message", [
+        ("E3", Objective(dim=4, fn=lambda x: float(x @ x)), False,
+         "E3 needs an objective with a gradient"),
+        ("E3", make_quadratic(4, 1.0, 10.0, seed=1), True,
+         "E3 needs a state with nonzero gradient"),
+        ("E1", Objective(dim=4, fn=lambda x: float(x @ x)), False,
+         "event check needs an objective with grad and L"),
+        ("E4", Objective(dim=4, fn=lambda x: float(x @ x), grad=lambda x: 2 * x),
+         False, "event check needs an objective with grad and L"),
+    ], ids=["E3_no_grad", "E3_zero_grad", "E1_no_grad", "E4_no_L"])
+    def test_precondition_rejected(self, event, obj, at_optimum, message):
+        x = obj.x_star if at_optimum else np.ones(4)
+        setup = EventSetup(obj=obj, x=x, alpha=1e-3, n=8, delta=0.1)
+        assert event_precondition_errors((event,), setup) == {event: message}
+        with pytest.raises(ValueError) as exc:
+            check_events((event,), setup, 1000, new_generator(0))
+        assert str(exc.value) == message
+
+    def test_nonpositive_alpha_rejected(self):
+        setup = dataclasses.replace(quadratic_setup(), alpha=0.0)
+        with pytest.raises(ValueError) as exc:
+            check_events(("E2",), setup, 1000, new_generator(0))
+        assert str(exc.value) == "alpha must be positive, got 0.0"
+
+
 class TestNegativeControls:
     """Each event check fails once its inequality is deliberately broken."""
 
@@ -404,6 +466,19 @@ class TestCheckAppendixBounds:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             check_appendix_bounds("hoeffding", None, 2000, new_generator(0))
+
+
+    @pytest.mark.parametrize("which,params,trials,message", [
+        ("chi2", None, 999, "need at least 1000 trials, got 999"),
+        ("chernoff", {"p": 0.3, "r": 0.25}, 1000,
+         "chernoff check needs 0 < p < r < 1"),
+        ("chernoff", {"p": 0.1, "r": 1.0}, 1000,
+         "chernoff check needs 0 < p < r < 1"),
+    ], ids=["trials", "p_above_r", "r_one"])
+    def test_bad_inputs_rejected(self, which, params, trials, message):
+        with pytest.raises(ValueError) as exc:
+            check_appendix_bounds(which, params, trials, new_generator(0))
+        assert str(exc.value) == message
 
 
 class TestRecursionFixedPoint:

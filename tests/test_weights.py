@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankzo.weights import (WeightVector, blom_weights, log_weights,
+from rankzo.weights import (WeightVector, blom_weights, check_scheme, log_weights,
                             uniform_weights, weight_ratio, weights_by_name)
 
 ALL_N = [4, 8, 16, 32, 64, 128, 256]
@@ -119,9 +119,30 @@ class TestInvariants:
             with pytest.raises(ValueError):
                 weights_by_name(scheme, 10)
 
+    @pytest.mark.parametrize("build", [
+        check_scheme,
+        lambda scheme: weights_by_name(scheme, 16),
+    ], ids=["check_scheme", "weights_by_name"])
+    def test_unknown_scheme_message(self, build):
+        with pytest.raises(ValueError) as exc:
+            build("cma")
+        assert str(exc.value) == ("unknown weight scheme 'cma'; "
+                                  "choose from ['blom', 'log', 'uniform']")
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             weights_by_name("cma", 16)
+
+    @pytest.mark.parametrize("w_plus,w_minus", [
+        ([0.5, 0.5], [-1.0]),
+        ([[0.5, 0.5]], [[-0.5, -0.5]]),
+        ([], []),
+    ], ids=["unequal_lengths", "two_dimensional", "empty"])
+    def test_bad_shape_rejected(self, w_plus, w_minus):
+        with pytest.raises(ValueError) as exc:
+            WeightVector(w_plus=np.array(w_plus), w_minus=np.array(w_minus),
+                         scheme="broken")
+        assert str(exc.value) == "w_plus and w_minus must be equal-length 1-d arrays"
 
     def test_invalid_vector_rejected(self):
         with pytest.raises(ValueError):
