@@ -21,8 +21,7 @@ from .optimizer import (StepPolicy, AlphaPolicy, RunConfig, RunTrace,
                         descent_direction, instrumented_step_size,
                         practical_step, run, baseline_value_zo)
 from .theory import (P_TAIL_EXACT, EventCheckReport, EventSetup, c_d_delta,
-                     instrumented_alpha, c_N_d_delta,
-                     positive_only_norm_constant, kl_bernoulli,
+                     instrumented_alpha, c_N_d_delta, kl_bernoulli,
                      event_bound_E45, rho, floors, ComplexityPrediction,
                      predict_complexity, check_events, check_event,
                      check_appendix_bounds,

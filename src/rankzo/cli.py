@@ -1,36 +1,15 @@
 """Command-line entry point: optimize / verify / bench / ablate / predict.
 
 Configuration is a flat structured-text file, one ``dotted.key = value``
-per line, ``#`` comments allowed.  The full schema is documented in the
-README; these are all the keys (:data:`CONFIG_KEYS`), and any other key
-is a config error::
+per line, ``#`` comments allowed.  :data:`CONFIG_KEYS` lists every key,
+and the README documents each one and every config error (exit 2).  A
+key that configures a library object is passed only when the config
+sets it, so the library's default is the only default.
 
-    objective.kind = quadratic | rosenbrock
-    objective.d, objective.mu, objective.L, objective.seed,
-    objective.curvature
-    optimizer.N, optimizer.T, optimizer.scheme
-    optimizer.step = instrumented | fixed | backtracking
-    optimizer.alpha = instrumented | fixed | geometric
-    optimizer.eta0, optimizer.shrink, optimizer.max_tries
-    optimizer.alpha0, optimizer.gamma, optimizer.alpha_c
-    optimizer.seed, optimizer.delta, optimizer.eps
-    verify.events, verify.trials, verify.trials_appendix,
-    verify.n, verify.d, verify.delta, verify.alpha_scale, verify.seed,
-    verify.mu, verify.L, verify.objective_seed
-    bench.dims, bench.kappas, bench.ns, bench.schemes, bench.seeds,
-    bench.eps_rel, bench.mu, bench.objective_seed
-    ablate.seeds, ablate.eps_rel
-
-Exit codes: 0 success, 1 verification failure, 2 config error
-(including an unknown or repeated key, a nan/inf value or ``predict``
-flag, ``--jobs`` < 1, an ``n`` that is not a positive multiple of 4, a
-dimension below 1, a negative seed, an unknown weight scheme, an
-``optimizer.eps`` or ``ablate.eps_rel`` outside (0, 1), an empty
-``ablate.seeds``, a ``bench.kappas`` entry below 1, a nonpositive
-``bench.mu``, or a ``verify`` input no check can run with), 3 runtime
-error.  All CSV output uses '.' decimals, '\\n' line endings and
-a header row; reruns with the same config and seed are byte identical.
-Summaries are strict JSON, with non-finite values written as ``null``.
+Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
+error.  All CSV output uses '.' decimals, '\\n' line endings and a header
+row; reruns with the same config and seed are byte identical.  Summaries
+are strict JSON, with non-finite values written as ``null``.
 """
 
 from __future__ import annotations
@@ -86,13 +65,13 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _config_errors(keys: str = ""):
+def _config_errors(keys: str):
     """Re-raise a library ``ValueError`` as a :class:`ConfigError`,
     prefixed with the config keys or flags it concerns."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"{keys}: {exc}" if keys else str(exc)) from None
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -165,43 +144,56 @@ def _str_list(text: str) -> List[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+def _given(cfg: Dict[str, str], **fields) -> dict:
+    """The keyword arguments the config sets.
+
+    ``fields`` maps a library parameter to its ``(config key, cast)``; a
+    key the config leaves out passes nothing, so the library's default is
+    the only default.
+    """
+    return {name: _get(cfg, key, cast) for name, (key, cast) in fields.items()
+            if key in cfg}
+
+
 def build_objective_from_config(cfg: Dict[str, str]):
     kind = _get(cfg, "objective.kind", str, "quadratic")
     d = _get(cfg, "objective.d", int)
-    mu = _get(cfg, "objective.mu", float, 1.0)
-    l_const = _get(cfg, "objective.L", float, 10.0)
-    seed = _get(cfg, "objective.seed", int, 7)
-    curvature = _get(cfg, "objective.curvature", float, 0.5)
-    _at_least("objective.seed", [seed], 0)
-    with _config_errors():
-        return build_objective(kind, d, mu, l_const, seed, curvature)
+    kwargs = _given(cfg, mu=("objective.mu", float), L=("objective.L", float),
+                    seed=("objective.seed", int),
+                    curvature=("objective.curvature", float))
+    if "seed" in kwargs:
+        _at_least("objective.seed", [kwargs["seed"]], 0)
+    with _config_errors("objective.kind, objective.d, objective.mu, objective.L, "
+                        "objective.seed, objective.curvature"):
+        return build_objective(kind, d, **kwargs)
 
 
 def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunConfig:
-    step_kind = _get(cfg, "optimizer.step", str, "instrumented")
-    alpha_kind = _get(cfg, "optimizer.alpha", str, "instrumented")
-    with _config_errors():
-        step = StepPolicy(kind=step_kind,
-                          eta0=_get(cfg, "optimizer.eta0", float, 1.0),
-                          shrink=_get(cfg, "optimizer.shrink", float, 0.5),
-                          max_tries=_get(cfg, "optimizer.max_tries", int, 40))
-        alpha = AlphaPolicy(kind=alpha_kind,
-                            alpha0=_get(cfg, "optimizer.alpha0", float, 1e-3),
-                            gamma=_get(cfg, "optimizer.gamma", float, 0.99),
-                            c=_get(cfg, "optimizer.alpha_c", float, 1.0))
-        seed_key = "optimizer.seed" if seed_override is None else "--seed"
-        seed = seed_override if seed_override is not None \
-            else _get(cfg, "optimizer.seed", int, 0)
-        _at_least(seed_key, [seed], 0)
-        return RunConfig(
-            n=_get(cfg, "optimizer.N", int),
-            iterations=_get(cfg, "optimizer.T", int),
-            scheme=_get(cfg, "optimizer.scheme", str, "uniform"),
-            step=step, alpha=alpha, seed=seed,
-            delta=_get(cfg, "optimizer.delta", float, 0.1),
-            eps_target=(_get(cfg, "optimizer.eps", float)
-                        if "optimizer.eps" in cfg else None),
-        )
+    step = _given(cfg, kind=("optimizer.step", str), eta0=("optimizer.eta0", float),
+                  shrink=("optimizer.shrink", float),
+                  max_tries=("optimizer.max_tries", int))
+    alpha = _given(cfg, kind=("optimizer.alpha", str),
+                   alpha0=("optimizer.alpha0", float),
+                   gamma=("optimizer.gamma", float), c=("optimizer.alpha_c", float))
+    kwargs = _given(cfg, scheme=("optimizer.scheme", str), seed=("optimizer.seed", int),
+                    delta=("optimizer.delta", float),
+                    eps_target=("optimizer.eps", float))
+    n, iterations = _get(cfg, "optimizer.N", int), _get(cfg, "optimizer.T", int)
+    seed_key = "optimizer.seed"
+    if seed_override is not None:
+        seed_key, kwargs["seed"] = "--seed", seed_override
+    if "seed" in kwargs:
+        _at_least(seed_key, [kwargs["seed"]], 0)
+    with _config_errors("optimizer.step, optimizer.eta0, optimizer.shrink, "
+                        "optimizer.max_tries"):
+        step = StepPolicy(**step)
+    with _config_errors("optimizer.alpha, optimizer.alpha0, optimizer.gamma, "
+                        "optimizer.alpha_c"):
+        alpha = AlphaPolicy(**alpha)
+    with _config_errors("optimizer.N, optimizer.T, optimizer.scheme, "
+                        "optimizer.delta, optimizer.eps"):
+        return RunConfig(n=n, iterations=iterations, step=step, alpha=alpha,
+                         **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
         raise ConfigError("verify.events is empty")
     unknown = [e for e in names if e not in ALL_CHECKS]
     if unknown:
-        raise ConfigError(f"unknown verification events: {unknown}")
+        raise ConfigError(f"verify.events: unknown checks {unknown}")
 
     trials_key = "--trials" if args.trials is not None else "verify.trials"
     trials = args.trials if args.trials is not None \
@@ -333,20 +325,25 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r, _ in reports) else 1
 
 
-def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:
+def _bench_grid(cfg: Dict[str, str]) -> ExperimentGrid:
+    # every run takes its seed from bench.seeds and its target from bench.eps_rel
+    for key, instead in (("optimizer.seed", "bench.seeds"),
+                         ("optimizer.eps", "bench.eps_rel")):
+        if key in cfg:
+            raise ConfigError(f"bench does not read {key}; set {instead}")
+    template = build_run_config(cfg, None)
     dims = _get(cfg, "bench.dims", _int_list)
     kappas = _get(cfg, "bench.kappas", _float_list, [10.0])
-    ns = _get(cfg, "bench.ns", _int_list, [16])
-    schemes = _get(cfg, "bench.schemes", _str_list, ["uniform"])
+    ns = _get(cfg, "bench.ns", _int_list, [template.n])
+    schemes = _get(cfg, "bench.schemes", _str_list, [template.scheme])
     seeds = _get(cfg, "bench.seeds", _int_list)
     mu = _get(cfg, "bench.mu", float, 1.0)
-    eps_rel = _get(cfg, "bench.eps_rel", float, 1e-4)
-    objective_seed = _get(cfg, "bench.objective_seed", int, 7)
-    template = build_run_config(cfg, args.seed)
+    cell_kwargs = _given(cfg, objective_seed=("bench.objective_seed", int))
+    grid_kwargs = _given(cfg, eps_rel=("bench.eps_rel", float))
     _at_least("bench.dims", dims, 1)
     _at_least("bench.kappas", kappas, 1)
     _at_least("bench.seeds", seeds, 0)
-    _at_least("bench.objective_seed", [objective_seed], 0)
+    _at_least("bench.objective_seed", cell_kwargs.values(), 0)
     if mu <= 0:
         raise ConfigError(f"bench.mu must be positive, got {mu!r}")
     with _config_errors("bench.ns, bench.schemes"):
@@ -354,15 +351,16 @@ def _bench_grid(cfg: Dict[str, str], args) -> ExperimentGrid:
                    for n in ns for scheme in schemes}
     cells = [GridCell(config_id=f"d{d}_k{kappa:g}_N{n}_{scheme}",
                       objective_kind="quadratic", d=d, mu=mu, L=mu * kappa,
-                      config=configs[n, scheme], objective_seed=objective_seed)
+                      config=configs[n, scheme], **cell_kwargs)
              for d in dims for kappa in kappas for n in ns for scheme in schemes]
-    with _config_errors():
-        return ExperimentGrid(cells=cells, seeds=seeds, eps_rel=eps_rel)
+    with _config_errors("bench.dims, bench.kappas, bench.ns, bench.schemes, "
+                        "bench.seeds, bench.eps_rel"):
+        return ExperimentGrid(cells=cells, seeds=seeds, **grid_kwargs)
 
 
 def cmd_bench(args) -> int:
     cfg = parse_config(args.config)
-    grid = _bench_grid(cfg, args)
+    grid = _bench_grid(cfg)
     rows, summary = run_grid(grid, jobs=args.jobs, out_dir=args.out)
     if args.verbose:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -377,7 +375,7 @@ def cmd_ablate(args) -> int:
     if not seeds:
         raise ConfigError("ablate.seeds is empty")
     _at_least("ablate.seeds", seeds, 0)
-    eps_rel = _get(cfg, "ablate.eps_rel", float, 1e-4)
+    eps_rel = _get(cfg, "ablate.eps_rel", float, ExperimentGrid.eps_rel)
     if not (0.0 < eps_rel < 1.0):
         raise ConfigError(f"ablate.eps_rel must lie in (0, 1), got {eps_rel!r}")
     os.makedirs(args.out, exist_ok=True)
@@ -415,9 +413,11 @@ def cmd_predict(args) -> int:
         else "nonconvex" if args.kind in ("nc", "nonconvex") else None
     if kind is None:
         raise ConfigError(f"unknown kind {args.kind!r}; use sc or nc")
-    with _config_errors():
+    # --c1 is passed only when given, so predict_complexity's default stands
+    c1 = {} if args.c1 is None else {"c1": args.c1}
+    with _config_errors("--d, --L, --mu, --eps, --delta-prime, --alpha, --c1"):
         pred = predict_complexity(kind, args.d, args.L, args.eps,
-                                  args.delta_prime, mu=args.mu, c1=args.c1)
+                                  args.delta_prime, mu=args.mu, **c1)
         floor_sc, floor_nc = floors(pred.n, args.d, pred.delta, args.L, args.alpha)
     print(f"N = {pred.n}")
     print(f"T = {pred.t}")
@@ -446,10 +446,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, config_required: bool = True,
+                seed: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="config file path")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -465,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("bench")
-    _add_common(p)
+    # bench runs every cell at each bench.seeds entry, so it takes no --seed
+    _add_common(p, seed=False)
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.set_defaults(fn=cmd_bench)
 
@@ -483,8 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--delta-prime", type=_finite_float, default=0.1)
     p.add_argument("--alpha", type=_finite_float, default=1e-4)
-    p.add_argument("--c1", type=_finite_float, default=1.0)
-    p.add_argument("-v", "--verbose", action="store_true")
+    p.add_argument("--c1", type=_finite_float, default=None)
     p.set_defaults(fn=cmd_predict)
     return parser
 

@@ -37,8 +37,7 @@ import numpy as np
 from .objective import Objective, evaluate
 from .sampling import (QueryLedger, check_sample_size, new_generator,
                        rank_oracle, sample_directions, selected_ranks)
-from .theory import (c_N_d_delta, c_d_delta, instrumented_alpha,
-                     positive_only_norm_constant)
+from .theory import c_N_d_delta, c_d_delta, instrumented_alpha
 from .weights import check_scheme, weights_by_name
 
 __all__ = [
@@ -320,8 +319,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     w_sel = weights_by_name(cfg.scheme, cfg.n).signed(cfg.positive_only)
 
     if cfg.step.kind == "instrumented":
-        c_nd = (positive_only_norm_constant(cfg.n, obj.dim, cfg.delta)
-                if cfg.positive_only else c_N_d_delta(cfg.n, obj.dim, cfg.delta))
+        c_nd = c_N_d_delta(cfg.n, obj.dim, cfg.delta, cfg.positive_only)
         update = partial(_instrumented_update, obj, cfg, sel, w_sel, c_nd)
     else:
         eta0, shrink = cfg.step.eta0, cfg.step.shrink

@@ -42,7 +42,6 @@ __all__ = [
     "c_d_delta",
     "instrumented_alpha",
     "c_N_d_delta",
-    "positive_only_norm_constant",
     "kl_bernoulli",
     "event_bound_E45",
     "rho",
@@ -109,20 +108,14 @@ def _matrix_norm_bound(n_cols: int, d: int, delta: float) -> float:
             + math.sqrt(2.0 * math.log(2.0 / delta))) ** 2
 
 
-def c_N_d_delta(n: int, d: int, delta: float) -> float:
-    """Squared spectral bound for the n/2 selected directions."""
+def c_N_d_delta(n: int, d: int, delta: float, positive_only: bool = False) -> float:
+    """Squared spectral bound for the n/2 selected directions, or for the
+    n/4 best-quartile ones of the ``positive_only`` ablation."""
     check_sample_size(n)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_delta(delta)
-    return _matrix_norm_bound(n // 2, d, delta)
-
-
-def positive_only_norm_constant(n: int, d: int, delta: float) -> float:
-    """Variant of ``c_N_d_delta`` for the n/4 best-quartile-only ablation."""
-    check_sample_size(n)
-    _check_delta(delta)
-    return _matrix_norm_bound(n // 4, d, delta)
+    return _matrix_norm_bound(n // 4 if positive_only else n // 2, d, delta)
 
 
 def kl_bernoulli(q: float, p: float) -> float:
@@ -143,19 +136,18 @@ def rho(n: int, d: int, delta: float, mu: float, L: float,
     """Per-iteration contraction factor in the strongly convex rate.
 
     ``rho = ratio * (n/2) / (8 C_{N,d,delta} sqrt(2 ln(2n/delta))) * mu/L``
-    where ``ratio`` is min|w|/max|w| over the selected set.
+    where ``ratio`` is min|w|/max|w| over the selected set.  Since
+    ``C_{N,d,delta} > n/2`` and ``sqrt(2 ln(2n/delta)) > 2``, rho < 1/16
+    for every valid input.
     """
     if not (0 < mu <= L):
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
     if not (0 < weight_ratio <= 1.0):
         raise ValueError(f"weight_ratio must be in (0, 1], got {weight_ratio}")
-    value = (weight_ratio * (n / 2.0)
-             / (8.0 * c_N_d_delta(n, d, delta)
-                * math.sqrt(2.0 * math.log(2.0 * n / delta)))
-             * mu / L)
-    if value >= 1.0:
-        raise ValueError(f"contraction factor {value} >= 1: invalid regime")
-    return value
+    return (weight_ratio * (n / 2.0)
+            / (8.0 * c_N_d_delta(n, d, delta)
+               * math.sqrt(2.0 * math.log(2.0 * n / delta)))
+            * mu / L)
 
 
 def floors(n: int, d: int, delta: float, L: float, alpha: float,

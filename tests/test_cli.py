@@ -1,14 +1,16 @@
 """CLI subcommands: exit codes, output files, determinism."""
 
-import inspect
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rankzo import cli
-from rankzo.cli import CONFIG_KEYS, ConfigError, main, parse_config
+from rankzo.bench import build_objective
+from rankzo.cli import (CONFIG_KEYS, ConfigError, build_objective_from_config,
+                        build_run_config, main, parse_config)
+from rankzo.optimizer import RunConfig
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,6 +54,17 @@ def with_values(text, values):
         if not hits:
             text += line + "\n"
     return text
+
+
+def without(text, *keys):
+    """``text`` with the lines setting any of ``keys`` removed."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split(" = ")[0] not in keys)
+
+
+def names_key(text, key):
+    """Whether ``text`` names the config key ``key`` (not a longer key)."""
+    return re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", text) is not None
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -113,10 +126,6 @@ class TestParseConfig:
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_known_keys_are_the_keys_read(self):
-        read = set(re.findall(r'_get\(cfg, "([^"]+)"', inspect.getsource(cli)))
-        assert read == CONFIG_KEYS
 
     def test_readme_documents_every_key(self):
         readme = (REPO / "README.md").read_text()
@@ -181,6 +190,14 @@ class TestOptimize:
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unset_keys_take_library_defaults(self):
+        assert (build_run_config({"optimizer.N": "16", "optimizer.T": "5"}, None)
+                == RunConfig(n=16, iterations=5))
+        built = build_objective_from_config({"objective.d": "8"})
+        reference = build_objective("quadratic", 8)
+        assert (built.L, built.mu) == (reference.L, reference.mu)
+        np.testing.assert_array_equal(built.x_star, reference.x_star)
 
     def test_seed_override_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_CONFIG)
@@ -424,23 +441,56 @@ class TestBench:
         assert "bench.mu must be positive, got -1.0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("values,flags,named,bad", [
-        ({"bench.seeds": "1,-2"}, [], "bench.seeds", "0, got -2"),
-        ({}, ["--seed", "-1"], "--seed", "0, got -1"),
-        ({"bench.dims": "0,8"}, [], "bench.dims", "1, got 0"),
-        ({"bench.objective_seed": "-1"}, [], "bench.objective_seed", "0, got -1"),
-    ], ids=["seeds_entry", "seed_flag", "dims_entry", "objective_seed"])
+    @pytest.mark.parametrize("values,named,bad", [
+        ({"bench.seeds": "1,-2"}, "bench.seeds", "0, got -2"),
+        ({"bench.dims": "0,8"}, "bench.dims", "1, got 0"),
+        ({"bench.objective_seed": "-1"}, "bench.objective_seed", "0, got -1"),
+    ], ids=["seeds_entry", "dims_entry", "objective_seed"])
     def test_bad_entry_exit2_before_any_cell(self, tmp_path, capsys,
-                                             values, flags, named, bad):
+                                             values, named, bad):
         cfg = write_config(tmp_path, with_values(BENCH_SMALL, values))
         out = tmp_path / "out"
-        assert main(["bench", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
         assert f"{named} must be >= {bad}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_grid_keys_exit2(self, tmp_path):
         cfg = write_config(tmp_path, "bench.dims = 8\n")
         assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_ns_and_schemes_default_to_optimizer_keys(self, tmp_path):
+        text = with_values(without(BENCH_SMALL, "bench.ns", "bench.schemes"),
+                           {"optimizer.N": "32", "optimizer.scheme": "log"})
+        out = tmp_path / "out"
+        assert main(["bench", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        header, *rows = (out / "results.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert len(rows) == 2
+        for row in rows:
+            cell = dict(zip(columns, row.split(",")))
+            assert (cell["N"], cell["scheme"]) == ("32", "log")
+
+    @pytest.mark.parametrize("key,value,instead", [
+        ("optimizer.seed", "99", "bench.seeds"),
+        ("optimizer.eps", "0.5", "bench.eps_rel"),
+    ], ids=["seed", "eps"])
+    def test_optimizer_key_bench_sets_per_run_exit2(self, tmp_path, capsys,
+                                                    key, value, instead):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, {key: value}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, key) and names_key(err, instead)
+        assert not out.exists()
+
+    def test_seed_flag_exit2(self, tmp_path, capsys):
+        # each run's seed comes from bench.seeds
+        cfg = write_config(tmp_path, BENCH_SMALL)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 ABLATE_SMALL = with_values(QUAD_CONFIG, {
@@ -565,6 +615,91 @@ class TestPredict:
 
     def test_missing_required_flag_exit2(self):
         assert main(["predict", "--kind", "sc", "--d", "32"]) == 2
+
+    def test_verbose_flag_exit2(self, capsys):
+        # predict always prints its whole result
+        assert main(["predict", "--kind", "sc", "--d", "32", "--L", "10",
+                     "--mu", "1", "--eps", "1e-6", "-v"]) == 2
+        assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+
+BASE_CONFIG = {"optimize": QUAD_CONFIG, "ablate": ABLATE_SMALL,
+               "bench": BENCH_SMALL, "verify": VERIFY_SMALL}
+
+#: for every config key: a subcommand that reads it, a value the key cannot
+#: take, and any other settings under which that value is checked
+BAD_VALUE = {
+    "objective.kind": ("optimize", "foo", {}),
+    "objective.d": ("optimize", "0", {}),
+    "objective.mu": ("optimize", "-1", {}),
+    "objective.L": ("optimize", "0.5", {}),
+    "objective.seed": ("optimize", "-1", {}),
+    "objective.curvature": ("optimize", "steep", {"objective.kind": "rosenbrock"}),
+    "optimizer.N": ("optimize", "6", {}),
+    "optimizer.T": ("optimize", "-1", {}),
+    "optimizer.scheme": ("optimize", "foo", {}),
+    "optimizer.step": ("optimize", "foo", {}),
+    "optimizer.alpha": ("optimize", "foo", {}),
+    "optimizer.eta0": ("optimize", "-1", {}),
+    "optimizer.shrink": ("optimize", "1.5", {}),
+    "optimizer.max_tries": ("optimize", "0", {}),
+    "optimizer.alpha0": ("optimize", "0", {}),
+    "optimizer.gamma": ("optimize", "1.5", {"optimizer.alpha": "geometric"}),
+    "optimizer.alpha_c": ("optimize", "0", {}),
+    "optimizer.seed": ("optimize", "-1", {}),
+    "optimizer.delta": ("optimize", "1.5", {}),
+    "optimizer.eps": ("optimize", "2", {}),
+    "verify.events": ("verify", "foo", {}),
+    "verify.trials": ("verify", "5", {}),
+    "verify.trials_appendix": ("verify", "5", {}),
+    "verify.n": ("verify", "6", {}),
+    "verify.d": ("verify", "0", {}),
+    "verify.delta": ("verify", "1.5", {}),
+    "verify.alpha_scale": ("verify", "0", {}),
+    "verify.seed": ("verify", "-1", {}),
+    "verify.mu": ("verify", "20", {}),
+    "verify.L": ("verify", "-2", {}),
+    "verify.objective_seed": ("verify", "-1", {}),
+    "bench.dims": ("bench", "0", {}),
+    "bench.kappas": ("bench", "0.5", {}),
+    "bench.ns": ("bench", "6", {}),
+    "bench.schemes": ("bench", "foo", {}),
+    "bench.seeds": ("bench", "-1", {}),
+    "bench.eps_rel": ("bench", "5", {}),
+    "bench.mu": ("bench", "-1", {}),
+    "bench.objective_seed": ("bench", "-1", {}),
+    "ablate.seeds": ("ablate", "-1", {}),
+    "ablate.eps_rel": ("ablate", "5", {}),
+}
+
+
+class TestConfigErrors:
+    def exit2_naming(self, tmp_path, capsys, command, key, values):
+        cfg = write_config(tmp_path, with_values(BASE_CONFIG[command], values))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, key), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("optimize", "objective.kind", "foo"),
+        ("optimize", "optimizer.step", "foo"),
+        ("optimize", "optimizer.alpha", "foo"),
+        ("optimize", "optimizer.scheme", "foo"),
+        ("optimize", "optimizer.eps", "2"),
+        ("optimize", "optimizer.eta0", "-1"),
+        ("verify", "verify.events", "foo"),
+        ("bench", "bench.eps_rel", "5"),
+        ("bench", "bench.seeds", ","),
+    ])
+    def test_library_error_names_key(self, tmp_path, capsys, command, key, value):
+        self.exit2_naming(tmp_path, capsys, command, key, {key: value})
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_key_is_read_and_named(self, tmp_path, capsys, key):
+        command, value, context = BAD_VALUE[key]
+        self.exit2_naming(tmp_path, capsys, command, key, {**context, key: value})
 
 
 class TestDispatch:

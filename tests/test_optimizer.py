@@ -14,8 +14,7 @@ from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               practical_step, run)
 from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
-from rankzo.theory import (c_N_d_delta, c_d_delta, instrumented_alpha,
-                           positive_only_norm_constant)
+from rankzo.theory import c_N_d_delta, c_d_delta, instrumented_alpha
 from rankzo.weights import uniform_weights
 
 
@@ -332,7 +331,7 @@ class TestRun:
         q = n // 4
         if positive_only:
             idx, w = perm[:q], np.full(q, 4.0 / n)
-            c_nd = positive_only_norm_constant(n, d, delta)
+            c_nd = c_N_d_delta(n, d, delta, positive_only=True)
         else:
             idx = np.concatenate([perm[:q], perm[-q:]])
             w = np.concatenate([np.full(q, 4.0 / n), np.full(q, -4.0 / n)])

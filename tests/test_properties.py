@@ -1,4 +1,5 @@
-"""Property tests: weight normalization, rank invariance, stable ties."""
+"""Property tests: weight normalization, rank invariance, stable ties, and
+the range of the contraction factor."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from rankzo.objective import Objective, make_quadratic
 from rankzo.sampling import QueryLedger, new_generator, rank_oracle, sample_directions
+from rankzo.theory import rho
 from rankzo.weights import SCHEMES, weights_by_name
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
@@ -76,3 +78,14 @@ def test_ties_broken_stably(values, transform):
     for obj in (table_objective(values), transformed(table_objective(values), transform)):
         perm, _ = rank_oracle(obj, np.zeros(1), 1.0, batch, QueryLedger())
         assert perm.tolist() == expected
+
+
+@PROPERTY_SETTINGS
+@given(quarter=st.integers(1, 2**18), d=st.integers(1, 10**6),
+       delta=st.floats(1e-12, 0.999999), L=st.floats(1e-6, 1e6),
+       mu_over_L=st.floats(1e-6, 1.0), weight_ratio=st.floats(1e-6, 1.0))
+def test_contraction_factor_below_one_sixteenth(quarter, d, delta, L, mu_over_L,
+                                                weight_ratio):
+    # C_{N,d,delta} > n/2 and sqrt(2 ln(2n/delta)) > 2 bound rho by 1/16
+    value = rho(4 * quarter, d, delta, mu_over_L * L, L, weight_ratio)
+    assert 0.0 < value < 1.0 / 16.0

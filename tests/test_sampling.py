@@ -9,8 +9,7 @@ from rankzo.sampling import (NonFiniteValueError, QueryLedger,
                              check_sample_size, new_generator, rank_oracle,
                              sample_directions, selected_index_set,
                              selected_ranks)
-from rankzo.theory import (c_N_d_delta, event_bound_E45,
-                           positive_only_norm_constant)
+from rankzo.theory import c_N_d_delta, event_bound_E45
 
 
 def linear_1d():
@@ -125,7 +124,7 @@ class TestCheckSampleSize:
         lambda n: sample_directions(new_generator(0), n, 3),
         selected_index_set,
         lambda n: c_N_d_delta(n, 3, 0.1),
-        lambda n: positive_only_norm_constant(n, 3, 0.1),
+        lambda n: c_N_d_delta(n, 3, 0.1, positive_only=True),
         event_bound_E45,
     ], ids=["RunConfig", "sample_directions", "selected_index_set",
             "c_N_d_delta", "positive_only_norm_constant", "event_bound_E45"])

@@ -17,8 +17,7 @@ from rankzo.theory import (EVENT_IDS, P_TAIL_EXACT, EventSetup, c_N_d_delta,
                            c_d_delta, check_appendix_bounds, check_event,
                            check_events, event_bound_E45,
                            event_precondition_errors, floors,
-                           instrumented_alpha, kl_bernoulli,
-                           positive_only_norm_constant, predict_complexity,
+                           instrumented_alpha, kl_bernoulli, predict_complexity,
                            recursion_fixed_point_check, rho)
 
 
@@ -49,7 +48,7 @@ class TestConstants:
         assert c_N_d_delta(32, 100, 0.01) > base
 
     def test_positive_only_constant_smaller(self):
-        assert (positive_only_norm_constant(16, 32, 0.1)
+        assert (c_N_d_delta(16, 32, 0.1, positive_only=True)
                 < c_N_d_delta(16, 32, 0.1))
 
     def test_exact_gaussian_tail(self):
@@ -61,11 +60,13 @@ class TestConstants:
     @pytest.mark.parametrize("build,message", [
         (lambda: c_d_delta(0, 0.1), "d must be >= 1, got 0"),
         (lambda: c_N_d_delta(8, 0, 0.1), "d must be >= 1, got 0"),
+        (lambda: c_N_d_delta(8, 0, 0.1, positive_only=True), "d must be >= 1, got 0"),
         (lambda: instrumented_alpha(1.0, 10.0, 5.0, c=0.0),
          "c must lie in (0, 1], got 0.0"),
         (lambda: instrumented_alpha(1.0, 10.0, 5.0, c=1.5),
          "c must lie in (0, 1], got 1.5"),
-    ], ids=["c_d_dim", "c_N_dim", "alpha_c_zero", "alpha_c_above_1"])
+    ], ids=["c_d_dim", "c_N_dim", "c_N_dim_positive_only", "alpha_c_zero",
+            "alpha_c_above_1"])
     def test_invalid_inputs_rejected(self, build, message):
         with pytest.raises(ValueError) as exc:
             build()
@@ -131,15 +132,6 @@ class TestRho:
             rho(32, 100, 0.01, mu=2.0, L=1.0)
         with pytest.raises(ValueError):
             rho(32, 100, 0.01, 0.1, 1.0, weight_ratio=1.5)
-
-
-    def test_contraction_factor_at_least_one_rejected(self, monkeypatch):
-        # C_{N,d,delta} > n/2 keeps rho below 1/16 for every valid input,
-        # so only a shrunk spectral constant reaches this check
-        monkeypatch.setattr(theory, "c_N_d_delta", lambda n, d, delta: 1e-6)
-        with pytest.raises(ValueError,
-                           match=r"^contraction factor .* >= 1: invalid regime$"):
-            rho(32, 100, 0.01, mu=1.0, L=1.0)
 
 
 class TestFloors:
