@@ -17,8 +17,7 @@ cfg = rz.RunConfig(
 )
 
 cells = [
-    GridCell(config_id=f"d{d}_k{int(kappa)}", objective_kind="quadratic",
-             d=d, mu=1.0, L=kappa, config=cfg)
+    GridCell(config_id=f"d{d}_k{int(kappa)}", d=d, mu=1.0, L=kappa, config=cfg)
     for d in (16, 64) for kappa in (10.0,)
 ]
 

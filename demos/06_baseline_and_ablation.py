@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 import rankzo as rz
-from rankzo.bench import queries_to_relative_target
+from rankzo.bench import queries_to_target
 from rankzo.optimizer import baseline_value_zo
 
 obj = rz.make_quadratic(d=32, mu=1.0, L=10.0, seed=7)
@@ -26,7 +26,7 @@ def med(fn, cfg):
     qs = []
     for s in seeds:
         trace = fn(obj, replace(cfg, seed=s))
-        q = queries_to_relative_target(trace, eps_rel, obj.f_star)
+        q = queries_to_target(trace, eps_rel)
         qs.append(q if q is not None else np.inf)
     return float(np.median(qs))
 

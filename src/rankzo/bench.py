@@ -1,10 +1,14 @@
 """Experiment runner: grids, queries to target, persistence.
 
-A grid is a list of cells (objective + run configuration) crossed with a
-seed list; every cell/seed pair produces one :class:`ResultRow` with the
-query count to a relative target, the final gap, and the fitted log-gap
-decay slope.  Cells are independent, so the grid can run on a process
-pool; rows are sorted before writing so the CSV is order-independent.
+A grid is a list of quadratic cells (d, mu, L and a run configuration)
+crossed with a seed list; every cell/seed pair produces one
+:class:`ResultRow` with :func:`queries_to_target`, the final gap, and the
+fitted log-gap decay slope.  Cells are independent, so the grid can run
+on a process pool; rows are sorted before writing so the CSV is
+order-independent.
+
+Objectives come from this module's ``make_quadratic`` and
+``make_rosenbrock_like``, looked up at call time; they hold the defaults.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -27,11 +32,9 @@ __all__ = [
     "ResultRow",
     "RESULT_COLUMNS",
     "queries_to_target",
-    "queries_to_relative_target",
     "fit_log_gap_slope",
     "median_or_none",
     "run_grid",
-    "write_results_csv",
     "write_json",
     "build_objective",
 ]
@@ -40,36 +43,31 @@ RESULT_COLUMNS = ("config_id", "seed", "scheme", "N", "d", "kappa", "policy",
                   "queries_to_target", "final_gap", "slope", "wall_ms")
 
 
-def build_objective(kind: str, d: int, mu: float = 1.0, L: float = 10.0,
-                    seed: int = 7, curvature: float = 0.5) -> Objective:
-    """Named objective construction shared by the grid and the CLI."""
+def build_objective(kind: str, d: int, **params) -> Objective:
+    """The ``quadratic`` or ``rosenbrock`` objective at dimension ``d``; only
+    the given ``params`` reach its maker, which holds the defaults."""
     if kind == "quadratic":
-        return make_quadratic(d, mu, L, seed)
+        return make_quadratic(d, **params)
     if kind == "rosenbrock":
-        return make_rosenbrock_like(d, curvature=curvature)
+        return make_rosenbrock_like(d, **params)
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class GridCell:
-    """One benchmark configuration; crossed with the grid's seed list."""
+    """One quadratic benchmark configuration; crossed with the grid's seed
+    list.  ``objective_seed`` reaches :func:`make_quadratic` only when set."""
 
     config_id: str
-    objective_kind: str
     d: int
     mu: float
     L: float
     config: RunConfig
-    objective_seed: int = 7
-    curvature: float = 0.5
-
-    @property
-    def kappa(self) -> float:
-        return self.L / self.mu
+    objective_seed: Optional[int] = None
 
     def make_objective(self) -> Objective:
-        return build_objective(self.objective_kind, self.d, self.mu, self.L,
-                               self.objective_seed, self.curvature)
+        seed = {} if self.objective_seed is None else {"seed": self.objective_seed}
+        return make_quadratic(self.d, self.mu, self.L, **seed)
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,11 @@ class ExperimentGrid:
             raise ValueError("grid needs at least one cell and one seed")
         if not (0.0 < self.eps_rel < 1.0):
             raise ValueError("eps_rel must lie in (0, 1)")
+        for name, values in (("config_id", [c.config_id for c in self.cells]),
+                             ("seed", self.seeds)):
+            repeated = sorted(v for v, k in Counter(values).items() if k > 1)
+            if repeated:
+                raise ValueError(f"repeated {name}s {repeated}")
 
 
 @dataclass(frozen=True)
@@ -102,31 +105,23 @@ class ResultRow:
     wall_ms: int
 
 
-def queries_to_target(trace: RunTrace, eps: float, f_star: float) -> Optional[int]:
-    """Cumulative queries spent before first reaching gap <= eps.
+def queries_to_target(trace: RunTrace, eps_rel: float) -> Optional[int]:
+    """Queries spent before the gap first falls to ``eps_rel`` x the initial gap.
 
-    Row t records f(x_t) before that iteration's queries, so the cost of
-    reaching x_t is the cumulative count of row t-1 (0 for t = 0).  The
-    final iterate is also checked.  Returns None when the target is
-    never reached.
+    Row t records the gap at x_t before that iteration's queries, so the
+    cost of reaching x_t is the cumulative count of row t-1 (0 for
+    t = 0); the final gap is checked last.  None when the target is never
+    reached, or without rows or a finite initial gap (no known optimum).
     """
-    for i in range(len(trace.t)):
-        if trace.f[i] - f_star <= eps:
+    if not len(trace.t) or not math.isfinite(trace.fgap[0]):
+        return None
+    eps = eps_rel * trace.fgap[0]
+    for i, gap in enumerate(trace.fgap):
+        if gap <= eps:
             return trace.queries_cum[i - 1] if i > 0 else 0
-    if np.isfinite(trace.final_f) and trace.final_f - f_star <= eps:
+    if trace.final_gap <= eps:
         return trace.total_queries
     return None
-
-
-def queries_to_relative_target(trace: RunTrace, eps_rel: float,
-                               f_star: Optional[float]) -> Optional[int]:
-    """:func:`queries_to_target` at ``eps_rel`` times the initial gap.
-
-    None without an optimum value, trace rows, or a finite initial gap.
-    """
-    if f_star is None or not len(trace.t) or not math.isfinite(trace.fgap[0]):
-        return None
-    return queries_to_target(trace, eps_rel * trace.fgap[0], f_star)
 
 
 def fit_log_gap_slope(trace: RunTrace) -> float:
@@ -140,18 +135,21 @@ def fit_log_gap_slope(trace: RunTrace) -> float:
     return float(np.polyfit(t[keep], y, 1)[0])
 
 
-def _run_cell(args) -> ResultRow:
+def _run_cell(args):
+    """One cell x seed run: its :class:`ResultRow`, or the exception it raised."""
     cell, seed, eps_rel = args
-    obj = cell.make_objective()
-    cfg = replace(cell.config, seed=seed, eps_target=eps_rel)
-    trace = run(obj, cfg)
-    reached = queries_to_relative_target(trace, eps_rel, obj.f_star)
-    return ResultRow(
-        config_id=cell.config_id, seed=seed, scheme=cfg.scheme, n=cfg.n,
-        d=cell.d, kappa=cell.kappa, policy=cfg.step.kind,
-        queries_to_target=reached, final_gap=trace.final_gap,
-        slope=fit_log_gap_slope(trace), wall_ms=trace.wall_ms,
-    )
+    try:
+        cfg = replace(cell.config, seed=seed, eps_target=eps_rel)
+        trace = run(cell.make_objective(), cfg)
+        return ResultRow(
+            config_id=cell.config_id, seed=seed, scheme=cfg.scheme, n=cfg.n,
+            d=cell.d, kappa=cell.L / cell.mu, policy=cfg.step.kind,
+            queries_to_target=queries_to_target(trace, eps_rel),
+            final_gap=trace.final_gap, slope=fit_log_gap_slope(trace),
+            wall_ms=trace.wall_ms,
+        )
+    except Exception as exc:  # grid keeps going; failure lands in summary
+        return exc
 
 
 def run_grid(grid: ExperimentGrid, jobs: int = 1,
@@ -165,39 +163,28 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
     """
     tasks = [(cell, seed, grid.eps_rel)
              for cell in grid.cells for seed in grid.seeds]
-    rows: List[ResultRow] = []
-    errors: List[str] = []
     if jobs > 1:
         # imported here so serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for task, outcome in zip(tasks, pool.map(_run_cell_safe, tasks)):
-                _collect(task, outcome, rows, errors)
+            outcomes = list(pool.map(_run_cell, tasks))
     else:
-        for task in tasks:
-            _collect(task, _run_cell_safe(task), rows, errors)
+        outcomes = map(_run_cell, tasks)
+    rows: List[ResultRow] = []
+    errors: List[str] = []
+    for (cell, seed, _), outcome in zip(tasks, outcomes):
+        if isinstance(outcome, Exception):
+            errors.append(f"{cell.config_id}/seed={seed}: {outcome}")
+        else:
+            rows.append(outcome)
     rows.sort(key=lambda r: (r.config_id, r.seed))
     summary = _summarize(grid, rows, errors)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_results_csv(rows, os.path.join(out_dir, "results.csv"))
+        write_csv(os.path.join(out_dir, "results.csv"), RESULT_COLUMNS,
+                  map(astuple, rows))
         write_json(os.path.join(out_dir, "summary.json"), summary)
     return rows, summary
-
-
-def _run_cell_safe(task):
-    try:
-        return _run_cell(task)
-    except Exception as exc:  # grid keeps going; failure lands in summary
-        return exc
-
-
-def _collect(task, outcome, rows, errors):
-    if isinstance(outcome, Exception):
-        cell, seed, _ = task
-        errors.append(f"{cell.config_id}/seed={seed}: {outcome}")
-    else:
-        rows.append(outcome)
 
 
 def median_or_none(values) -> Optional[float]:
@@ -213,15 +200,8 @@ def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
         cell_rows = [r for r in rows if r.config_id == cell.config_id]
         if not cell_rows:
             continue
-        kind = "strongly_convex" if cell.mu > 0 and cell.objective_kind == "quadratic" \
-            else "nonconvex"
-        try:
-            pred = predict_complexity(kind, cell.d, cell.L, grid.eps_rel,
-                                      delta_prime=0.1,
-                                      mu=cell.mu if kind == "strongly_convex" else None)
-            predicted = {"t": pred.t, "q": pred.q, "n": pred.n}
-        except ValueError:
-            predicted = None
+        pred = predict_complexity("strongly_convex", cell.d, cell.L, grid.eps_rel,
+                                  delta_prime=0.1, mu=cell.mu)
         per_cell[cell.config_id] = {
             "median_queries_to_target": median_or_none(
                 [r.queries_to_target for r in cell_rows]),
@@ -229,7 +209,7 @@ def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
             "runs": len(cell_rows),
             "median_final_gap": float(np.median([r.final_gap for r in cell_rows])),
             "median_slope": float(np.median([r.slope for r in cell_rows])),
-            "predicted": predicted,
+            "predicted": {"t": pred.t, "q": pred.q, "n": pred.n},
         }
     return {"eps_rel": grid.eps_rel, "cells": per_cell, "errors": errors}
 
@@ -255,9 +235,3 @@ def write_json(path: str, data) -> None:
         json.dump(_finite_or_null(data), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
-
-
-def write_results_csv(rows: List[ResultRow], path: str) -> None:
-    """One :data:`RESULT_COLUMNS` line per row; an unreached target is
-    written as ``not_reached``."""
-    write_csv(path, RESULT_COLUMNS, map(astuple, rows))

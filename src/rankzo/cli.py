@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bench import (ExperimentGrid, GridCell, build_objective, median_or_none,
-                    queries_to_relative_target, run_grid, write_json)
+                    queries_to_target, run_grid, write_json)
 from .optimizer import (AlphaPolicy, OptimizationError, RunConfig, RunTrace,
                         StepPolicy, run, write_csv)
 from .sampling import check_sample_size, new_generator
@@ -129,6 +129,14 @@ def _at_least(key: str, values, low) -> None:
             raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
+def _reject_unread(cfg: Dict[str, str], read: Dict[str, bool], kinds: str) -> None:
+    """Raise a :class:`ConfigError` naming the first key of ``cfg`` that
+    ``read`` maps to False: a key the chosen ``kinds`` do not read."""
+    for key in cfg:
+        if not read.get(key, True):
+            raise ConfigError(f"{key} is not read when {kinds}")
+
+
 def _int_list(text: str) -> List[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -163,6 +171,11 @@ def build_objective_from_config(cfg: Dict[str, str]):
                     curvature=("objective.curvature", float))
     if "seed" in kwargs:
         _at_least("objective.seed", [kwargs["seed"]], 0)
+    # an unknown kind reads every key here; build_objective rejects it
+    read = dict.fromkeys(("objective.mu", "objective.L", "objective.seed"),
+                         kind != "rosenbrock")
+    read["objective.curvature"] = kind != "quadratic"
+    _reject_unread(cfg, read, f"objective.kind = {kind}")
     with _config_errors("objective.kind, objective.d, objective.mu, objective.L, "
                         "objective.seed, objective.curvature"):
         return build_objective(kind, d, **kwargs)
@@ -192,8 +205,18 @@ def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunCo
         alpha = AlphaPolicy(**alpha)
     with _config_errors("optimizer.N, optimizer.T, optimizer.scheme, "
                         "optimizer.delta, optimizer.eps"):
-        return RunConfig(n=n, iterations=iterations, step=step, alpha=alpha,
-                         **kwargs)
+        run_cfg = RunConfig(n=n, iterations=iterations, step=step, alpha=alpha,
+                            **kwargs)
+    _reject_unread(cfg, {
+        "optimizer.eta0": step.kind != "instrumented",
+        "optimizer.shrink": step.kind == "backtracking",
+        "optimizer.max_tries": step.kind == "backtracking",
+        "optimizer.alpha0": alpha.kind != "instrumented",
+        "optimizer.gamma": alpha.kind == "geometric",
+        "optimizer.alpha_c": alpha.kind == "instrumented",
+        "optimizer.delta": "instrumented" in (step.kind, alpha.kind),
+    }, f"optimizer.step = {step.kind}, optimizer.alpha = {alpha.kind}")
+    return run_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +287,7 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     with _config_errors("verify.n"):
         check_sample_size(n)
     with _config_errors("verify.d, verify.mu, verify.L, verify.objective_seed"):
-        obj = build_objective("quadratic", d, mu, l_const, objective_seed)
+        obj = build_objective("quadratic", d, mu=mu, L=l_const, seed=objective_seed)
     with _config_errors("verify.delta"):
         c_d = c_d_delta(d, delta)
 
@@ -349,9 +372,8 @@ def _bench_grid(cfg: Dict[str, str]) -> ExperimentGrid:
     with _config_errors("bench.ns, bench.schemes"):
         configs = {(n, scheme): replace(template, n=n, scheme=scheme)
                    for n in ns for scheme in schemes}
-    cells = [GridCell(config_id=f"d{d}_k{kappa:g}_N{n}_{scheme}",
-                      objective_kind="quadratic", d=d, mu=mu, L=mu * kappa,
-                      config=configs[n, scheme], **cell_kwargs)
+    cells = [GridCell(config_id=f"d{d}_k{kappa:g}_N{n}_{scheme}", d=d, mu=mu,
+                      L=mu * kappa, config=configs[n, scheme], **cell_kwargs)
              for d in dims for kappa in kappas for n in ns for scheme in schemes]
     with _config_errors("bench.dims, bench.kappas, bench.ns, bench.schemes, "
                         "bench.seeds, bench.eps_rel"):
@@ -400,8 +422,7 @@ def cmd_ablate(args) -> int:
                 raise
             if i == 0:
                 trace.to_csv(os.path.join(args.out, f"trace_{label}.csv"))
-            results[label].append(
-                queries_to_relative_target(trace, eps_rel, obj.f_star))
+            results[label].append(queries_to_target(trace, eps_rel))
     med = write_summary("ok")
     if args.verbose:
         print(json.dumps(med, indent=2, sort_keys=True))

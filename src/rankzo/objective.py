@@ -160,7 +160,7 @@ def _haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def make_quadratic(d: int, mu: float, L: float, seed: int) -> Objective:
+def make_quadratic(d: int, mu: float = 1.0, L: float = 10.0, seed: int = 7) -> Objective:
     """Seeded quadratic ``f(x) = 0.5 (x-x*)' A (x-x*)`` with known spectrum.
 
     ``A = Q' diag(eigs) Q`` with ``Q`` a seeded Haar-orthogonal rotation

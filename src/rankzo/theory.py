@@ -195,9 +195,9 @@ def predict_complexity(kind: str, d: int, L: float, eps: float,
 
     T follows the headline complexity with unit constant and does not
     depend on N: ``ceil((d L / mu) ln(1/eps))`` for the strongly convex
-    regime and ``ceil(d L / eps)`` for the nonconvex one.  N follows from
-    T as ``ceil_4(c1 (l + ln l))``, at least 4, with
-    ``l = max(ln(max(T, 2) / delta'), 2)``; then ``Q = T N`` and the
+    regime and ``ceil(d L / eps)`` for the nonconvex one, which takes no
+    ``mu``.  N follows from T as ``ceil_4(c1 (l + ln l))``, at least 4,
+    with ``l = max(ln(max(T, 2) / delta'), 2)``; then ``Q = T N`` and the
     per-event failure budget is ``delta = delta'/(T N)``.
     """
     if kind not in ("strongly_convex", "nonconvex"):
@@ -208,6 +208,8 @@ def predict_complexity(kind: str, d: int, L: float, eps: float,
         if mu is None or not (0 < mu <= L):
             raise ValueError("strongly_convex prediction needs 0 < mu <= L")
         t = math.ceil(d * L / mu * math.log(1.0 / eps))
+    elif mu is not None:
+        raise ValueError("nonconvex prediction takes no mu")
     else:
         t = math.ceil(d * L / eps)
     inner = max(math.log(max(t, 2) / delta_prime), 2.0)

@@ -34,7 +34,7 @@ def median_queries(obj, step, alpha, seeds, iterations, eps_rel=1e-4,
                            alpha=alpha, delta=DELTA,
                            positive_only=positive_only, eps_target=eps_rel)
         trace = rz.run(obj, cfg)
-        q = rz.queries_to_target(trace, eps_rel * trace.fgap[0], obj.f_star)
+        q = rz.queries_to_target(trace, eps_rel)
         assert q is not None, f"target not reached for seed {seed}"
         qs.append(q)
     return float(np.median(qs))

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from rankzo.bench import (ExperimentGrid, GridCell, build_objective,
-                          fit_log_gap_slope, queries_to_relative_target,
-                          queries_to_target, run_grid, write_json,
-                          write_results_csv)
-from rankzo.objective import Objective, make_quadratic
+                          fit_log_gap_slope, queries_to_target, run_grid,
+                          write_json)
+from rankzo.objective import Objective, make_quadratic, make_rosenbrock_like
 from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               RunTrace, StepPolicy, baseline_value_zo, run)
 from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
@@ -120,44 +119,48 @@ def synthetic_trace(gaps, queries_per_iter=8):
 
 class TestQueriesToTarget:
     def test_starts_below_target(self):
-        trace = synthetic_trace([0.5, 0.4])
-        assert queries_to_target(trace, eps=1.0, f_star=0.0) == 0
+        # a run that starts at the optimum reaches any target at once
+        trace = synthetic_trace([0.0, 0.0])
+        assert queries_to_target(trace, 0.5) == 0
 
     def test_never_reached(self):
         trace = synthetic_trace([10.0, 9.0, 8.0])
-        trace.final_f = 7.0
-        assert queries_to_target(trace, eps=1e-3, f_star=0.0) is None
+        trace.final_gap = 7.0
+        assert queries_to_target(trace, 1e-4) is None
 
     def test_counts_queries_before_arrival(self):
         trace = synthetic_trace([8.0, 4.0, 2.0, 1.0], queries_per_iter=10)
-        # gap 2.0 is first reached at t=2, which cost the first 20 queries
-        assert queries_to_target(trace, eps=2.0, f_star=0.0) == 20
+        # gap 2.0 = 0.25 x 8.0 is first reached at t=2, which cost the
+        # first 20 queries
+        assert queries_to_target(trace, 0.25) == 20
 
     def test_final_state_counts(self):
         trace = synthetic_trace([8.0, 4.0], queries_per_iter=10)
-        # only the final iterate (gap 2.0) meets the target
-        assert queries_to_target(trace, eps=2.5, f_star=0.0) == 20
+        # only the final iterate (gap 2.0) meets the target 2.5
+        assert queries_to_target(trace, 2.5 / 8.0) == 20
 
     def test_monotone_in_eps(self):
         trace = synthetic_trace([8.0, 4.0, 2.0, 1.0, 0.5])
-        q_loose = queries_to_target(trace, 4.0, 0.0)
-        q_tight = queries_to_target(trace, 0.6, 0.0)
+        q_loose = queries_to_target(trace, 0.5)
+        q_tight = queries_to_target(trace, 0.075)
         assert q_tight >= q_loose
 
 
 class TestQueriesToRelativeTarget:
     def test_scales_initial_gap(self):
-        trace = synthetic_trace([8.0, 4.0, 2.0, 1.0], queries_per_iter=10)
-        for eps_rel in (0.6, 0.25, 0.1, 1e-3):
-            assert queries_to_relative_target(trace, eps_rel, 0.0) == \
-                queries_to_target(trace, eps_rel * 8.0, 0.0)
-        assert queries_to_relative_target(trace, 0.25, 0.0) == 20
+        gaps = [8.0, 4.0, 2.0, 1.0]
+        expected = {0.6: 10, 0.25: 20, 0.1: 40, 1e-3: None}
+        for scale in (1.0, 100.0):
+            trace = synthetic_trace([scale * g for g in gaps], queries_per_iter=10)
+            assert {eps_rel: queries_to_target(trace, eps_rel)
+                    for eps_rel in expected} == expected
 
     def test_none_without_optimum_or_rows(self):
-        assert queries_to_relative_target(synthetic_trace([8.0, 4.0]), 0.5, None) is None
+        # without a known optimum value every gap is nan
+        assert queries_to_target(synthetic_trace([np.nan, np.nan]), 0.5) is None
         empty = RunTrace()
-        empty.final_f = 0.0
-        assert queries_to_relative_target(empty, 0.5, 0.0) is None
+        empty.final_gap = 0.0
+        assert queries_to_target(empty, 0.5) is None
 
 
 class TestFitSlope:
@@ -175,8 +178,7 @@ def tiny_grid(seeds=(1, 2, 3)):
     cfg = RunConfig(n=8, iterations=150, seed=0,
                     step=StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=20),
                     alpha=AlphaPolicy("fixed", alpha0=1e-3))
-    cell = GridCell(config_id="d8_k10", objective_kind="quadratic", d=8,
-                    mu=1.0, L=10.0, config=cfg)
+    cell = GridCell(config_id="d8_k10", d=8, mu=1.0, L=10.0, config=cfg)
     return ExperimentGrid(cells=[cell], seeds=list(seeds), eps_rel=1e-2)
 
 
@@ -204,8 +206,8 @@ class TestRunGrid:
     def test_cell_failure_recorded_grid_continues(self):
         bad_cfg = RunConfig(n=8, iterations=5, seed=0)
         cells = [
-            GridCell(config_id="bad", objective_kind="quadratic", d=4,
-                     mu=10.0, L=1.0, config=bad_cfg),  # mu > L fails
+            GridCell(config_id="bad", d=4, mu=10.0, L=1.0,
+                     config=bad_cfg),  # mu > L fails
             tiny_grid().cells[0],
         ]
         grid = ExperimentGrid(cells=cells, seeds=[1], eps_rel=1e-2)
@@ -215,10 +217,8 @@ class TestRunGrid:
         assert "bad" in summary["errors"][0]
 
     def test_csv_output(self, tmp_path):
-        rows, _ = run_grid(tiny_grid(seeds=(1,)))
-        path = tmp_path / "results.csv"
-        write_results_csv(rows, str(path))
-        lines = path.read_text().splitlines()
+        run_grid(tiny_grid(seeds=(1,)), out_dir=str(tmp_path))
+        lines = (tmp_path / "results.csv").read_text().splitlines()
         assert lines[0] == ("config_id,seed,scheme,N,d,kappa,policy,"
                             "queries_to_target,final_gap,slope,wall_ms")
         assert len(lines) == 2
@@ -252,7 +252,10 @@ class TestExperimentGrid:
         (None, [], 1e-2, "grid needs at least one cell and one seed"),
         (None, [1], 0.0, "eps_rel must lie in (0, 1)"),
         (None, [1], 1.0, "eps_rel must lie in (0, 1)"),
-    ], ids=["no_cells", "no_seeds", "eps_zero", "eps_one"])
+        (None, [2, 1, 2, 1], 1e-2, "repeated seeds [1, 2]"),
+        (tiny_grid().cells * 2, [1], 1e-2, "repeated config_ids ['d8_k10']"),
+    ], ids=["no_cells", "no_seeds", "eps_zero", "eps_one", "repeated_seeds",
+            "repeated_config_ids"])
     def test_rejected(self, cells, seeds, eps_rel, message):
         cells = tiny_grid().cells if cells is None else cells
         with pytest.raises(ValueError) as exc:
@@ -278,10 +281,35 @@ class TestBuildObjective:
         with pytest.raises(ValueError):
             build_objective("ackley", 4)
 
+    def test_makers_hold_the_defaults(self):
+        quad, reference = build_objective("quadratic", 6), make_quadratic(6)
+        assert (quad.mu, quad.L, quad.name) == (reference.mu, reference.L,
+                                                reference.name)
+        np.testing.assert_array_equal(quad.x_star, reference.x_star)
+        assert build_objective("rosenbrock", 4).name == make_rosenbrock_like(4).name
+
+    @pytest.mark.parametrize("kind,param", [
+        ("quadratic", "curvature"), ("rosenbrock", "mu"), ("rosenbrock", "L"),
+        ("rosenbrock", "seed"),
+    ])
+    def test_param_the_maker_does_not_take_rejected(self, kind, param):
+        with pytest.raises(TypeError, match=param):
+            build_objective(kind, 4, **{param: 1.0})
+
+
+class TestGridCell:
+    def test_objective_seed_passed_only_when_set(self):
+        cfg = tiny_grid().cells[0].config
+        default = GridCell(config_id="c", d=6, mu=1.0, L=10.0, config=cfg)
+        seeded = replace(default, objective_seed=3)
+        np.testing.assert_array_equal(default.make_objective().x_star,
+                                      make_quadratic(6).x_star)
+        np.testing.assert_array_equal(seeded.make_objective().x_star,
+                                      make_quadratic(6, seed=3).x_star)
+
 
 def _queries(fn, obj, cfg, eps_rel):
-    trace = fn(obj, cfg)
-    return queries_to_target(trace, eps_rel * trace.fgap[0], obj.f_star)
+    return queries_to_target(fn(obj, cfg), eps_rel)
 
 
 class TestComparisons:

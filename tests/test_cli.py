@@ -484,6 +484,22 @@ class TestBench:
         assert names_key(err, key) and names_key(err, instead)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,repeated", [
+        ("bench.dims", "8,8", "config_ids ['d8_k10_N8_uniform']"),
+        # two objectives whose cells would share one summary entry
+        ("bench.kappas", "10.0000001,10.0000002",
+         "config_ids ['d8_k10_N8_uniform']"),
+        ("bench.seeds", "1,1", "seeds [1]"),
+    ], ids=["dims", "kappas", "seeds"])
+    def test_repeated_cell_or_seed_exit2(self, tmp_path, capsys, key, value,
+                                         repeated):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, {key: value}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, key) and f"repeated {repeated}" in err
+        assert not out.exists()
+
     def test_seed_flag_exit2(self, tmp_path, capsys):
         # each run's seed comes from bench.seeds
         cfg = write_config(tmp_path, BENCH_SMALL)
@@ -493,7 +509,9 @@ class TestBench:
         assert not out.exists()
 
 
-ABLATE_SMALL = with_values(QUAD_CONFIG, {
+# neither policy is instrumented, so neither reads alpha_c or delta
+ABLATE_SMALL = with_values(without(QUAD_CONFIG, "optimizer.alpha_c",
+                                   "optimizer.delta"), {
     "optimizer.step": "backtracking",
     "optimizer.eta0": "1.0",
     "optimizer.alpha": "fixed",
@@ -616,6 +634,14 @@ class TestPredict:
     def test_missing_required_flag_exit2(self):
         assert main(["predict", "--kind", "sc", "--d", "32"]) == 2
 
+    def test_nonconvex_mu_exit2(self, capsys):
+        # the nonconvex prediction does not depend on mu
+        assert main(["predict", "--kind", "nc", "--d", "32", "--L", "10",
+                     "--eps", "1e-3", "--mu", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--mu" in captured.err and "takes no mu" in captured.err
+        assert captured.out == ""
+
     def test_verbose_flag_exit2(self, capsys):
         # predict always prints its whole result
         assert main(["predict", "--kind", "sc", "--d", "32", "--L", "10",
@@ -640,10 +666,10 @@ BAD_VALUE = {
     "optimizer.scheme": ("optimize", "foo", {}),
     "optimizer.step": ("optimize", "foo", {}),
     "optimizer.alpha": ("optimize", "foo", {}),
-    "optimizer.eta0": ("optimize", "-1", {}),
-    "optimizer.shrink": ("optimize", "1.5", {}),
-    "optimizer.max_tries": ("optimize", "0", {}),
-    "optimizer.alpha0": ("optimize", "0", {}),
+    "optimizer.eta0": ("optimize", "-1", {"optimizer.step": "fixed"}),
+    "optimizer.shrink": ("optimize", "1.5", {"optimizer.step": "backtracking"}),
+    "optimizer.max_tries": ("optimize", "0", {"optimizer.step": "backtracking"}),
+    "optimizer.alpha0": ("optimize", "0", {"optimizer.alpha": "fixed"}),
     "optimizer.gamma": ("optimize", "1.5", {"optimizer.alpha": "geometric"}),
     "optimizer.alpha_c": ("optimize", "0", {}),
     "optimizer.seed": ("optimize", "-1", {}),
@@ -700,6 +726,81 @@ class TestConfigErrors:
     def test_every_key_is_read_and_named(self, tmp_path, capsys, key):
         command, value, context = BAD_VALUE[key]
         self.exit2_naming(tmp_path, capsys, command, key, {**context, key: value})
+
+
+#: a config of each subcommand that sets no kind and no key only some kinds read
+MINIMAL_CONFIG = {
+    "optimize": "objective.d = 8\noptimizer.N = 8\noptimizer.T = 5\n",
+    "ablate": "objective.d = 8\noptimizer.N = 8\noptimizer.T = 5\nablate.seeds = 1\n",
+    "bench": "bench.dims = 8\nbench.seeds = 1\noptimizer.N = 8\noptimizer.T = 5\n",
+}
+
+#: a key set to a value it can take, under kinds that do not read it
+UNREAD = [
+    ("objective.curvature", "0.5", {"objective.kind": "quadratic"}),
+    ("objective.mu", "1.0", {"objective.kind": "rosenbrock"}),
+    ("objective.L", "10.0", {"objective.kind": "rosenbrock"}),
+    ("objective.seed", "7", {"objective.kind": "rosenbrock"}),
+    ("optimizer.eta0", "1.0", {"optimizer.step": "instrumented"}),
+    ("optimizer.shrink", "0.5", {"optimizer.step": "instrumented"}),
+    ("optimizer.shrink", "0.5", {"optimizer.step": "fixed"}),
+    ("optimizer.max_tries", "3", {"optimizer.step": "instrumented"}),
+    ("optimizer.max_tries", "3", {"optimizer.step": "fixed"}),
+    ("optimizer.alpha0", "1e-3", {"optimizer.alpha": "instrumented"}),
+    ("optimizer.gamma", "0.9", {"optimizer.alpha": "instrumented"}),
+    ("optimizer.gamma", "0.9", {"optimizer.alpha": "fixed"}),
+    ("optimizer.alpha_c", "1.0", {"optimizer.alpha": "fixed"}),
+    ("optimizer.alpha_c", "1.0", {"optimizer.alpha": "geometric"}),
+    ("optimizer.delta", "0.1", {"optimizer.step": "fixed",
+                                "optimizer.alpha": "fixed"}),
+    ("optimizer.delta", "0.1", {"optimizer.step": "backtracking",
+                                "optimizer.alpha": "geometric"}),
+]
+
+
+def _unread_cases():
+    for key, value, kinds in UNREAD:
+        # bench builds its own quadratics and reads no objective.* key
+        commands = ("optimize", "ablate") + (() if key.startswith("objective.")
+                                             else ("bench",))
+        for command in commands:
+            yield pytest.param(command, key, value, kinds,
+                               id=f"{command}-{key}-{'_'.join(kinds.values())}")
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("command,key,value,kinds", list(_unread_cases()))
+    def test_key_no_chosen_kind_reads_exit2(self, tmp_path, capsys, command,
+                                            key, value, kinds):
+        text = with_values(MINIMAL_CONFIG[command], {**kinds, key: value})
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} is not read when "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step,alpha", [("instrumented", "fixed"),
+                                            ("fixed", "instrumented")])
+    def test_delta_read_by_either_instrumented_policy(self, tmp_path, step, alpha):
+        text = with_values(MINIMAL_CONFIG["optimize"], {
+            "optimizer.step": step, "optimizer.alpha": alpha,
+            "optimizer.eta0" if step == "fixed" else "optimizer.alpha0": "1e-3",
+            "optimizer.delta": "0.2"})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+
+    def test_kind_keys_read_under_their_kind(self, tmp_path):
+        text = with_values(MINIMAL_CONFIG["optimize"], {
+            "objective.kind": "rosenbrock", "objective.curvature": "0.5",
+            "optimizer.step": "backtracking", "optimizer.eta0": "1.0",
+            "optimizer.shrink": "0.5", "optimizer.max_tries": "3",
+            "optimizer.alpha": "geometric", "optimizer.alpha0": "1e-3",
+            "optimizer.gamma": "0.9"})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
 
 
 class TestDispatch:
