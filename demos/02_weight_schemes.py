@@ -26,7 +26,7 @@ for scheme in ("uniform", "log", "blom"):
     print(f"{scheme:8s} w+ = {np.round(w.w_plus, 4)}  "
           f"min/max ratio = {rz.weight_ratio(w):.4f}")
 
-wb, wl = rz.blom_weights(N), rz.log_weights(N)
+wb, wl = rz.weights_by_name("blom", N), rz.weights_by_name("log", N)
 corr = np.corrcoef(wb.w_plus, wl.w_plus)[0, 1]
 print(f"\ncorrelation(blom, log) over the best quartile: {corr:.5f}")
 

@@ -13,9 +13,8 @@ from .objective import (Objective, MonotoneTransform, evaluate,
                         make_rosenbrock_like, wrap_monotone)
 from .sampling import (QueryLedger, NonFiniteValueError, check_sample_size,
                        new_generator, sample_directions, rank_oracle,
-                       selected_index_set, selected_ranks)
-from .weights import (WeightVector, uniform_weights, log_weights,
-                      blom_weights, weights_by_name, weight_ratio)
+                       selected_ranks)
+from .weights import WeightVector, weights_by_name, weight_ratio
 from .optimizer import (StepPolicy, AlphaPolicy, RunConfig, RunTrace,
                         StepRegimeError, OptimizationError,
                         descent_direction, instrumented_step_size,
@@ -24,8 +23,7 @@ from .theory import (P_TAIL_EXACT, EventCheckReport, EventSetup, c_d_delta,
                      instrumented_alpha, c_N_d_delta, kl_bernoulli,
                      event_bound_E45, rho, floors, ComplexityPrediction,
                      predict_complexity, check_events, check_event,
-                     check_appendix_bounds,
-                     recursion_fixed_point_check)
+                     check_appendix_bounds)
 from .bench import (ExperimentGrid, GridCell, ResultRow, queries_to_target,
                     fit_log_gap_slope, run_grid, build_objective)
 

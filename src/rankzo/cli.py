@@ -1,10 +1,11 @@
 """Command-line entry point: optimize / verify / bench / ablate / predict.
 
 Configuration is a flat structured-text file, one ``dotted.key = value``
-per line, ``#`` comments allowed.  :data:`CONFIG_KEYS` lists every key,
-and the README documents each one and every config error (exit 2).  A
-key that configures a library object is passed only when the config
-sets it, so the library's default is the only default.
+per line, ``#`` comments allowed.  :data:`CONFIG_KEYS` lists every key
+and :data:`SECTIONS` the sections each subcommand reads; the README
+documents each key and every config error (exit 2).  A key that
+configures a library object is passed only when the config sets it, so
+the library's default is the only default.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
 error.  All CSV output uses '.' decimals, '\\n' line endings and a header
@@ -38,7 +39,7 @@ from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
                      check_events, event_precondition_errors, floors,
                      instrumented_alpha, predict_complexity)
 
-__all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS"]
+__all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
 REPORT_COLUMNS = ("event_id", "params", "trials", "empirical", "bound", "pass")
@@ -58,6 +59,15 @@ CONFIG_KEYS = frozenset([
     "bench.eps_rel", "bench.mu", "bench.objective_seed",
     "ablate.seeds", "ablate.eps_rel",
 ])
+
+#: the config sections each subcommand reads; a key from any other
+#: section is a config error
+SECTIONS = {
+    "optimize": ("objective", "optimizer"),
+    "ablate": ("objective", "optimizer", "ablate"),
+    "bench": ("optimizer", "bench"),
+    "verify": ("verify",),
+}
 
 
 class ConfigError(ValueError):
@@ -106,6 +116,20 @@ def parse_config(path: str) -> Dict[str, str]:
             first_line[key] = lineno
             out[key] = value
     return out
+
+
+def _read_config(args) -> Dict[str, str]:
+    """The config of ``args.config`` (empty when none is given), with
+    every key in a section that ``args.command`` reads (:data:`SECTIONS`)."""
+    if not args.config:
+        return {}
+    cfg = parse_config(args.config)
+    sections = SECTIONS[args.command]
+    for key in cfg:
+        if key.split(".", 1)[0] not in sections:
+            raise ConfigError(f"{args.command} does not read {key}; it reads only "
+                              + ", ".join(f"{section}.*" for section in sections))
+    return cfg
 
 
 def _get(cfg: Dict[str, str], key: str, cast, default=None):
@@ -224,7 +248,7 @@ def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunCo
 # ---------------------------------------------------------------------------
 
 def cmd_optimize(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _read_config(args)
     obj = build_objective_from_config(cfg)
     run_cfg = build_run_config(cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -275,8 +299,7 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     alpha_scale = _get(cfg, "verify.alpha_scale", float, 1.0)
     seed_key = "--seed" if args.seed is not None else "verify.seed"
     seed = args.seed if args.seed is not None else _get(cfg, "verify.seed", int, 7)
-    mu = _get(cfg, "verify.mu", float, 1.0)
-    l_const = _get(cfg, "verify.L", float, 10.0)
+    quadratic = _given(cfg, mu=("verify.mu", float), L=("verify.L", float))
     objective_seed = _get(cfg, "verify.objective_seed", int, 3)
 
     _at_least(trials_key, [trials], MIN_TRIALS)
@@ -287,7 +310,7 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     with _config_errors("verify.n"):
         check_sample_size(n)
     with _config_errors("verify.d, verify.mu, verify.L, verify.objective_seed"):
-        obj = build_objective("quadratic", d, mu=mu, L=l_const, seed=objective_seed)
+        obj = build_objective("quadratic", d, seed=objective_seed, **quadratic)
     with _config_errors("verify.delta"):
         c_d = c_d_delta(d, delta)
 
@@ -334,7 +357,7 @@ def _ms_since(started: float) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = parse_config(args.config) if args.config else {}
+    cfg = _read_config(args)
     reports = _verify_reports(cfg, args)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "reports.csv"), REPORT_COLUMNS,
@@ -381,7 +404,7 @@ def _bench_grid(cfg: Dict[str, str]) -> ExperimentGrid:
 
 
 def cmd_bench(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _read_config(args)
     grid = _bench_grid(cfg)
     rows, summary = run_grid(grid, jobs=args.jobs, out_dir=args.out)
     if args.verbose:
@@ -390,7 +413,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _read_config(args)
     obj = build_objective_from_config(cfg)
     base = build_run_config(cfg, args.seed)
     seeds = _get(cfg, "ablate.seeds", _int_list, [base.seed])
@@ -527,7 +550,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

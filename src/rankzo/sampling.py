@@ -29,7 +29,6 @@ __all__ = [
     "new_generator",
     "sample_directions",
     "rank_oracle",
-    "selected_index_set",
     "selected_ranks",
 ]
 
@@ -103,21 +102,14 @@ def rank_oracle(obj: Objective, x: np.ndarray, alpha: float, u: np.ndarray,
     return perm, fvals
 
 
-def selected_index_set(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """1-based rank sets (best quartile, worst quartile).
+def selected_ranks(n: int, positive_only: bool = False) -> np.ndarray:
+    """The selected index set: 1-based ranks 1..n/4 (best quartile), then
+    3n/4+1..n (worst quartile); just the best quartile when ablating.
 
-    ``k_plus`` = ranks 1..n/4, ``k_minus`` = ranks 3n/4+1..n; their union
-    is the selected set of size n/2 that receives nonzero weights.
+    These n/2 ranks receive the nonzero weights.
     """
     check_sample_size(n)
-    k_plus = np.arange(1, n // 4 + 1)
-    k_minus = np.arange(3 * n // 4 + 1, n + 1)
-    return k_plus, k_minus
-
-
-def selected_ranks(n: int, positive_only: bool = False) -> np.ndarray:
-    """Concatenated selected ranks; just the best quartile when ablating."""
-    k_plus, k_minus = selected_index_set(n)
+    best = np.arange(1, n // 4 + 1)
     if positive_only:
-        return k_plus
-    return np.concatenate([k_plus, k_minus])
+        return best
+    return np.concatenate([best, np.arange(3 * n // 4 + 1, n + 1)])

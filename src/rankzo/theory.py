@@ -52,7 +52,6 @@ __all__ = [
     "check_events",
     "check_event",
     "check_appendix_bounds",
-    "recursion_fixed_point_check",
     "EVENT_IDS",
     "APPENDIX_IDS",
 ]
@@ -522,25 +521,3 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         theoretical_bound=bound, passed=ok, failures=failures, params=p,
     )
 
-
-def recursion_fixed_point_check(beta: float, c: float, delta0: float,
-                                steps: int = 50, rtol: float = 1e-9) -> bool:
-    """Check the linear-recursion fixed-point identity numerically.
-
-    Iterates ``D_{t+1} = (1-beta) D_t + c`` and verifies
-    ``D_t - c/beta = (1-beta)^t (D_0 - c/beta)`` at every step, to a
-    relative tolerance anchored at the scale of the sequence.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if c < 0 or delta0 < 0:
-        raise ValueError("c and delta0 must be nonnegative")
-    fix = c / beta
-    scale = max(abs(delta0 - fix), abs(fix), 1e-300)
-    d_t = delta0
-    for t in range(1, steps + 1):
-        d_t = (1.0 - beta) * d_t + c
-        closed = fix + (1.0 - beta) ** t * (delta0 - fix)
-        if abs(d_t - closed) > rtol * scale:
-            return False
-    return True

@@ -2,11 +2,11 @@
 
 The selected set splits into the best quartile (positive weights summing
 to +1, best rank largest) and the worst quartile (negative weights
-summing to -1, worst rank largest in magnitude).  ``uniform`` assigns
-4/n everywhere; ``log`` uses log(n+1) - log(k); ``blom`` uses the
-magnitude of the expected Gaussian order statistic via Blom's quantile
-approximation Phi^{-1}((k - 0.375) / (n + 0.25)), with Phi^{-1} from the
-standard library's ``statistics.NormalDist().inv_cdf`` (Wichura's AS241).
+summing to -1, worst rank largest in magnitude).  Each scheme is one row
+of :data:`SCHEMES`, its magnitude at a selected rank, and
+:func:`weights_by_name` is the one builder::
+
+    w = weights_by_name("blom", 20)   # w.w_plus sums to +1, w.w_minus to -1
 """
 
 from __future__ import annotations
@@ -16,13 +16,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .sampling import selected_index_set
+from .sampling import selected_ranks
 
 __all__ = [
     "WeightVector",
-    "uniform_weights",
-    "log_weights",
-    "blom_weights",
     "weights_by_name",
     "check_scheme",
     "weight_ratio",
@@ -30,6 +27,20 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+
+_inv_cdf = NormalDist().inv_cdf
+
+#: weight magnitude at the 1-based selected ranks ``k`` (an array) of ``n``.
+#: ``uniform`` is 4/n everywhere; ``log`` is log(n+1) - log(k), with a
+#: worst-quartile rank k mirrored to n+1-k so the worst rank is largest;
+#: ``blom`` is the magnitude of the expected Gaussian order statistic by
+#: Blom's approximation Phi^{-1}((k - 0.375) / (n + 0.25)), with Phi^{-1}
+#: from the standard library's ``NormalDist().inv_cdf`` (Wichura's AS241).
+SCHEMES = {
+    "uniform": lambda k, n: np.full(k.shape, 4.0 / n),
+    "log": lambda k, n: np.log(n + 1.0) - np.log(np.minimum(k, n + 1 - k).astype(float)),
+    "blom": lambda k, n: np.abs([_inv_cdf(p) for p in (k - 0.375) / (n + 0.25)]),
+}
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,6 @@ class WeightVector:
 
     w_plus: np.ndarray
     w_minus: np.ndarray
-    scheme: str
 
     def __post_init__(self) -> None:
         wp, wm = np.asarray(self.w_plus), np.asarray(self.w_minus)
@@ -64,56 +74,6 @@ class WeightVector:
         return np.abs(self.signed())
 
 
-def uniform_weights(n: int) -> WeightVector:
-    """All selected ranks get magnitude 4/n."""
-    selected_index_set(n)  # validates n
-    m = n // 4
-    w = np.full(m, 4.0 / n)
-    return WeightVector(w_plus=w / w.sum(), w_minus=-w / w.sum(), scheme="uniform")
-
-
-def log_weights(n: int) -> WeightVector:
-    """Log weights: magnitude proportional to log(n+1) - log(k).
-
-    The positive side uses k = 1..n/4 directly; the negative side mirrors
-    rank k in the worst quartile to position n+1-k, so the worst rank
-    carries the largest magnitude.  Each side is normalized separately.
-    """
-    k_plus, k_minus = selected_index_set(n)
-    raw_plus = np.log(n + 1.0) - np.log(k_plus.astype(float))
-    raw_minus = np.log(n + 1.0) - np.log((n + 1 - k_minus).astype(float))
-    return WeightVector(
-        w_plus=raw_plus / raw_plus.sum(),
-        w_minus=-raw_minus / raw_minus.sum(),
-        scheme="log",
-    )
-
-
-def blom_weights(n: int) -> WeightVector:
-    """Blom weights: magnitude of the approximate expected order statistic.
-
-    magnitude(k) = |Phi^{-1}((k - 0.375) / (n + 0.25))| for k in the
-    selected set; sign + on the best quartile, - on the worst, each side
-    normalized to +-1.
-    """
-    k_plus, k_minus = selected_index_set(n)
-    inv_cdf = NormalDist().inv_cdf
-    mag_plus = np.abs([inv_cdf(p) for p in (k_plus - 0.375) / (n + 0.25)])
-    mag_minus = np.abs([inv_cdf(p) for p in (k_minus - 0.375) / (n + 0.25)])
-    return WeightVector(
-        w_plus=mag_plus / mag_plus.sum(),
-        w_minus=-mag_minus / mag_minus.sum(),
-        scheme="blom",
-    )
-
-
-SCHEMES = {
-    "uniform": uniform_weights,
-    "log": log_weights,
-    "blom": blom_weights,
-}
-
-
 def check_scheme(scheme: str) -> None:
     """Reject a weight scheme name that is not a key of :data:`SCHEMES`."""
     if scheme not in SCHEMES:
@@ -122,8 +82,12 @@ def check_scheme(scheme: str) -> None:
 
 
 def weights_by_name(scheme: str, n: int) -> WeightVector:
+    """The ``scheme`` magnitudes at ``selected_ranks(n)``, each quartile
+    normalized on its own: +1 on the best, -1 on the worst."""
     check_scheme(scheme)
-    return SCHEMES[scheme](n)
+    mags = SCHEMES[scheme](selected_ranks(n), n)
+    best, worst = mags[:n // 4], mags[n // 4:]
+    return WeightVector(w_plus=best / best.sum(), w_minus=-worst / worst.sum())
 
 
 def weight_ratio(w: WeightVector) -> float:

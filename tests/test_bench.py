@@ -15,7 +15,7 @@ from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
 from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
 from rankzo.optimizer import descent_direction
-from rankzo.weights import uniform_weights
+from rankzo.weights import weights_by_name
 
 
 def small_cfg(**kw):
@@ -81,7 +81,7 @@ class TestAblatePositiveOnly:
     def test_positive_side_only(self):
         # the ablation's weight vector is the positive side, already
         # normalized to 1, applied to n/4 of the n samples
-        w = uniform_weights(8)
+        w = weights_by_name("uniform", 8)
         assert w.signed(positive_only=True).sum() == pytest.approx(1.0)
         assert w.signed(positive_only=True).shape == (2,)
 
@@ -93,7 +93,7 @@ class TestAblatePositiveOnly:
         np.testing.assert_array_equal(b1, b2)
         obj = make_quadratic(6, 1.0, 10.0, seed=0)
         perm, _ = rank_oracle(obj, np.zeros(6), 0.1, b1, QueryLedger())
-        w = uniform_weights(16)
+        w = weights_by_name("uniform", 16)
         d_full = descent_direction(b1[perm[selected_ranks(16) - 1]], w.signed())
         d_pos = descent_direction(b1[perm[selected_ranks(16, True) - 1]],
                                   w.signed(True))

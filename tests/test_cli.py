@@ -722,6 +722,21 @@ class TestConfigErrors:
     def test_library_error_names_key(self, tmp_path, capsys, command, key, value):
         self.exit2_naming(tmp_path, capsys, command, key, {key: value})
 
+    # a key of a section the subcommand does not read, set to a value the
+    # subcommands that read it accept
+    @pytest.mark.parametrize("command,key,value", [
+        ("optimize", "bench.dims", "8"), ("optimize", "verify.n", "16"),
+        ("optimize", "ablate.seeds", "3"),
+        ("ablate", "bench.dims", "8"), ("ablate", "bench.seeds", "1"),
+        ("ablate", "verify.n", "16"), ("ablate", "verify.trials", "1000"),
+        ("bench", "objective.d", "64"), ("bench", "objective.L", "500"),
+        ("bench", "ablate.seeds", "3"), ("bench", "verify.n", "16"),
+        ("verify", "optimizer.N", "64"), ("verify", "objective.d", "5"),
+        ("verify", "bench.dims", "3"), ("verify", "ablate.seeds", "3"),
+    ])
+    def test_key_of_unread_section(self, tmp_path, capsys, command, key, value):
+        self.exit2_naming(tmp_path, capsys, command, key, {key: value})
+
     @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
     def test_every_key_is_read_and_named(self, tmp_path, capsys, key):
         command, value, context = BAD_VALUE[key]

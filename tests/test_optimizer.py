@@ -15,7 +15,7 @@ from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
 from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
 from rankzo.theory import c_N_d_delta, c_d_delta, instrumented_alpha
-from rankzo.weights import uniform_weights
+from rankzo.weights import weights_by_name
 
 
 def linear_1d():
@@ -37,7 +37,7 @@ class TestDescentDirection:
         # ranks for f(x)=x at 0 with u=(3,-1,2,-2): best u=-2, worst u=3;
         # uniform n=4 gives d = 1*(-2) + (-1)*3 = -5
         u_sel, _ = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        d = descent_direction(u_sel, uniform_weights(4).signed())
+        d = descent_direction(u_sel, weights_by_name("uniform", 4).signed())
         assert d == pytest.approx(np.array([-5.0]))
 
     def test_linearity_in_directions(self):
@@ -45,7 +45,7 @@ class TestDescentDirection:
         rows = new_generator(1).standard_normal((8, 3))
         u1, _ = select_manual(obj, rows, x=obj.x_star + 1.0, alpha=1e-6)
         u2, _ = select_manual(obj, 2.0 * rows, x=obj.x_star + 1.0, alpha=1e-6)
-        w = uniform_weights(8).signed()
+        w = weights_by_name("uniform", 8).signed()
         # tiny alpha keeps the ranking identical, so d scales linearly
         np.testing.assert_allclose(descent_direction(u2, w),
                                    2.0 * descent_direction(u1, w), rtol=1e-9)
@@ -53,7 +53,8 @@ class TestDescentDirection:
     def test_positive_only_uses_best_quartile(self):
         u_sel, _ = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]],
                                  positive_only=True)
-        d = descent_direction(u_sel, uniform_weights(4).signed(positive_only=True))
+        d = descent_direction(u_sel,
+                              weights_by_name("uniform", 4).signed(positive_only=True))
         assert d == pytest.approx(np.array([-2.0]))
 
 
@@ -63,13 +64,13 @@ class TestInstrumentedStepSize:
         # boundary samples -2 and 3 and unit constants, eta = min(2,3)/2
         u_sel, f_sel = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
         eta = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel,
-                                     uniform_weights(4).signed(), alpha=1.0,
+                                     weights_by_name("uniform", 4).signed(), alpha=1.0,
                                      L=1.0, c_nd=1.0)
         assert eta == pytest.approx(1.0, rel=1e-12)
 
     def test_inverse_scaling_in_L(self):
         u_sel, f_sel = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        w = uniform_weights(4).signed()
+        w = weights_by_name("uniform", 4).signed()
         eta1 = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel, w, 1.0, 1.0, 1.0)
         eta10 = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel, w, 1.0, 10.0, 1.0)
         assert eta10 == pytest.approx(eta1 / 10.0, rel=1e-12)
@@ -83,7 +84,7 @@ class TestInstrumentedStepSize:
         batch = sample_directions(new_generator(3), 16, 12)
         alpha = 1e-8
         u_sel, f_sel = select_manual(obj, batch, x=x, alpha=alpha)
-        w = uniform_weights(16).signed()
+        w = weights_by_name("uniform", 16).signed()
         c_nd = c_N_d_delta(16, 12, 0.1)
         eta = instrumented_step_size(obj.fn(x), g, u_sel, f_sel, w, alpha,
                                      obj.L, c_nd)
@@ -99,7 +100,7 @@ class TestInstrumentedStepSize:
         u_sel, f_sel = select_manual(obj, batch, x=obj.x_star, alpha=0.5)
         with pytest.raises(StepRegimeError):
             instrumented_step_size(obj.fn(obj.x_star), obj.grad(obj.x_star),
-                                   u_sel, f_sel, uniform_weights(8).signed(),
+                                   u_sel, f_sel, weights_by_name("uniform", 8).signed(),
                                    0.5, obj.L, c_N_d_delta(8, 6, 0.1))
 
 

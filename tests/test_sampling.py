@@ -7,8 +7,7 @@ from rankzo.objective import MonotoneTransform, Objective, make_quadratic, wrap_
 from rankzo.optimizer import RunConfig
 from rankzo.sampling import (NonFiniteValueError, QueryLedger,
                              check_sample_size, new_generator, rank_oracle,
-                             sample_directions, selected_index_set,
-                             selected_ranks)
+                             sample_directions, selected_ranks)
 from rankzo.theory import c_N_d_delta, event_bound_E45
 
 
@@ -122,7 +121,7 @@ class TestCheckSampleSize:
     @pytest.mark.parametrize("build", [
         lambda n: RunConfig(n=n, iterations=1),
         lambda n: sample_directions(new_generator(0), n, 3),
-        selected_index_set,
+        selected_ranks,
         lambda n: c_N_d_delta(n, 3, 0.1),
         lambda n: c_N_d_delta(n, 3, 0.1, positive_only=True),
         event_bound_E45,
@@ -135,12 +134,12 @@ class TestCheckSampleSize:
 
 class TestSelectedIndexSet:
     def test_n8(self):
-        k_plus, k_minus = selected_index_set(8)
+        k_plus, k_minus = np.split(selected_ranks(8), 2)
         np.testing.assert_array_equal(k_plus, [1, 2])
         np.testing.assert_array_equal(k_minus, [7, 8])
 
     def test_smallest_valid(self):
-        k_plus, k_minus = selected_index_set(4)
+        k_plus, k_minus = np.split(selected_ranks(4), 2)
         np.testing.assert_array_equal(k_plus, [1])
         np.testing.assert_array_equal(k_minus, [4])
 
@@ -149,7 +148,7 @@ class TestSelectedIndexSet:
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
-            selected_index_set(6)
+            selected_ranks(6)
 
     def test_positive_only_subset(self):
         np.testing.assert_array_equal(selected_ranks(8, positive_only=True), [1, 2])

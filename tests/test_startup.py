@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rankzo.theory import P_TAIL_EXACT, _normal_cdf
-from rankzo.weights import blom_weights
+from rankzo.weights import weights_by_name
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,6 +53,6 @@ def test_blom_weights_match_scipy_quantile(n):
     k = np.arange(1, n + 1)
     mag = np.abs(special.ndtri((k - 0.375) / (n + 0.25)))
     plus, minus = mag[: n // 4], mag[3 * n // 4:]
-    w = blom_weights(n)
+    w = weights_by_name("blom", n)
     np.testing.assert_allclose(w.w_plus, plus / plus.sum(), rtol=1e-14, atol=0)
     np.testing.assert_allclose(w.w_minus, -minus / minus.sum(), rtol=1e-14, atol=0)

@@ -18,7 +18,7 @@ from rankzo.theory import (EVENT_IDS, P_TAIL_EXACT, EventSetup, c_N_d_delta,
                            check_events, event_bound_E45,
                            event_precondition_errors, floors,
                            instrumented_alpha, kl_bernoulli, predict_complexity,
-                           recursion_fixed_point_check, rho)
+                           rho)
 
 
 class TestConstants:
@@ -471,32 +471,3 @@ class TestCheckAppendixBounds:
         with pytest.raises(ValueError) as exc:
             check_appendix_bounds(which, params, trials, new_generator(0))
         assert str(exc.value) == message
-
-
-class TestRecursionFixedPoint:
-    def test_pure_geometric_decay(self):
-        assert recursion_fixed_point_check(0.5, 0.0, 1.0, steps=20)
-        # beta = 1/2, c = 0: the closed form is exactly 2^-t
-        d_t = 1.0
-        for t in range(1, 21):
-            d_t = 0.5 * d_t
-            assert d_t == 2.0 ** -t
-
-    def test_convergence_to_fixed_point(self):
-        assert recursion_fixed_point_check(0.1, 0.05, 10.0, steps=200)
-        d_t = 10.0
-        for _ in range(2000):
-            d_t = 0.9 * d_t + 0.05
-        assert d_t == pytest.approx(0.5, rel=1e-6)
-
-    def test_constant_at_fixed_point(self):
-        assert recursion_fixed_point_check(0.25, 1.0, 4.0, steps=50)
-
-    def test_beta_one(self):
-        assert recursion_fixed_point_check(1.0, 0.3, 2.0, steps=10)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            recursion_fixed_point_check(0.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            recursion_fixed_point_check(0.5, -0.1, 1.0)
