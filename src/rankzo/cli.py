@@ -9,7 +9,7 @@ the library's default is the only default.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
 error.  All CSV output uses '.' decimals, '\\n' line endings and a header
-row; reruns with the same config and seed are byte identical.  Summaries
+row; reruns with the same config are byte identical.  Summaries
 are strict JSON, with non-finite values written as ``null``.
 """
 
@@ -43,6 +43,8 @@ __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
 REPORT_COLUMNS = ("event_id", "params", "trials", "empirical", "bound", "pass")
+#: ``predict --kind`` value -> the kind :func:`predict_complexity` takes
+PREDICT_KINDS = {"sc": "strongly_convex", "nc": "nonconvex"}
 
 #: every key a config file may set: exactly the keys the subcommands read
 CONFIG_KEYS = frozenset([
@@ -161,6 +163,16 @@ def _reject_unread(cfg: Dict[str, str], read: Dict[str, bool], kinds: str) -> No
             raise ConfigError(f"{key} is not read when {kinds}")
 
 
+def _entries(key: str, values: list) -> list:
+    """``values``; a :class:`ConfigError` naming ``key`` if none or a repeat."""
+    if not values:
+        raise ConfigError(f"{key} is empty")
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise ConfigError(f"{key}: repeated entries {repeated}")
+    return values
+
+
 def _int_list(text: str) -> List[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -176,23 +188,28 @@ def _str_list(text: str) -> List[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
-def _given(cfg: Dict[str, str], **fields) -> dict:
-    """The keyword arguments the config sets.
+def _given(cfg: Dict[str, str], **fields) -> Tuple[dict, str]:
+    """The keyword arguments the config sets, and the keys to name if the
+    library rejects them: the mapped keys the config sets, else all of them.
 
     ``fields`` maps a library parameter to its ``(config key, cast)``; a
     key the config leaves out passes nothing, so the library's default is
-    the only default.
+    the only default.  ``(config key, cast, default)`` always passes the
+    parameter, and a ``None`` default makes the key required.
     """
-    return {name: _get(cfg, key, cast) for name, (key, cast) in fields.items()
-            if key in cfg}
+    kwargs = {name: _get(cfg, key, cast, *default)
+              for name, (key, cast, *default) in fields.items()
+              if key in cfg or default}
+    keys = [key for key, *_ in fields.values()]
+    return kwargs, ", ".join([key for key in keys if key in cfg] or keys)
 
 
 def build_objective_from_config(cfg: Dict[str, str]):
-    kind = _get(cfg, "objective.kind", str, "quadratic")
-    d = _get(cfg, "objective.d", int)
-    kwargs = _given(cfg, mu=("objective.mu", float), L=("objective.L", float),
-                    seed=("objective.seed", int),
-                    curvature=("objective.curvature", float))
+    kwargs, keys = _given(
+        cfg, kind=("objective.kind", str, "quadratic"), d=("objective.d", int, None),
+        mu=("objective.mu", float), L=("objective.L", float),
+        seed=("objective.seed", int), curvature=("objective.curvature", float))
+    kind = kwargs["kind"]
     if "seed" in kwargs:
         _at_least("objective.seed", [kwargs["seed"]], 0)
     # an unknown kind reads every key here; build_objective rejects it
@@ -200,37 +217,29 @@ def build_objective_from_config(cfg: Dict[str, str]):
                          kind != "rosenbrock")
     read["objective.curvature"] = kind != "quadratic"
     _reject_unread(cfg, read, f"objective.kind = {kind}")
-    with _config_errors("objective.kind, objective.d, objective.mu, objective.L, "
-                        "objective.seed, objective.curvature"):
-        return build_objective(kind, d, **kwargs)
+    with _config_errors(keys):
+        return build_objective(**kwargs)
 
 
-def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunConfig:
-    step = _given(cfg, kind=("optimizer.step", str), eta0=("optimizer.eta0", float),
-                  shrink=("optimizer.shrink", float),
-                  max_tries=("optimizer.max_tries", int))
-    alpha = _given(cfg, kind=("optimizer.alpha", str),
-                   alpha0=("optimizer.alpha0", float),
-                   gamma=("optimizer.gamma", float), c=("optimizer.alpha_c", float))
-    kwargs = _given(cfg, scheme=("optimizer.scheme", str), seed=("optimizer.seed", int),
-                    delta=("optimizer.delta", float),
-                    eps_target=("optimizer.eps", float))
-    n, iterations = _get(cfg, "optimizer.N", int), _get(cfg, "optimizer.T", int)
-    seed_key = "optimizer.seed"
-    if seed_override is not None:
-        seed_key, kwargs["seed"] = "--seed", seed_override
+def build_run_config(cfg: Dict[str, str]) -> RunConfig:
+    step, step_keys = _given(
+        cfg, kind=("optimizer.step", str), eta0=("optimizer.eta0", float),
+        shrink=("optimizer.shrink", float), max_tries=("optimizer.max_tries", int))
+    alpha, alpha_keys = _given(
+        cfg, kind=("optimizer.alpha", str), alpha0=("optimizer.alpha0", float),
+        gamma=("optimizer.gamma", float), c=("optimizer.alpha_c", float))
+    kwargs, keys = _given(
+        cfg, scheme=("optimizer.scheme", str), seed=("optimizer.seed", int),
+        delta=("optimizer.delta", float), eps_target=("optimizer.eps", float),
+        n=("optimizer.N", int, None), iterations=("optimizer.T", int, None))
     if "seed" in kwargs:
-        _at_least(seed_key, [kwargs["seed"]], 0)
-    with _config_errors("optimizer.step, optimizer.eta0, optimizer.shrink, "
-                        "optimizer.max_tries"):
+        _at_least("optimizer.seed", [kwargs["seed"]], 0)
+    with _config_errors(step_keys):
         step = StepPolicy(**step)
-    with _config_errors("optimizer.alpha, optimizer.alpha0, optimizer.gamma, "
-                        "optimizer.alpha_c"):
+    with _config_errors(alpha_keys):
         alpha = AlphaPolicy(**alpha)
-    with _config_errors("optimizer.N, optimizer.T, optimizer.scheme, "
-                        "optimizer.delta, optimizer.eps"):
-        run_cfg = RunConfig(n=n, iterations=iterations, step=step, alpha=alpha,
-                            **kwargs)
+    with _config_errors(keys):
+        run_cfg = RunConfig(step=step, alpha=alpha, **kwargs)
     _reject_unread(cfg, {
         "optimizer.eta0": step.kind != "instrumented",
         "optimizer.shrink": step.kind == "backtracking",
@@ -250,7 +259,7 @@ def build_run_config(cfg: Dict[str, str], seed_override: Optional[int]) -> RunCo
 def cmd_optimize(args) -> int:
     cfg = _read_config(args)
     obj = build_objective_from_config(cfg)
-    run_cfg = build_run_config(cfg, args.seed)
+    run_cfg = build_run_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     try:
         trace = run(obj, run_cfg)
@@ -282,40 +291,36 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     Each appendix check draws from its own stream.
     """
     events_text = _get(cfg, "verify.events", str, "all")
-    names = list(ALL_CHECKS) if events_text == "all" else _str_list(events_text)
-    if not names:
-        raise ConfigError("verify.events is empty")
+    names = _entries("verify.events", list(ALL_CHECKS) if events_text == "all"
+                     else _str_list(events_text))
     unknown = [e for e in names if e not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"verify.events: unknown checks {unknown}")
 
-    trials_key = "--trials" if args.trials is not None else "verify.trials"
-    trials = args.trials if args.trials is not None \
-        else _get(cfg, "verify.trials", int, 10_000)
+    trials = _get(cfg, "verify.trials", int, 10_000)
     trials_appendix = _get(cfg, "verify.trials_appendix", int, 100_000)
     n = _get(cfg, "verify.n", int, 32)
-    d = _get(cfg, "verify.d", int, 100)
     delta = _get(cfg, "verify.delta", float, 0.1)
     alpha_scale = _get(cfg, "verify.alpha_scale", float, 1.0)
-    seed_key = "--seed" if args.seed is not None else "verify.seed"
-    seed = args.seed if args.seed is not None else _get(cfg, "verify.seed", int, 7)
-    quadratic = _given(cfg, mu=("verify.mu", float), L=("verify.L", float))
-    objective_seed = _get(cfg, "verify.objective_seed", int, 3)
+    seed = _get(cfg, "verify.seed", int, 7)
+    quadratic, quadratic_keys = _given(
+        cfg, d=("verify.d", int, 100), mu=("verify.mu", float), L=("verify.L", float),
+        seed=("verify.objective_seed", int, 3))
 
-    _at_least(trials_key, [trials], MIN_TRIALS)
+    _at_least("verify.trials", [trials], MIN_TRIALS)
     _at_least("verify.trials_appendix", [trials_appendix], MIN_TRIALS)
-    _at_least(seed_key, [seed], 0)
+    _at_least("verify.seed", [seed], 0)
     if alpha_scale <= 0:
         raise ConfigError(f"verify.alpha_scale must be positive, got {alpha_scale!r}")
     with _config_errors("verify.n"):
         check_sample_size(n)
-    with _config_errors("verify.d, verify.mu, verify.L, verify.objective_seed"):
-        obj = build_objective("quadratic", d, seed=objective_seed, **quadratic)
+    with _config_errors(quadratic_keys):
+        obj = build_objective("quadratic", **quadratic)
     with _config_errors("verify.delta"):
-        c_d = c_d_delta(d, delta)
+        c_d = c_d_delta(obj.dim, delta)
 
     state_rng = new_generator(seed + 909)
-    x = obj.x_star + state_rng.standard_normal(d)
+    x = obj.x_star + state_rng.standard_normal(obj.dim)
     gnorm = float(np.linalg.norm(obj.grad(x)))
     alpha = alpha_scale * instrumented_alpha(gnorm, obj.L, c_d)
     setup = EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
@@ -377,15 +382,15 @@ def _bench_grid(cfg: Dict[str, str]) -> ExperimentGrid:
                          ("optimizer.eps", "bench.eps_rel")):
         if key in cfg:
             raise ConfigError(f"bench does not read {key}; set {instead}")
-    template = build_run_config(cfg, None)
+    template = build_run_config(cfg)
     dims = _get(cfg, "bench.dims", _int_list)
     kappas = _get(cfg, "bench.kappas", _float_list, [10.0])
     ns = _get(cfg, "bench.ns", _int_list, [template.n])
     schemes = _get(cfg, "bench.schemes", _str_list, [template.scheme])
     seeds = _get(cfg, "bench.seeds", _int_list)
     mu = _get(cfg, "bench.mu", float, 1.0)
-    cell_kwargs = _given(cfg, objective_seed=("bench.objective_seed", int))
-    grid_kwargs = _given(cfg, eps_rel=("bench.eps_rel", float))
+    cell_kwargs, _ = _given(cfg, objective_seed=("bench.objective_seed", int))
+    grid_kwargs, _ = _given(cfg, eps_rel=("bench.eps_rel", float))
     _at_least("bench.dims", dims, 1)
     _at_least("bench.kappas", kappas, 1)
     _at_least("bench.seeds", seeds, 0)
@@ -415,11 +420,12 @@ def cmd_bench(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _read_config(args)
     obj = build_objective_from_config(cfg)
-    base = build_run_config(cfg, args.seed)
+    base = build_run_config(cfg)
     seeds = _get(cfg, "ablate.seeds", _int_list, [base.seed])
-    if not seeds:
-        raise ConfigError("ablate.seeds is empty")
-    _at_least("ablate.seeds", seeds, 0)
+    # every run takes its seed from ablate.seeds, which defaults to optimizer.seed
+    _reject_unread(cfg, {"optimizer.seed": "ablate.seeds" not in cfg},
+                   "ablate.seeds is set")
+    _at_least("ablate.seeds", _entries("ablate.seeds", seeds), 0)
     eps_rel = _get(cfg, "ablate.eps_rel", float, ExperimentGrid.eps_rel)
     if not (0.0 < eps_rel < 1.0):
         raise ConfigError(f"ablate.eps_rel must lie in (0, 1), got {eps_rel!r}")
@@ -453,15 +459,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    kind = "strongly_convex" if args.kind in ("sc", "strongly_convex") \
-        else "nonconvex" if args.kind in ("nc", "nonconvex") else None
-    if kind is None:
-        raise ConfigError(f"unknown kind {args.kind!r}; use sc or nc")
     # --c1 is passed only when given, so predict_complexity's default stands
     c1 = {} if args.c1 is None else {"c1": args.c1}
     with _config_errors("--d, --L, --mu, --eps, --delta-prime, --alpha, --c1"):
-        pred = predict_complexity(kind, args.d, args.L, args.eps,
-                                  args.delta_prime, mu=args.mu, **c1)
+        pred = predict_complexity(PREDICT_KINDS[args.kind], args.d, args.L,
+                                  args.eps, args.delta_prime, mu=args.mu, **c1)
         floor_sc, floor_nc = floors(pred.n, args.d, pred.delta, args.L, args.alpha)
     print(f"N = {pred.n}")
     print(f"T = {pred.t}")
@@ -490,12 +492,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True,
-                seed: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="config file path")
     p.add_argument("--out", default=".", help="output directory")
-    if seed:
-        p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -511,19 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("bench")
-    # bench runs every cell at each bench.seeds entry, so it takes no --seed
-    _add_common(p, seed=False)
+    _add_common(p)
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify")
     _add_common(p, config_required=False)
-    p.add_argument("--trials", type=int, default=None,
-                   help="Monte-Carlo trials override")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("predict")
-    p.add_argument("--kind", required=True, help="sc (strongly convex) or nc")
+    p.add_argument("--kind", required=True, choices=PREDICT_KINDS,
+                   help="sc (strongly convex) or nc (nonconvex)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=_finite_float, required=True)
     p.add_argument("--mu", type=_finite_float, default=None)

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, output files, determinism."""
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from rankzo.bench import build_objective
 from rankzo.cli import (CONFIG_KEYS, ConfigError, build_objective_from_config,
-                        build_run_config, main, parse_config)
+                        build_parser, build_run_config, main, parse_config)
 from rankzo.optimizer import RunConfig
 
 REPO = Path(__file__).resolve().parent.parent
@@ -166,15 +167,12 @@ class TestOptimize:
         assert "d must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("values,flags,named", [
-        ({"optimizer.seed": "-1"}, [], "optimizer.seed"),
-        ({}, ["--seed", "-1"], "--seed"),
-        ({"objective.seed": "-1"}, [], "objective.seed"),
-    ], ids=["key", "flag", "objective_seed"])
-    def test_negative_seed_exit2(self, tmp_path, capsys, values, flags, named):
-        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, values))
+    @pytest.mark.parametrize("named", ["optimizer.seed", "objective.seed"],
+                             ids=["key", "objective_seed"])
+    def test_negative_seed_exit2(self, tmp_path, capsys, named):
+        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, {named: "-1"}))
         out = tmp_path / "out"
-        assert main(["optimize", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
         assert f"{named} must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
@@ -192,7 +190,7 @@ class TestOptimize:
         assert not out.exists()
 
     def test_unset_keys_take_library_defaults(self):
-        assert (build_run_config({"optimizer.N": "16", "optimizer.T": "5"}, None)
+        assert (build_run_config({"optimizer.N": "16", "optimizer.T": "5"})
                 == RunConfig(n=16, iterations=5))
         built = build_objective_from_config({"objective.d": "8"})
         reference = build_objective("quadratic", 8)
@@ -200,11 +198,15 @@ class TestOptimize:
         np.testing.assert_array_equal(built.x_star, reference.x_star)
 
     def test_seed_override_changes_trace(self, tmp_path):
-        cfg = write_config(tmp_path, QUAD_CONFIG)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["optimize", "--config", cfg, "--out", str(out1)])
-        main(["optimize", "--config", cfg, "--out", str(out2), "--seed", "99"])
-        assert (out1 / "trace.csv").read_text() != (out2 / "trace.csv").read_text()
+        # optimizer.seed is the one source of the run's seed
+        traces = []
+        for seed in ("3", "99"):
+            text = with_values(QUAD_CONFIG, {"optimizer.seed": seed})
+            cfg = write_config(tmp_path, text, name=f"seed{seed}.cfg")
+            out = tmp_path / seed
+            assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+            traces.append((out / "trace.csv").read_text())
+        assert traces[0] != traces[1]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_CONFIG)
@@ -291,30 +293,25 @@ verify.alpha_scale = 10.0
         report_line = (out / "reports.csv").read_text().splitlines()[1]
         assert report_line.startswith("E4") and report_line.endswith("false")
 
-    @pytest.mark.parametrize("values,flags,named", [
-        ({}, ["--trials", "0"], "--trials"),
-        ({}, ["--trials", "500"], "--trials"),
-        ({"verify.trials": "-5"}, [], "verify.trials"),
-        ({"verify.trials_appendix": "0"}, [], "verify.trials_appendix"),
-        ({"verify.n": "6"}, [], "verify.n"),
-        ({"verify.alpha_scale": "0"}, [], "verify.alpha_scale"),
-        ({"verify.alpha_scale": "-1"}, [], "verify.alpha_scale"),
-        ({"verify.d": "0"}, [], "verify.d"),
-        ({"verify.delta": "1.5"}, [], "verify.delta"),
-        ({"verify.L": "-2"}, [], "verify.L"),
-        ({"verify.mu": "20"}, [], "verify.mu"),
-        ({"verify.seed": "-50"}, [], "verify.seed"),
-        ({"verify.seed": "-500"}, [], "verify.seed"),
-        ({}, ["--seed", "-1"], "--seed"),
-    ], ids=["trials_flag_0", "trials_flag_500", "trials_key_neg",
-            "trials_appendix_0", "n_6", "alpha_scale_0", "alpha_scale_neg",
-            "d_0", "delta_1.5", "L_neg", "mu_above_L", "seed_-50", "seed_-500",
-            "seed_flag_neg"])
-    def test_bad_input_exit2_before_any_check(self, tmp_path, capsys,
-                                              values, flags, named):
-        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, values))
+    @pytest.mark.parametrize("named,value", [
+        ("verify.trials", "-5"),
+        ("verify.trials_appendix", "0"),
+        ("verify.n", "6"),
+        ("verify.alpha_scale", "0"),
+        ("verify.alpha_scale", "-1"),
+        ("verify.d", "0"),
+        ("verify.delta", "1.5"),
+        ("verify.L", "-2"),
+        ("verify.mu", "20"),
+        ("verify.seed", "-50"),
+        ("verify.seed", "-500"),
+    ], ids=["trials_key_neg", "trials_appendix_0", "n_6", "alpha_scale_0",
+            "alpha_scale_neg", "d_0", "delta_1.5", "L_neg", "mu_above_L",
+            "seed_-50", "seed_-500"])
+    def test_bad_input_exit2_before_any_check(self, tmp_path, capsys, named, value):
+        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {named: value}))
         out = tmp_path / "out"
-        assert main(["verify", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""  # no check ran
@@ -510,8 +507,9 @@ class TestBench:
 
 
 # neither policy is instrumented, so neither reads alpha_c or delta
+# and every run takes its seed from ablate.seeds
 ABLATE_SMALL = with_values(without(QUAD_CONFIG, "optimizer.alpha_c",
-                                   "optimizer.delta"), {
+                                   "optimizer.delta", "optimizer.seed"), {
     "optimizer.step": "backtracking",
     "optimizer.eta0": "1.0",
     "optimizer.alpha": "fixed",
@@ -547,15 +545,28 @@ class TestAblate:
         assert summary["seeds"] == [1, 2]
         assert summary["queries_to_target"] == {"full": [], "positive_only": []}
 
-    @pytest.mark.parametrize("values,flags,named", [
-        ({"ablate.seeds": "1,-1"}, [], "ablate.seeds"),
-        ({}, ["--seed", "-1"], "--seed"),
-    ], ids=["seeds_entry", "seed_flag"])
-    def test_negative_seed_exit2(self, tmp_path, capsys, values, flags, named):
-        cfg = write_config(tmp_path, with_values(ABLATE_SMALL, values))
+    @pytest.mark.parametrize("seeds", ["1,-1"], ids=["seeds_entry"])
+    def test_negative_seed_exit2(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, with_values(ABLATE_SMALL, {"ablate.seeds": seeds}))
         out = tmp_path / "out"
-        assert main(["ablate", "--config", cfg, "--out", str(out)] + flags) == 2
-        assert f"{named} must be >= 0, got -1" in capsys.readouterr().err
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+        assert "ablate.seeds must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_default_to_optimizer_seed(self, tmp_path):
+        text = with_values(without(ABLATE_SMALL, "ablate.seeds"), {"optimizer.seed": "5"})
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        assert strict_json(out / "ablate_summary.json")["seeds"] == [5]
+
+    def test_both_seed_keys_exit2(self, tmp_path, capsys):
+        # ablate.seeds replaces optimizer.seed, so setting both is ambiguous
+        cfg = write_config(tmp_path, with_values(ABLATE_SMALL, {"optimizer.seed": "5"}))
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "optimizer.seed") and names_key(err, "ablate.seeds")
         assert not out.exists()
 
     def test_eps_rel_outside_unit_interval_exit2(self, tmp_path, capsys):
@@ -573,7 +584,7 @@ class TestAblate:
         assert not out.exists()
 
     def test_trials_flag_exit2(self, tmp_path, capsys):
-        # only verify reads --trials
+        # no subcommand takes --trials: verify.trials sets the trial count
         cfg = write_config(tmp_path, ABLATE_SMALL)
         out = tmp_path / "out"
         assert main(["ablate", "--config", cfg, "--out", str(out), "--trials", "5"]) == 2
@@ -609,6 +620,13 @@ class TestPredict:
             return int([l for l in out.splitlines() if l.startswith("T =")][0]
                        .split("=")[1])
         assert t_of("5e-4") / t_of("1e-3") == pytest.approx(2.0, rel=1e-3)
+
+    # the library spellings of the two kinds are not --kind values
+    @pytest.mark.parametrize("kind", ["strongly_convex", "nonconvex"])
+    def test_kind_is_sc_or_nc(self, capsys, kind):
+        assert main(["predict", "--kind", kind, "--d", "32", "--L", "10",
+                     "--eps", "1e-3"]) == 2
+        assert "argument --kind: invalid choice" in capsys.readouterr().err
 
     def test_bad_flags_exit2(self):
         assert main(["predict", "--kind", "sc", "--d", "-3", "--L", "10",
@@ -742,6 +760,34 @@ class TestConfigErrors:
         command, value, context = BAD_VALUE[key]
         self.exit2_naming(tmp_path, capsys, command, key, {**context, key: value})
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("ablate", "ablate.seeds", "1,1"),
+        ("verify", "verify.events", "E2,E2,chernoff,chernoff"),
+    ])
+    def test_repeated_entry_exit2(self, tmp_path, capsys, command, key, value):
+        self.exit2_naming(tmp_path, capsys, command, key, {key: value})
+
+    def test_library_error_names_only_keys_set(self, tmp_path, capsys):
+        # StepPolicy rejects the kind; eta0 is left to its default
+        cfg = write_config(tmp_path, with_values(QUAD_CONFIG, {"optimizer.step": "foo"}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert names_key(err, "optimizer.step") and not names_key(err, "optimizer.eta0")
+        assert not out.exists()
+
+    # each value has one source, its config key: no flag overrides it
+    @pytest.mark.parametrize("command,flag,value", [
+        ("optimize", "--seed", "1"), ("ablate", "--seed", "1"),
+        ("verify", "--seed", "1"), ("verify", "--trials", "1000"),
+    ])
+    def test_override_flag_exit2(self, tmp_path, capsys, command, flag, value):
+        cfg = write_config(tmp_path, BASE_CONFIG[command])
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: a config of each subcommand that sets no kind and no key only some kinds read
 MINIMAL_CONFIG = {
@@ -823,6 +869,27 @@ class TestDispatch:
         assert main(["solve"]) == 2
 
     def test_console_entry_importable(self):
-        from rankzo.cli import build_parser
         parser = build_parser()
         assert parser.prog == "rankzo"
+
+    def test_readme_cli_names_exactly_the_parser_flags(self):
+        # every flag a `rankzo <command>` line of the README's CLI section
+        # shows, against the flags build_parser() accepts for that command
+        readme = (REPO / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        for command, parser in subparsers.choices.items():
+            shown = set()
+            for line in section.splitlines():
+                words = line.split("#", 1)[0].split()
+                if words[:2] == ["rankzo", command]:
+                    shown.update(word.strip("[]") for word in words
+                                 if word.startswith(("-", "[-")))
+            actions = [a for a in parser._actions
+                       if not isinstance(a, argparse._HelpAction)]
+            accepted = {flag for a in actions for flag in a.option_strings}
+            assert shown <= accepted, (command, shown - accepted)
+            unshown = [a.option_strings for a in actions
+                       if not shown & set(a.option_strings)]
+            assert unshown == [], (command, unshown)
