@@ -14,7 +14,7 @@ from .objective import (Objective, MonotoneTransform, evaluate,
 from .sampling import (QueryLedger, NonFiniteValueError, check_sample_size,
                        new_generator, sample_directions, rank_oracle,
                        selected_ranks)
-from .weights import WeightVector, weights_by_name, weight_ratio
+from .weights import weights_by_name, weight_ratio
 from .optimizer import (StepPolicy, AlphaPolicy, RunConfig, RunTrace,
                         StepRegimeError, OptimizationError,
                         descent_direction, instrumented_step_size,

@@ -221,7 +221,9 @@ def build_objective_from_config(cfg: Dict[str, str]):
         return build_objective(**kwargs)
 
 
-def build_run_config(cfg: Dict[str, str]) -> RunConfig:
+def build_run_config(cfg: Dict[str, str], n: Optional[int] = None) -> RunConfig:
+    """The :class:`RunConfig` of the ``optimizer.*`` keys; ``n`` is the
+    batch size when ``optimizer.N`` is not set (None makes it required)."""
     step, step_keys = _given(
         cfg, kind=("optimizer.step", str), eta0=("optimizer.eta0", float),
         shrink=("optimizer.shrink", float), max_tries=("optimizer.max_tries", int))
@@ -231,7 +233,7 @@ def build_run_config(cfg: Dict[str, str]) -> RunConfig:
     kwargs, keys = _given(
         cfg, scheme=("optimizer.scheme", str), seed=("optimizer.seed", int),
         delta=("optimizer.delta", float), eps_target=("optimizer.eps", float),
-        n=("optimizer.N", int, None), iterations=("optimizer.T", int, None))
+        n=("optimizer.N", int, n), iterations=("optimizer.T", int, None))
     if "seed" in kwargs:
         _at_least("optimizer.seed", [kwargs["seed"]], 0)
     with _config_errors(step_keys):
@@ -382,29 +384,37 @@ def _bench_grid(cfg: Dict[str, str]) -> ExperimentGrid:
                          ("optimizer.eps", "bench.eps_rel")):
         if key in cfg:
             raise ConfigError(f"bench does not read {key}; set {instead}")
-    template = build_run_config(cfg)
-    dims = _get(cfg, "bench.dims", _int_list)
+    # bench.ns, when set, is every cell's batch size, so optimizer.N is optional
+    ns = (_entries("bench.ns", _get(cfg, "bench.ns", _int_list))
+          if "bench.ns" in cfg else [])
+    with _config_errors("bench.ns"):
+        for n in ns:
+            check_sample_size(n)
+    template = build_run_config(cfg, n=ns[0] if ns else None)
+    ns = ns or [template.n]
+    dims = _entries("bench.dims", _get(cfg, "bench.dims", _int_list))
     kappas = _get(cfg, "bench.kappas", _float_list, [10.0])
-    ns = _get(cfg, "bench.ns", _int_list, [template.n])
-    schemes = _get(cfg, "bench.schemes", _str_list, [template.scheme])
-    seeds = _get(cfg, "bench.seeds", _int_list)
+    # the cell id writes kappa with %g, so two kappas alike there repeat
+    _entries("bench.kappas", [f"{kappa:g}" for kappa in kappas])
+    schemes = _entries("bench.schemes",
+                       _get(cfg, "bench.schemes", _str_list, [template.scheme]))
+    seeds = _entries("bench.seeds", _get(cfg, "bench.seeds", _int_list))
     mu = _get(cfg, "bench.mu", float, 1.0)
     cell_kwargs, _ = _given(cfg, objective_seed=("bench.objective_seed", int))
-    grid_kwargs, _ = _given(cfg, eps_rel=("bench.eps_rel", float))
+    grid_kwargs, eps_keys = _given(cfg, eps_rel=("bench.eps_rel", float))
     _at_least("bench.dims", dims, 1)
     _at_least("bench.kappas", kappas, 1)
     _at_least("bench.seeds", seeds, 0)
     _at_least("bench.objective_seed", cell_kwargs.values(), 0)
     if mu <= 0:
         raise ConfigError(f"bench.mu must be positive, got {mu!r}")
-    with _config_errors("bench.ns, bench.schemes"):
+    with _config_errors("bench.schemes"):
         configs = {(n, scheme): replace(template, n=n, scheme=scheme)
                    for n in ns for scheme in schemes}
     cells = [GridCell(config_id=f"d{d}_k{kappa:g}_N{n}_{scheme}", d=d, mu=mu,
                       L=mu * kappa, config=configs[n, scheme], **cell_kwargs)
              for d in dims for kappa in kappas for n in ns for scheme in schemes]
-    with _config_errors("bench.dims, bench.kappas, bench.ns, bench.schemes, "
-                        "bench.seeds, bench.eps_rel"):
+    with _config_errors(eps_keys):
         return ExperimentGrid(cells=cells, seeds=seeds, **grid_kwargs)
 
 

@@ -239,7 +239,7 @@ def write_csv(path, columns, rows) -> None:
 def descent_direction(u_sel: np.ndarray, w_sel: np.ndarray) -> np.ndarray:
     """Signed weighted combination ``w_sel @ u_sel`` of the selected
     directions; row k of ``u_sel`` is the direction at the k-th selected
-    rank and ``w_sel`` its signed weight (``WeightVector.signed``)."""
+    rank and ``w_sel`` its signed weight (``weights_by_name``)."""
     return w_sel @ u_sel
 
 
@@ -314,9 +314,11 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     """
     if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented step needs an objective with grad and L")
-    # the selected ranks and their signed weights are fixed for the run
-    sel = selected_ranks(cfg.n, cfg.positive_only) - 1
-    w_sel = weights_by_name(cfg.scheme, cfg.n).signed(cfg.positive_only)
+    # the selected ranks and their signed weights are fixed for the run;
+    # the positive-only ablation keeps just the best quartile
+    k = cfg.n // 4 if cfg.positive_only else cfg.n // 2
+    sel = selected_ranks(cfg.n)[:k] - 1
+    w_sel = weights_by_name(cfg.scheme, cfg.n)[:k]
 
     if cfg.step.kind == "instrumented":
         c_nd = c_N_d_delta(cfg.n, obj.dim, cfg.delta, cfg.positive_only)

@@ -102,14 +102,12 @@ def rank_oracle(obj: Objective, x: np.ndarray, alpha: float, u: np.ndarray,
     return perm, fvals
 
 
-def selected_ranks(n: int, positive_only: bool = False) -> np.ndarray:
+def selected_ranks(n: int) -> np.ndarray:
     """The selected index set: 1-based ranks 1..n/4 (best quartile), then
-    3n/4+1..n (worst quartile); just the best quartile when ablating.
+    3n/4+1..n (worst quartile).
 
     These n/2 ranks receive the nonzero weights.
     """
     check_sample_size(n)
-    best = np.arange(1, n // 4 + 1)
-    if positive_only:
-        return best
-    return np.concatenate([best, np.arange(3 * n // 4 + 1, n + 1)])
+    return np.concatenate([np.arange(1, n // 4 + 1),
+                           np.arange(3 * n // 4 + 1, n + 1)])

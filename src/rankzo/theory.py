@@ -107,6 +107,17 @@ def _matrix_norm_bound(n_cols: int, d: int, delta: float) -> float:
             + math.sqrt(2.0 * math.log(2.0 / delta))) ** 2
 
 
+def _gauss_max(n: int, delta: float) -> float:
+    # sqrt(2 ln(2n/delta)): the n values |<g, u_i>| / ||g|| all stay below
+    # it with probability >= 1 - delta (Gaussian-max union bound)
+    return math.sqrt(2.0 * math.log(2.0 * n / delta))
+
+
+def _check_weight_ratio(weight_ratio: float) -> None:
+    if not (0 < weight_ratio <= 1.0):
+        raise ValueError(f"weight_ratio must be in (0, 1], got {weight_ratio}")
+
+
 def c_N_d_delta(n: int, d: int, delta: float, positive_only: bool = False) -> float:
     """Squared spectral bound for the n/2 selected directions, or for the
     n/4 best-quartile ones of the ``positive_only`` ablation."""
@@ -141,11 +152,9 @@ def rho(n: int, d: int, delta: float, mu: float, L: float,
     """
     if not (0 < mu <= L):
         raise ValueError(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if not (0 < weight_ratio <= 1.0):
-        raise ValueError(f"weight_ratio must be in (0, 1], got {weight_ratio}")
+    _check_weight_ratio(weight_ratio)
     return (weight_ratio * (n / 2.0)
-            / (8.0 * c_N_d_delta(n, d, delta)
-               * math.sqrt(2.0 * math.log(2.0 * n / delta)))
+            / (8.0 * c_N_d_delta(n, d, delta) * _gauss_max(n, delta))
             * mu / L)
 
 
@@ -160,14 +169,12 @@ def floors(n: int, d: int, delta: float, L: float, alpha: float,
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if not (0 < weight_ratio <= 1.0):
-        raise ValueError(f"weight_ratio must be in (0, 1], got {weight_ratio}")
+    _check_weight_ratio(weight_ratio)
     inv = 1.0 / weight_ratio
     cd = c_d_delta(d, delta)
     cn = c_N_d_delta(n, d, delta)
-    log_term = math.log(2.0 * n / delta)
-    floor_sc = inv * n * L * cd**2 * math.sqrt(2.0 * log_term) * alpha**2 / (2.0 * cn)
-    floor_nc = inv**2 * 32.0 * L**2 * cd**2 * log_term * alpha**2
+    floor_sc = inv * n * L * cd**2 * _gauss_max(n, delta) * alpha**2 / (2.0 * cn)
+    floor_nc = inv**2 * 32.0 * L**2 * cd**2 * math.log(2.0 * n / delta) * alpha**2
     return floor_sc, floor_nc
 
 
@@ -367,7 +374,7 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     if "E4" in failures or "E5" in failures:
         slack = 2.0 * gn + 2.0 * cd * float(obj.L) * alpha
     cn = c_N_d_delta(n, d, delta)
-    thr_e3 = math.sqrt(2.0 * math.log(2.0 * n / delta)) * gn
+    thr_e3 = _gauss_max(n, delta) * gn
     sel = selected_ranks(n) - 1          # positions into the permutation
     bounds = {
         "E1": n * delta / 2.0,
@@ -464,7 +471,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         n = int(p.setdefault("n", 32))
         delta = float(p.setdefault("delta", 0.1))
         _check_delta(delta)
-        thr = math.sqrt(2.0 * math.log(2.0 * n / delta))
+        thr = _gauss_max(n, delta)
         m = np.max(np.abs(rng.standard_normal((trials, n))), axis=1)
         failures = int(np.sum(m > thr))
         bound = delta

@@ -6,12 +6,11 @@ summing to -1, worst rank largest in magnitude).  Each scheme is one row
 of :data:`SCHEMES`, its magnitude at a selected rank, and
 :func:`weights_by_name` is the one builder::
 
-    w = weights_by_name("blom", 20)   # w.w_plus sums to +1, w.w_minus to -1
+    w = weights_by_name("blom", 20)   # w[:5] sums to +1, w[5:] to -1
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -19,14 +18,11 @@ import numpy as np
 from .sampling import selected_ranks
 
 __all__ = [
-    "WeightVector",
     "weights_by_name",
     "check_scheme",
     "weight_ratio",
     "SCHEMES",
 ]
-
-_SUM_TOL = 1e-12
 
 _inv_cdf = NormalDist().inv_cdf
 
@@ -43,37 +39,6 @@ SCHEMES = {
 }
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Weights over the selected ranks.
-
-    ``w_plus[i]`` belongs to rank ``i+1`` (best quartile), ``w_minus[i]``
-    to rank ``3n/4+1+i`` (worst quartile).  Positive side sums to +1,
-    negative side to -1.
-    """
-
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-
-    def __post_init__(self) -> None:
-        wp, wm = np.asarray(self.w_plus), np.asarray(self.w_minus)
-        if wp.shape != wm.shape or wp.ndim != 1 or wp.size < 1:
-            raise ValueError("w_plus and w_minus must be equal-length 1-d arrays")
-        if np.any(wp <= 0) or np.any(wm >= 0):
-            raise ValueError("w_plus must be positive and w_minus negative")
-        if abs(wp.sum() - 1.0) > _SUM_TOL or abs(wm.sum() + 1.0) > _SUM_TOL:
-            raise ValueError("weights must normalize to +1 / -1")
-
-    def signed(self, positive_only: bool = False) -> np.ndarray:
-        """Signed weights aligned with ``selected_ranks(n, positive_only)``."""
-        if positive_only:
-            return np.asarray(self.w_plus)
-        return np.concatenate([self.w_plus, self.w_minus])
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.signed())
-
-
 def check_scheme(scheme: str) -> None:
     """Reject a weight scheme name that is not a key of :data:`SCHEMES`."""
     if scheme not in SCHEMES:
@@ -81,21 +46,23 @@ def check_scheme(scheme: str) -> None:
                          f"choose from {sorted(SCHEMES)}")
 
 
-def weights_by_name(scheme: str, n: int) -> WeightVector:
-    """The ``scheme`` magnitudes at ``selected_ranks(n)``, each quartile
-    normalized on its own: +1 on the best, -1 on the worst."""
+def weights_by_name(scheme: str, n: int) -> np.ndarray:
+    """Signed weights lined up with ``selected_ranks(n)``: the ``scheme``
+    magnitudes, each quartile normalized on its own, so the first n/4
+    (best quartile) are positive and sum to +1 and the last n/4 (worst
+    quartile) are negative and sum to -1."""
     check_scheme(scheme)
     mags = SCHEMES[scheme](selected_ranks(n), n)
     best, worst = mags[:n // 4], mags[n // 4:]
-    return WeightVector(w_plus=best / best.sum(), w_minus=-worst / worst.sum())
+    return np.concatenate([best / best.sum(), -worst / worst.sum()])
 
 
-def weight_ratio(w: WeightVector) -> float:
+def weight_ratio(w: np.ndarray) -> float:
     """min|w| / max|w| over the selected set (magnitude convention).
 
     The selected set mixes positive and negative weights, so the ratio in
     the contraction factor is taken over magnitudes; it is 1 exactly for
     the uniform scheme and lies in (0, 1] always.
     """
-    mags = w.magnitudes()
+    mags = np.abs(w)
     return float(mags.min() / mags.max())

@@ -420,7 +420,7 @@ class TestBench:
                                                  {"bench.schemes": "uniform,foo"}))
         out = tmp_path / "out"
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
-        assert ("bench.ns, bench.schemes: unknown weight scheme 'foo'"
+        assert ("config error: bench.schemes: unknown weight scheme 'foo'"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -482,19 +482,50 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,repeated", [
-        ("bench.dims", "8,8", "config_ids ['d8_k10_N8_uniform']"),
+        ("bench.dims", "8,8", "[8]"),
         # two objectives whose cells would share one summary entry
-        ("bench.kappas", "10.0000001,10.0000002",
-         "config_ids ['d8_k10_N8_uniform']"),
-        ("bench.seeds", "1,1", "seeds [1]"),
-    ], ids=["dims", "kappas", "seeds"])
+        ("bench.kappas", "10.0000001,10.0000002", "['10']"),
+        ("bench.ns", "8,8", "[8]"),
+        ("bench.schemes", "uniform,uniform", "['uniform']"),
+        ("bench.seeds", "1,1", "[1]"),
+    ], ids=["dims", "kappas", "ns", "schemes", "seeds"])
     def test_repeated_cell_or_seed_exit2(self, tmp_path, capsys, key, value,
                                          repeated):
         cfg = write_config(tmp_path, with_values(BENCH_SMALL, {key: value}))
         out = tmp_path / "out"
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert names_key(err, key) and f"repeated {repeated}" in err
+        assert f"config error: {key}: repeated entries {repeated}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("bench.dims", ","), ("bench.ns", "8,6"), ("bench.seeds", ","),
+        ("bench.eps_rel", "2"),
+    ])
+    def test_error_names_only_its_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, with_values(BENCH_SMALL, {key: value}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        others = {"bench.dims", "bench.kappas", "bench.ns", "bench.schemes",
+                  "bench.seeds", "bench.eps_rel"} - {key}
+        assert names_key(err, key), err
+        assert not any(names_key(err, other) for other in others), err
+        assert not out.exists()
+
+    def test_ns_makes_optimizer_N_optional(self, tmp_path):
+        text = "bench.dims = 8\nbench.ns = 8\nbench.seeds = 1\noptimizer.T = 5\n"
+        out = tmp_path / "out"
+        assert main(["bench", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        header, row = (out / "results.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["N"] == "8"
+
+    def test_neither_ns_nor_optimizer_N_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bench.dims = 8\nbench.seeds = 1\noptimizer.T = 5\n")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert "missing config key 'optimizer.N'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_exit2(self, tmp_path, capsys):

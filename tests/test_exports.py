@@ -1,15 +1,20 @@
-"""Export consistency: every ``__all__`` entry resolves, and every name the
-package re-exports is public in the module that defines it."""
+"""Export consistency: every ``__all__`` entry resolves, every name the
+package re-exports is public in the module that defines it, and the
+README's quickstart runs and names only what exists."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 import rankzo
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = sorted(f"rankzo.{m.name}" for m in pkgutil.iter_modules(rankzo.__path__)
                  if m.name != "__main__")
@@ -66,3 +71,31 @@ def test_no_private_cross_module_imports(name):
                and (node.level > 0 or (node.module or "").startswith("rankzo"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _resolve(dotted):
+    """The object a dotted ``rankzo.``/``rz.`` name refers to."""
+    parts = dotted.split(".")
+    obj, path = rankzo, "rankzo"
+    for part in parts[1:]:
+        path += "." + part
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
+    return obj
+
+
+def test_readme_quickstart_runs_and_names_resolve():
+    text = README.read_text()
+    quickstart = text.split("## Library quickstart\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", quickstart, re.S).group(1)
+    exec(compile(block, "README quickstart", "exec"), {})
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    names = {name for span in re.findall(r"`([^`]+)`", prose)
+             for name in re.findall(r"(?<![\w.])(?:rz|rankzo)(?:\.\w+)+", span)}
+    assert names
+    unresolved = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError):
+            unresolved.append(name)
+    assert unresolved == []

@@ -23,12 +23,13 @@ def linear_1d():
                      grad=lambda x: np.ones(1), L=1.0)
 
 
-def select_manual(obj, rows, x=None, alpha=1.0, positive_only=False):
-    """Rank ``rows`` at ``x``; directions and values at the selected ranks."""
+def select_manual(obj, rows, x=None, alpha=1.0, k=None):
+    """Rank ``rows`` at ``x``; directions and values at the first ``k``
+    selected ranks (all of them by default)."""
     u = np.asarray(rows, dtype=float)
     x = np.zeros(u.shape[1]) if x is None else x
     perm, fvals = rank_oracle(obj, x, alpha, u, QueryLedger())
-    idx = perm[selected_ranks(len(u), positive_only) - 1]
+    idx = perm[selected_ranks(len(u))[:k] - 1]
     return u[idx], fvals[idx]
 
 
@@ -37,7 +38,7 @@ class TestDescentDirection:
         # ranks for f(x)=x at 0 with u=(3,-1,2,-2): best u=-2, worst u=3;
         # uniform n=4 gives d = 1*(-2) + (-1)*3 = -5
         u_sel, _ = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        d = descent_direction(u_sel, weights_by_name("uniform", 4).signed())
+        d = descent_direction(u_sel, weights_by_name("uniform", 4))
         assert d == pytest.approx(np.array([-5.0]))
 
     def test_linearity_in_directions(self):
@@ -45,16 +46,15 @@ class TestDescentDirection:
         rows = new_generator(1).standard_normal((8, 3))
         u1, _ = select_manual(obj, rows, x=obj.x_star + 1.0, alpha=1e-6)
         u2, _ = select_manual(obj, 2.0 * rows, x=obj.x_star + 1.0, alpha=1e-6)
-        w = weights_by_name("uniform", 8).signed()
+        w = weights_by_name("uniform", 8)
         # tiny alpha keeps the ranking identical, so d scales linearly
         np.testing.assert_allclose(descent_direction(u2, w),
                                    2.0 * descent_direction(u1, w), rtol=1e-9)
 
     def test_positive_only_uses_best_quartile(self):
-        u_sel, _ = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]],
-                                 positive_only=True)
-        d = descent_direction(u_sel,
-                              weights_by_name("uniform", 4).signed(positive_only=True))
+        # the ablation keeps the first n/4 selected ranks and weights
+        u_sel, _ = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]], k=1)
+        d = descent_direction(u_sel, weights_by_name("uniform", 4)[:1])
         assert d == pytest.approx(np.array([-2.0]))
 
 
@@ -64,13 +64,13 @@ class TestInstrumentedStepSize:
         # boundary samples -2 and 3 and unit constants, eta = min(2,3)/2
         u_sel, f_sel = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
         eta = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel,
-                                     weights_by_name("uniform", 4).signed(), alpha=1.0,
+                                     weights_by_name("uniform", 4), alpha=1.0,
                                      L=1.0, c_nd=1.0)
         assert eta == pytest.approx(1.0, rel=1e-12)
 
     def test_inverse_scaling_in_L(self):
         u_sel, f_sel = select_manual(linear_1d(), [[3.0], [-1.0], [2.0], [-2.0]])
-        w = weights_by_name("uniform", 4).signed()
+        w = weights_by_name("uniform", 4)
         eta1 = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel, w, 1.0, 1.0, 1.0)
         eta10 = instrumented_step_size(0.0, np.ones(1), u_sel, f_sel, w, 1.0, 10.0, 1.0)
         assert eta10 == pytest.approx(eta1 / 10.0, rel=1e-12)
@@ -84,7 +84,7 @@ class TestInstrumentedStepSize:
         batch = sample_directions(new_generator(3), 16, 12)
         alpha = 1e-8
         u_sel, f_sel = select_manual(obj, batch, x=x, alpha=alpha)
-        w = weights_by_name("uniform", 16).signed()
+        w = weights_by_name("uniform", 16)
         c_nd = c_N_d_delta(16, 12, 0.1)
         eta = instrumented_step_size(obj.fn(x), g, u_sel, f_sel, w, alpha,
                                      obj.L, c_nd)
@@ -100,7 +100,7 @@ class TestInstrumentedStepSize:
         u_sel, f_sel = select_manual(obj, batch, x=obj.x_star, alpha=0.5)
         with pytest.raises(StepRegimeError):
             instrumented_step_size(obj.fn(obj.x_star), obj.grad(obj.x_star),
-                                   u_sel, f_sel, weights_by_name("uniform", 8).signed(),
+                                   u_sel, f_sel, weights_by_name("uniform", 8),
                                    0.5, obj.L, c_N_d_delta(8, 6, 0.1))
 
 
@@ -344,6 +344,25 @@ class TestRun:
         assert trace.alpha[0] == alpha and trace.eta[0] == eta
         np.testing.assert_array_equal(trace.iterates[0], x0)
         np.testing.assert_array_equal(trace.iterates[1], x0 + eta * (w @ u[idx]))
+
+    def test_positive_only_step_takes_the_weights_prefix(self):
+        # a positive-only run steps along the first n/4 signed weights of
+        # its scheme over the best-quartile directions; x0 and u are the
+        # first two draws of the run's Philox stream
+        n, d, seed, eta0, alpha = 16, 8, 21, 0.1, 1e-3
+        obj = make_quadratic(d, 1.0, 10.0, seed=4)
+        trace = run(obj, RunConfig(n=n, iterations=1, seed=seed, scheme="log",
+                                   step=StepPolicy("fixed", eta0=eta0),
+                                   alpha=AlphaPolicy("fixed", alpha0=alpha),
+                                   positive_only=True, record_iterates=True))
+        rng = new_generator(seed)
+        x0 = rng.standard_normal(d)
+        u = rng.standard_normal((n, d))
+        w = weights_by_name("log", n)
+        assert type(w) is np.ndarray and w.shape == (n // 2,)
+        best = np.argsort(obj.batch_fn(x0 + alpha * u), kind="stable")[:n // 4]
+        np.testing.assert_array_equal(trace.iterates[1],
+                                      x0 + eta0 * (w[:n // 4] @ u[best]))
 
 
 class TestRegimeRetries:

@@ -48,11 +48,12 @@ def table_objective(values):
 @PROPERTY_SETTINGS
 @given(scheme=st.sampled_from(sorted(SCHEMES)), quarter=st.integers(1, 128))
 def test_weights_normalized_and_monotone(scheme, quarter):
-    w = weights_by_name(scheme, 4 * quarter)
-    assert abs(w.w_plus.sum() - 1.0) <= 1e-12
-    assert abs(w.w_minus.sum() + 1.0) <= 1e-12
-    assert np.all(np.diff(w.w_plus) <= 0)
-    assert np.all(np.diff(np.abs(w.w_minus)) >= 0)
+    w_plus, w_minus = np.split(weights_by_name(scheme, 4 * quarter), 2)
+    assert np.all(w_plus > 0) and np.all(w_minus < 0)
+    assert abs(w_plus.sum() - 1.0) <= 1e-12
+    assert abs(w_minus.sum() + 1.0) <= 1e-12
+    assert np.all(np.diff(w_plus) <= 0)
+    assert np.all(np.diff(np.abs(w_minus)) >= 0)
 
 
 @PROPERTY_SETTINGS

@@ -3,20 +3,23 @@
 import numpy as np
 import pytest
 
-from rankzo.weights import WeightVector, check_scheme, weight_ratio, weights_by_name
+from rankzo.weights import check_scheme, weight_ratio, weights_by_name
 
 ALL_N = [4, 8, 16, 32, 64, 128, 256]
 
 
+def quartiles(scheme, n):
+    """The best-quartile (positive) and worst-quartile (negative) weights."""
+    return np.split(weights_by_name(scheme, n), 2)
+
+
 class TestUniform:
     def test_n8_values(self):
-        w = weights_by_name("uniform", 8)
-        np.testing.assert_allclose(w.w_plus, [0.5, 0.5])
-        np.testing.assert_allclose(w.w_minus, [-0.5, -0.5])
+        np.testing.assert_allclose(weights_by_name("uniform", 8),
+                                   [0.5, 0.5, -0.5, -0.5])
 
     def test_n16_magnitude(self):
-        w = weights_by_name("uniform", 16)
-        np.testing.assert_allclose(w.magnitudes(), 0.25)
+        np.testing.assert_allclose(np.abs(weights_by_name("uniform", 16)), 0.25)
 
     def test_ratio_exactly_one(self):
         assert weight_ratio(weights_by_name("uniform", 16)) == 1.0
@@ -27,24 +30,24 @@ class TestLog:
         # raw magnitudes are log(21) - log(k); the rank-1/rank-5 quotient
         # computed by direct logarithm arithmetic
         w = weights_by_name("log", 20)
-        ratio = w.w_plus[0] / w.w_plus[4]
+        ratio = w[0] / w[4]
         assert ratio == pytest.approx(2.1214934619336283, rel=1e-12)
 
     def test_quoted_approximation_close(self):
         # the coarse log(N)/log(4) approximation quoted for N=20 is 2.16
         w = weights_by_name("log", 20)
-        ratio = w.w_plus[0] / w.w_plus[4]
+        ratio = w[0] / w[4]
         assert ratio == pytest.approx(2.16, rel=0.02)
 
     def test_strictly_decreasing_positive_side(self):
-        w = weights_by_name("log", 20)
-        assert np.all(np.diff(w.w_plus) < 0)
+        w_plus, _ = quartiles("log", 20)
+        assert np.all(np.diff(w_plus) < 0)
 
     def test_negative_side_mirrors(self):
         # worst rank carries the largest magnitude
-        w = weights_by_name("log", 20)
-        assert np.all(np.diff(np.abs(w.w_minus)) > 0)
-        assert abs(w.w_minus[-1]) == pytest.approx(w.w_plus[0], rel=1e-12)
+        w_plus, w_minus = quartiles("log", 20)
+        assert np.all(np.diff(np.abs(w_minus)) > 0)
+        assert abs(w_minus[-1]) == pytest.approx(w_plus[0], rel=1e-12)
 
 
 # |Phi^{-1}((k - 0.375) / 20.25)| for k = 1..5, frozen from a
@@ -57,28 +60,26 @@ BLOM_N20_MAGNITUDES = np.array([
 
 class TestBlom:
     def test_best_quartile_magnitudes_n20(self):
-        w = weights_by_name("blom", 20)
+        w_plus, _ = quartiles("blom", 20)
         expected = BLOM_N20_MAGNITUDES / BLOM_N20_MAGNITUDES.sum()
-        np.testing.assert_allclose(w.w_plus, expected, rtol=1e-12)
+        np.testing.assert_allclose(w_plus, expected, rtol=1e-12)
 
     def test_argument_symmetry(self):
         # magnitude at rank k equals magnitude at rank n+1-k
-        w = weights_by_name("blom", 20)
-        np.testing.assert_allclose(w.w_plus, np.abs(w.w_minus)[::-1], atol=1e-10)
+        w_plus, w_minus = quartiles("blom", 20)
+        np.testing.assert_allclose(w_plus, np.abs(w_minus)[::-1], atol=1e-10)
 
     def test_correlation_with_log_weights(self):
-        wb = weights_by_name("blom", 20)
-        wl = weights_by_name("log", 20)
-        corr = np.corrcoef(wb.w_plus, wl.w_plus)[0, 1]
+        corr = np.corrcoef(quartiles("blom", 20)[0], quartiles("log", 20)[0])[0, 1]
         assert corr >= 0.95
 
     def test_monotone_sides(self):
-        w = weights_by_name("blom", 32)
-        assert np.all(np.diff(w.w_plus) < 0)
-        assert np.all(np.diff(np.abs(w.w_minus)) > 0)
+        w_plus, w_minus = quartiles("blom", 32)
+        assert np.all(np.diff(w_plus) < 0)
+        assert np.all(np.diff(np.abs(w_minus)) > 0)
 
 
-# float.hex of weights_by_name(scheme, n).signed(), frozen bit for bit:
+# float.hex of weights_by_name(scheme, n), frozen bit for bit:
 # a magnitude rule that moves the last bit of any weight fails here (for
 # example a uniform magnitude of 1 in place of 4/n at n = 24)
 FROZEN_HEX = {
@@ -109,8 +110,8 @@ FROZEN_HEX = {
 
 @pytest.mark.parametrize("scheme,n", sorted(FROZEN_HEX))
 def test_weights_frozen_bit_for_bit(scheme, n):
-    signed = weights_by_name(scheme, n).signed()
-    assert [x.hex() for x in signed.tolist()] == FROZEN_HEX[scheme, n]
+    w = weights_by_name(scheme, n)
+    assert [x.hex() for x in w.tolist()] == FROZEN_HEX[scheme, n]
 
 
 class TestWeightRatio:
@@ -130,23 +131,28 @@ class TestInvariants:
     @pytest.mark.parametrize("scheme", ["uniform", "log", "blom"])
     @pytest.mark.parametrize("n", ALL_N)
     def test_normalization(self, scheme, n):
-        w = weights_by_name(scheme, n)
-        assert abs(w.w_plus.sum() - 1.0) <= 1e-12
-        assert abs(w.w_minus.sum() + 1.0) <= 1e-12
+        w_plus, w_minus = quartiles(scheme, n)
+        assert abs(w_plus.sum() - 1.0) <= 1e-12
+        assert abs(w_minus.sum() + 1.0) <= 1e-12
 
     @pytest.mark.parametrize("scheme", ["log", "blom"])
     @pytest.mark.parametrize("n", ALL_N)
     def test_side_monotonicity(self, scheme, n):
-        w = weights_by_name(scheme, n)
-        assert np.all(np.diff(w.w_plus) <= 0)
-        assert np.all(np.diff(np.abs(w.w_minus)) >= 0)
+        w_plus, w_minus = quartiles(scheme, n)
+        assert np.all(np.diff(w_plus) <= 0)
+        assert np.all(np.diff(np.abs(w_minus)) >= 0)
 
     @pytest.mark.parametrize("scheme", ["uniform", "log", "blom"])
     def test_signed_layout(self, scheme):
         w = weights_by_name(scheme, 16)
-        signed = w.signed()
-        assert signed.shape == (8,)
-        assert np.all(signed[:4] > 0) and np.all(signed[4:] < 0)
+        assert w.shape == (8,)
+        assert np.all(w[:4] > 0) and np.all(w[4:] < 0)
+
+    @pytest.mark.parametrize("n", ALL_N)
+    def test_is_one_signed_array(self, n):
+        # one array lined up with selected_ranks(n), not a wrapper
+        w = weights_by_name("log", n)
+        assert type(w) is np.ndarray and w.shape == (n // 2,)
 
     def test_indivisible_n_rejected(self):
         for scheme in ("uniform", "log", "blom"):
@@ -166,21 +172,3 @@ class TestInvariants:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             weights_by_name("cma", 16)
-
-    @pytest.mark.parametrize("w_plus,w_minus", [
-        ([0.5, 0.5], [-1.0]),
-        ([[0.5, 0.5]], [[-0.5, -0.5]]),
-        ([], []),
-    ], ids=["unequal_lengths", "two_dimensional", "empty"])
-    def test_bad_shape_rejected(self, w_plus, w_minus):
-        with pytest.raises(ValueError) as exc:
-            WeightVector(w_plus=np.array(w_plus), w_minus=np.array(w_minus))
-        assert str(exc.value) == "w_plus and w_minus must be equal-length 1-d arrays"
-
-    def test_invalid_vector_rejected(self):
-        with pytest.raises(ValueError):
-            WeightVector(w_plus=np.array([0.5, 0.5]),
-                         w_minus=np.array([-0.4, -0.4]))
-        with pytest.raises(ValueError):
-            WeightVector(w_plus=np.array([1.5, -0.5]),
-                         w_minus=np.array([-0.5, -0.5]))
