@@ -35,8 +35,8 @@ from .sampling import check_sample_size, new_generator
 # check_event is not called here, but perfbench/tracer.py wraps
 # rankzo.cli.check_event, so the name stays importable from this module
 from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
-                     EventSetup, c_d_delta, check_appendix_bounds, check_event,
-                     check_events, event_precondition_errors, floors,
+                     EventSetup, ParameterError, c_d_delta, check_appendix_bounds,
+                     check_event, check_events, event_precondition_errors, floors,
                      instrumented_alpha, predict_complexity)
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
@@ -290,7 +290,9 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     The requested events E1..E5 whose preconditions hold run as one
     shared Monte-Carlo pass on the first check's stream (seed + 101);
     the pass's wall ms goes to the first of them and the others get 0.
-    Each appendix check draws from its own stream.
+    Each appendix check draws from its own stream.  The pass and the
+    appendix checks run concurrently, so their wall ms overlap; every
+    report is the same as in a serial run.
     """
     events_text = _get(cfg, "verify.events", str, "all")
     names = _entries("verify.events", list(ALL_CHECKS) if events_text == "all"
@@ -328,14 +330,20 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     setup = EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
 
     events = [e for e in names if e in EVENT_IDS]
-    started = time.perf_counter()
     errors = event_precondition_errors(events, setup)
     runnable = [e for e in events if e not in errors]
-    shared = {}
+    # one unit of work per stream: the shared pass, then each appendix check
+    units = []
     if runnable:
-        shared = dict(zip(runnable, check_events(runnable, setup, trials,
-                                                 new_generator(seed + 101))))
-    pass_ms = _ms_since(started)
+        units.append((check_events, runnable, setup, trials, new_generator(seed + 101)))
+    units += [(check_appendix_bounds, name, None, trials_appendix,
+               new_generator(seed + 101 * (ALL_CHECKS.index(name) + 1)))
+              for name in names if name in APPENDIX_IDS]
+    results = iter(_run_concurrently(units))
+    shared: Dict[str, EventCheckReport] = {}
+    if runnable:
+        pass_reports, pass_ms = next(results)
+        shared = dict(zip(runnable, pass_reports))
 
     reports: List[Tuple[EventCheckReport, int]] = []
     for name in names:
@@ -352,15 +360,28 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
             reports.append((shared[name], pass_ms))
             pass_ms = 0
         else:
-            rng = new_generator(seed + 101 * (ALL_CHECKS.index(name) + 1))
-            started = time.perf_counter()
-            report = check_appendix_bounds(name, None, trials_appendix, rng)
-            reports.append((report, _ms_since(started)))
+            reports.append(next(results))
     return reports
 
 
-def _ms_since(started: float) -> int:
-    return int(round((time.perf_counter() - started) * 1000))
+def _run_concurrently(units: list) -> List[tuple]:
+    """``(fn(*args), wall ms)`` for each ``(fn, *args)`` in ``units``, in
+    order; the units run on up to one thread per usable CPU, and the
+    first unit that raised re-raises here once all have stopped."""
+    if not units:
+        return []
+    # imported here, as in bench.run_grid, so importing rankzo.cli never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    def timed(fn, *args):
+        started = time.perf_counter()
+        result = fn(*args)
+        return result, int(round((time.perf_counter() - started) * 1000))
+
+    workers = min(len(units), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(timed, *unit) for unit in units]
+    return [future.result() for future in futures]
 
 
 def cmd_verify(args) -> int:
@@ -471,10 +492,13 @@ def cmd_ablate(args) -> int:
 def cmd_predict(args) -> int:
     # --c1 is passed only when given, so predict_complexity's default stands
     c1 = {} if args.c1 is None else {"c1": args.c1}
-    with _config_errors("--d, --L, --mu, --eps, --delta-prime, --alpha, --c1"):
+    try:
         pred = predict_complexity(PREDICT_KINDS[args.kind], args.d, args.L,
                                   args.eps, args.delta_prime, mu=args.mu, **c1)
         floor_sc, floor_nc = floors(pred.n, args.d, pred.delta, args.L, args.alpha)
+    except ParameterError as exc:
+        # each library parameter is the flag of the same name
+        raise ConfigError(f"--{exc.param.replace('_', '-')}: {exc}") from None
     print(f"N = {pred.n}")
     print(f"T = {pred.t}")
     print(f"Q = {pred.q}")

@@ -47,6 +47,7 @@ __all__ = [
     "rho",
     "floors",
     "ComplexityPrediction",
+    "ParameterError",
     "predict_complexity",
     "event_precondition_errors",
     "check_events",
@@ -55,6 +56,14 @@ __all__ = [
     "EVENT_IDS",
     "APPENDIX_IDS",
 ]
+
+
+class ParameterError(ValueError):
+    """A ``ValueError`` about the one parameter named by ``param``."""
+
+    def __init__(self, param: str, message: str) -> None:
+        super().__init__(message)
+        self.param = param
 
 
 def _normal_cdf(x: float) -> float:
@@ -69,8 +78,10 @@ P_TAIL_EXACT = 1.0 - _normal_cdf(2.0)
 #: fewest Monte-Carlo trials either checker accepts
 MIN_TRIALS = 1000
 
-#: trials per draw in :func:`check_events`
-_EVENT_CHUNK = 512
+#: most float64 values one Monte-Carlo draw may hold (~3 MB); every
+#: checker splits its trials into draws of at most this size, which leaves
+#: the stream, and so every report, unchanged
+_DRAW_BUDGET = 400_000
 
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
 APPENDIX_IDS = ("chernoff", "gauss_max", "chi2", "spectral",
@@ -168,7 +179,7 @@ def floors(n: int, d: int, delta: float, L: float, alpha: float,
         (max w/min w)^2 * 32 L^2 C_d^2 ln(2n/delta) alpha^2
     """
     if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        raise ParameterError("alpha", f"alpha must be nonnegative, got {alpha}")
     _check_weight_ratio(weight_ratio)
     inv = 1.0 / weight_ratio
     cd = c_d_delta(d, delta)
@@ -205,17 +216,24 @@ def predict_complexity(kind: str, d: int, L: float, eps: float,
     ``mu``.  N follows from T as ``ceil_4(c1 (l + ln l))``, at least 4,
     with ``l = max(ln(max(T, 2) / delta'), 2)``; then ``Q = T N`` and the
     per-event failure budget is ``delta = delta'/(T N)``.
+
+    A rejected argument raises :class:`ParameterError` naming it.
     """
     if kind not in ("strongly_convex", "nonconvex"):
-        raise ValueError(f"kind must be strongly_convex or nonconvex, got {kind!r}")
-    if min(d, L, eps, delta_prime) <= 0 or eps >= 1.0 or delta_prime >= 1.0:
-        raise ValueError("d, L positive and eps, delta_prime in (0, 1) required")
+        raise ParameterError(
+            "kind", f"kind must be strongly_convex or nonconvex, got {kind!r}")
+    for name, value in (("d", d), ("L", L), ("c1", c1)):
+        if not value > 0:
+            raise ParameterError(name, f"{name} must be positive, got {value}")
+    for name, value in (("eps", eps), ("delta_prime", delta_prime)):
+        if not 0 < value < 1:
+            raise ParameterError(name, f"{name} must lie in (0, 1), got {value}")
     if kind == "strongly_convex":
         if mu is None or not (0 < mu <= L):
-            raise ValueError("strongly_convex prediction needs 0 < mu <= L")
+            raise ParameterError("mu", "strongly_convex prediction needs 0 < mu <= L")
         t = math.ceil(d * L / mu * math.log(1.0 / eps))
     elif mu is not None:
-        raise ValueError("nonconvex prediction takes no mu")
+        raise ParameterError("mu", "nonconvex prediction takes no mu")
     else:
         t = math.ceil(d * L / eps)
     inner = max(math.log(max(t, 2) / delta_prime), 2.0)
@@ -257,6 +275,14 @@ def _three_sigma_pass(failures: int, trials: int, bound: float) -> tuple[float, 
     b = min(bound, 1.0)
     tol = 3.0 * math.sqrt(b * (1.0 - b) / trials)
     return emp, emp <= bound + tol
+
+
+def _chunks(trials: int, per_trial: int):
+    """Trial counts of successive draws of ``per_trial`` values per trial,
+    each within :data:`_DRAW_BUDGET` and at least one trial."""
+    step = max(1, _DRAW_BUDGET // per_trial)
+    for start in range(0, trials, step):
+        yield min(step, trials - start)
 
 
 def _check_delta(delta: float) -> None:
@@ -332,9 +358,10 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
       ``<grad, u_(n/4)> >= -2||grad|| - 2 C_d L alpha``
       (bound exp(-n D(1/4 || 1-Phi(2)))).
 
-    Trials run in chunks of 512 (``_EVENT_CHUNK``); each chunk makes one
-    draw, one batch evaluation, one stable argsort and one ``u @ grad``,
-    whatever the requested events.  The draws do not depend on which
+    Trials run in chunks of at most ``_DRAW_BUDGET`` Gaussian values
+    (125 trials at n = 32, d = 100); each chunk makes one draw, one batch
+    evaluation, one stable argsort and one ``u @ grad``, whatever the
+    requested events.  The draws do not depend on which
     events are requested, so an event's report for a given ``rng`` state
     is the same alone or in company.  Each estimate is unbiased; estimates of
     different events are correlated, and each passes or fails on its own.
@@ -384,9 +411,7 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
         "E5": event_bound_E45(n),
     }
 
-    done = 0
-    while done < trials:
-        m = min(_EVENT_CHUNK, trials - done)
+    for m in _chunks(trials, n * d):
         u = rng.standard_normal((m, n, d))
         pts = x[None, None, :] + alpha * u
         fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
@@ -409,7 +434,6 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
             failures["E4"] += int(np.sum(ip[:, 3 * n // 4] > slack))
         if "E5" in failures:
             failures["E5"] += int(np.sum(ip[:, n // 4 - 1] < -slack))
-        done += m
 
     reports = []
     for e in ids:
@@ -451,6 +475,9 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
     * ``order_low2``: mirrored lower-quartile version, failure = the
       (n/4)-th smallest is >= tau, valid for Phi(tau) > 1/4; default
       tau=0, n=64.
+
+    The trials run in draws of at most ``_DRAW_BUDGET`` values, as in
+    :func:`check_events`.
     """
     if which not in APPENDIX_IDS:
         raise ValueError(f"unknown appendix check {which!r}")
@@ -458,29 +485,41 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     p = dict(params or {})
 
+    # each branch sets the values one trial draws and ``fails(m)``, the
+    # failures among m fresh trials; the trials run in budgeted draws
     if which == "chernoff":
         n = int(p.setdefault("n", 64))
         prob = float(p.setdefault("p", P_TAIL_EXACT))
         r = float(p.setdefault("r", 0.25))
         if not (0 < prob < r < 1):
             raise ValueError("chernoff check needs 0 < p < r < 1")
-        s = rng.binomial(n, prob, size=trials)
-        failures = int(np.sum(s >= r * n))
+        per_trial = 1
+
+        def fails(m):
+            return np.sum(rng.binomial(n, prob, size=m) >= r * n)
+
         bound = math.exp(-n * kl_bernoulli(r, prob))
     elif which == "gauss_max":
         n = int(p.setdefault("n", 32))
         delta = float(p.setdefault("delta", 0.1))
         _check_delta(delta)
         thr = _gauss_max(n, delta)
-        m = np.max(np.abs(rng.standard_normal((trials, n))), axis=1)
-        failures = int(np.sum(m > thr))
+        per_trial = n
+
+        def fails(m):
+            return np.sum(np.max(np.abs(rng.standard_normal((m, n))), axis=1) > thr)
+
         bound = delta
     elif which == "chi2":
         d = int(p.setdefault("d", 100))
         delta = float(p.setdefault("delta", 0.01))
         _check_delta(delta)
         thr = 2.0 * d + 3.0 * math.log(1.0 / delta)
-        failures = int(np.sum(rng.chisquare(d, size=trials) > thr))
+        per_trial = 1
+
+        def fails(m):
+            return np.sum(rng.chisquare(d, size=m) > thr)
+
         bound = delta
     elif which == "spectral":
         n = int(p.setdefault("n", 16))
@@ -488,15 +527,13 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         tau = float(p.setdefault("tau", 2.0))
         cols = n // 2
         thr = math.sqrt(cols) + math.sqrt(d) + tau
-        failures = 0
-        done = 0
-        while done < trials:
-            m = min(2000, trials - done)
+        per_trial = d * cols
+
+        def fails(m):
             a = rng.standard_normal((m, d, cols))
             gram = np.swapaxes(a, 1, 2) @ a
-            smax = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-            failures += int(np.sum(smax > thr))
-            done += m
+            return np.sum(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]) > thr)
+
         bound = 2.0 * math.exp(-tau**2 / 2.0)
     else:  # order_low1 / order_low2
         n = int(p.setdefault("n", 64))
@@ -512,16 +549,18 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
                 f"{which}: threshold tau={tau:g} gives p={prob:.4f} <= q={q:g}; "
                 "the lower-tail Chernoff bound needs p > q "
                 "(tau below Phi^{-1}(3/4) resp. above Phi^{-1}(1/4))")
-        x = rng.standard_normal((trials, n))
-        x.sort(axis=1)
-        if which == "order_low1":
-            stat = x[:, n - m_rank]          # m-th largest
-            failures = int(np.sum(stat <= tau))
-        else:
-            stat = x[:, m_rank - 1]          # m-th smallest
-            failures = int(np.sum(stat >= tau))
+        per_trial = n
+
+        def fails(m):
+            x = rng.standard_normal((m, n))
+            x.sort(axis=1)
+            if which == "order_low1":
+                return np.sum(x[:, n - m_rank] <= tau)     # m-th largest
+            return np.sum(x[:, m_rank - 1] >= tau)         # m-th smallest
+
         bound = math.exp(-n * kl_bernoulli(q, prob))
 
+    failures = sum(int(fails(m)) for m in _chunks(trials, per_trial))
     emp, ok = _three_sigma_pass(failures, trials, bound)
     return EventCheckReport(
         event_id=which, trials=trials, empirical_failure_rate=emp,

@@ -3,15 +3,21 @@
 import argparse
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rankzo import cli
 from rankzo.bench import build_objective
 from rankzo.cli import (CONFIG_KEYS, ConfigError, build_objective_from_config,
                         build_parser, build_run_config, main, parse_config)
-from rankzo.optimizer import RunConfig
+from rankzo.optimizer import RunConfig, write_csv
+from rankzo.sampling import new_generator
+from rankzo.theory import (APPENDIX_IDS, EVENT_IDS, EventSetup, c_d_delta,
+                           check_appendix_bounds, check_events,
+                           instrumented_alpha)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -364,6 +370,62 @@ verify.alpha_scale = 10.0
         assert lines[1].endswith(" wall_ms=0")
         assert "wall_ms" not in (out / "reports.csv").read_text()
 
+    def test_concurrent_checks_match_serial_reference(self, tmp_path):
+        # the pass on seed + 101, then each appendix check on its own
+        # stream, one after another, as the README documents them
+        n, d, delta, seed = 16, 20, 0.1, 7
+        obj = build_objective("quadratic", d=d, seed=3)
+        x = obj.x_star + new_generator(seed + 909).standard_normal(d)
+        alpha = instrumented_alpha(float(np.linalg.norm(obj.grad(x))), obj.L,
+                                   c_d_delta(d, delta))
+        setup = EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
+        reports = check_events(EVENT_IDS, setup, 1000, new_generator(seed + 101))
+        reports += [check_appendix_bounds(name, None, 1000,
+                                          new_generator(seed + 101 * (len(EVENT_IDS) + i + 1)))
+                    for i, name in enumerate(APPENDIX_IDS)]
+        reference = tmp_path / "reference.csv"
+        write_csv(reference, cli.REPORT_COLUMNS,
+                  [(r.event_id, r.params_string(), r.trials, r.empirical_failure_rate,
+                    r.theoretical_bound, r.passed) for r in reports])
+
+        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {
+            "verify.events": "all", "verify.trials_appendix": "1000"}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "reports.csv").read_bytes() == reference.read_bytes()
+
+    def test_rows_follow_requested_order(self, tmp_path, capsys):
+        order = ["spectral", "E3", "chi2", "E1"]
+        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {
+            "verify.events": ",".join(order), "verify.trials_appendix": "1000"}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "reports.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == order
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {e}" for e in order]
+        # the pass's time goes on its first event's line, E3
+        assert lines[3].endswith(" wall_ms=0")
+
+    def test_failing_check_exit3_and_stops_its_threads(self, tmp_path, capsys,
+                                                       monkeypatch):
+        real = cli.check_appendix_bounds
+
+        def spectral_fails(which, *args):
+            if which == "spectral":
+                raise RuntimeError("spectral draw failed")
+            return real(which, *args)
+
+        monkeypatch.setattr(cli, "check_appendix_bounds", spectral_fails)
+        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {
+            "verify.events": "all", "verify.trials_appendix": "1000"}))
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: spectral draw failed\n"
+        assert threading.active_count() == threads
+        assert not out.exists()
+
 
 BENCH_SMALL = """
 bench.dims = 8
@@ -688,7 +750,25 @@ class TestPredict:
         assert main(["predict", "--kind", "nc", "--d", "32", "--L", "10",
                      "--eps", "1e-3", "--mu", "5"]) == 2
         captured = capsys.readouterr()
-        assert "--mu" in captured.err and "takes no mu" in captured.err
+        assert captured.err == "config error: --mu: nonconvex prediction takes no mu\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind,flag,value,message", [
+        ("sc", "--mu", "20", "strongly_convex prediction needs 0 < mu <= L"),
+        ("sc", "--d", "0", "d must be positive, got 0"),
+        ("sc", "--L", "-1", "L must be positive, got -1.0"),
+        ("sc", "--eps", "1", "eps must lie in (0, 1), got 1.0"),
+        ("sc", "--delta-prime", "0", "delta_prime must lie in (0, 1), got 0.0"),
+        ("sc", "--alpha", "-1e-4", "alpha must be nonnegative, got -0.0001"),
+        ("sc", "--c1", "0", "c1 must be positive, got 0.0"),
+    ], ids=["mu_above_L", "d", "L", "eps", "delta-prime", "alpha", "c1"])
+    def test_error_names_only_its_flag(self, capsys, kind, flag, value, message):
+        argv = ["predict", "--kind", kind, "--d", "32", "--L", "10", "--eps", "1e-3"]
+        if kind == "sc" and flag != "--mu":
+            argv += ["--mu", "1"]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {flag}: {message}\n"
         assert captured.out == ""
 
     def test_verbose_flag_exit2(self, capsys):

@@ -21,7 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_import_loads_no_scipy_or_multiprocessing():
     code = (
         "import sys, rankzo, rankzo.cli\n"
-        "heavy = ('scipy', 'concurrent.futures.process', 'multiprocessing')\n"
+        "heavy = ('scipy', 'concurrent.futures.process', 'concurrent.futures.thread',\n"
+        "         'multiprocessing')\n"
         "print(sorted(m for m in sys.modules\n"
         "             if any(m == h or m.startswith(h + '.') for h in heavy)))\n"
     )

@@ -408,6 +408,56 @@ class TestNegativeControls:
         assert r.empirical_failure_rate == 1.0 and not r.passed
 
 
+def _event_rows(reports):
+    # E2's grad_norm param is nan, so compare the printed params
+    return [(r.event_id, r.trials, r.failures, r.passed, r.theoretical_bound,
+             r.params_string()) for r in reports]
+
+
+# per check: parameters at which it sees failures, and the values one trial draws
+APPENDIX_DRAWS = {
+    "chernoff": ({"n": 32, "p": 0.1, "r": 0.25}, 1),
+    "gauss_max": (None, 32),
+    "chi2": ({"d": 1, "delta": 0.9}, 1),
+    "spectral": ({"tau": 0.0}, 100 * 8),
+    "order_low1": ({"n": 8}, 8),
+    "order_low2": ({"n": 8}, 8),
+}
+
+
+class TestDrawBudget:
+    """Splitting the trials into smaller draws changes no report: the
+    stream yields the same values in one draw or in many."""
+
+    @pytest.mark.parametrize("key,expected", FROZEN_FAILURES,
+                             ids=[str(k) for k, _ in FROZEN_FAILURES])
+    @pytest.mark.parametrize("trials_per_draw", [37, 1])
+    def test_events(self, monkeypatch, key, expected, trials_per_draw):
+        n, delta, recorded_l, trials, seed = key
+        setup = recorded_l_setup(n, delta, recorded_l)
+        default_rng = new_generator(seed)
+        default = check_events(EVENT_IDS, setup, trials, default_rng)
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", trials_per_draw * n * 20)
+        rng = new_generator(seed)
+        chunked = check_events(EVENT_IDS, setup, trials, rng)
+        assert _event_rows(chunked) == _event_rows(default)
+        assert tuple(r.failures for r in chunked) == expected
+        # and the stream is left where one draw leaves it
+        assert rng.random() == default_rng.random()
+
+    @pytest.mark.parametrize("which", theory.APPENDIX_IDS)
+    def test_appendix(self, monkeypatch, which):
+        params, per_trial = APPENDIX_DRAWS[which]
+        default_rng = new_generator(17)
+        default = check_appendix_bounds(which, params, 1000, default_rng)
+        assert default.failures > 0
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", 37 * per_trial)
+        rng = new_generator(17)
+        assert check_appendix_bounds(which, params, 1000, rng) == default
+        # and the stream is left where one draw leaves it
+        assert rng.random() == default_rng.random()
+
+
 class TestCheckAppendixBounds:
     def test_chernoff_zero_hits(self):
         report = check_appendix_bounds("chernoff", None, 10_000, new_generator(1))
