@@ -136,7 +136,8 @@ def fit_log_gap_slope(trace: RunTrace) -> float:
 
 
 def _run_cell(args):
-    """One cell x seed run: its :class:`ResultRow`, or the exception it raised."""
+    """One cell x seed run: its :class:`ResultRow`, or the message of the
+    exception it raised (a string, so it crosses a process pool)."""
     cell, seed, eps_rel = args
     try:
         cfg = replace(cell.config, seed=seed, eps_target=eps_rel)
@@ -149,7 +150,7 @@ def _run_cell(args):
             wall_ms=trace.wall_ms,
         )
     except Exception as exc:  # grid keeps going; failure lands in summary
-        return exc
+        return str(exc)
 
 
 def run_grid(grid: ExperimentGrid, jobs: int = 1,
@@ -173,7 +174,7 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
     rows: List[ResultRow] = []
     errors: List[str] = []
     for (cell, seed, _), outcome in zip(tasks, outcomes):
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, str):
             errors.append(f"{cell.config_id}/seed={seed}: {outcome}")
         else:
             rows.append(outcome)
@@ -200,8 +201,8 @@ def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
         cell_rows = [r for r in rows if r.config_id == cell.config_id]
         if not cell_rows:
             continue
-        pred = predict_complexity("strongly_convex", cell.d, cell.L, grid.eps_rel,
-                                  delta_prime=0.1, mu=cell.mu)
+        pred = predict_complexity(cell.d, cell.L, grid.eps_rel, delta_prime=0.1,
+                                  mu=cell.mu)
         per_cell[cell.config_id] = {
             "median_queries_to_target": median_or_none(
                 [r.queries_to_target for r in cell_rows]),

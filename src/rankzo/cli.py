@@ -43,20 +43,17 @@ __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
 REPORT_COLUMNS = ("event_id", "params", "trials", "empirical", "bound", "pass")
-#: ``predict --kind`` value -> the kind :func:`predict_complexity` takes
-PREDICT_KINDS = {"sc": "strongly_convex", "nc": "nonconvex"}
 
 #: every key a config file may set: exactly the keys the subcommands read
 CONFIG_KEYS = frozenset([
     "objective.kind", "objective.d", "objective.mu", "objective.L",
-    "objective.seed", "objective.curvature",
+    "objective.seed",
     "optimizer.N", "optimizer.T", "optimizer.scheme", "optimizer.step",
     "optimizer.alpha", "optimizer.eta0", "optimizer.shrink",
     "optimizer.max_tries", "optimizer.alpha0", "optimizer.gamma",
     "optimizer.alpha_c", "optimizer.seed", "optimizer.delta", "optimizer.eps",
     "verify.events", "verify.trials", "verify.trials_appendix", "verify.n",
     "verify.d", "verify.delta", "verify.alpha_scale", "verify.seed",
-    "verify.mu", "verify.L", "verify.objective_seed",
     "bench.dims", "bench.kappas", "bench.ns", "bench.schemes", "bench.seeds",
     "bench.eps_rel", "bench.mu", "bench.objective_seed",
     "ablate.seeds", "ablate.eps_rel",
@@ -208,15 +205,14 @@ def build_objective_from_config(cfg: Dict[str, str]):
     kwargs, keys = _given(
         cfg, kind=("objective.kind", str, "quadratic"), d=("objective.d", int, None),
         mu=("objective.mu", float), L=("objective.L", float),
-        seed=("objective.seed", int), curvature=("objective.curvature", float))
+        seed=("objective.seed", int))
     kind = kwargs["kind"]
     if "seed" in kwargs:
         _at_least("objective.seed", [kwargs["seed"]], 0)
     # an unknown kind reads every key here; build_objective rejects it
-    read = dict.fromkeys(("objective.mu", "objective.L", "objective.seed"),
-                         kind != "rosenbrock")
-    read["objective.curvature"] = kind != "quadratic"
-    _reject_unread(cfg, read, f"objective.kind = {kind}")
+    _reject_unread(cfg, dict.fromkeys(("objective.mu", "objective.L", "objective.seed"),
+                                      kind != "rosenbrock"),
+                   f"objective.kind = {kind}")
     with _config_errors(keys):
         return build_objective(**kwargs)
 
@@ -307,9 +303,7 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     delta = _get(cfg, "verify.delta", float, 0.1)
     alpha_scale = _get(cfg, "verify.alpha_scale", float, 1.0)
     seed = _get(cfg, "verify.seed", int, 7)
-    quadratic, quadratic_keys = _given(
-        cfg, d=("verify.d", int, 100), mu=("verify.mu", float), L=("verify.L", float),
-        seed=("verify.objective_seed", int, 3))
+    d = _get(cfg, "verify.d", int, 100)
 
     _at_least("verify.trials", [trials], MIN_TRIALS)
     _at_least("verify.trials_appendix", [trials_appendix], MIN_TRIALS)
@@ -318,8 +312,8 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
         raise ConfigError(f"verify.alpha_scale must be positive, got {alpha_scale!r}")
     with _config_errors("verify.n"):
         check_sample_size(n)
-    with _config_errors(quadratic_keys):
-        obj = build_objective("quadratic", **quadratic)
+    with _config_errors("verify.d"):
+        obj = build_objective("quadratic", d=d, seed=3)
     with _config_errors("verify.delta"):
         c_d = c_d_delta(obj.dim, delta)
 
@@ -378,7 +372,10 @@ def _run_concurrently(units: list) -> List[tuple]:
         result = fn(*args)
         return result, int(round((time.perf_counter() - started) * 1000))
 
-    workers = min(len(units), len(os.sched_getaffinity(0)))
+    # sched_getaffinity, the CPUs this process may use, is Linux-only
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(units), cpus)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(timed, *unit) for unit in units]
     return [future.result() for future in futures]
@@ -490,11 +487,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    # --c1 is passed only when given, so predict_complexity's default stands
-    c1 = {} if args.c1 is None else {"c1": args.c1}
     try:
-        pred = predict_complexity(PREDICT_KINDS[args.kind], args.d, args.L,
-                                  args.eps, args.delta_prime, mu=args.mu, **c1)
+        pred = predict_complexity(args.d, args.L, args.eps, args.delta_prime,
+                                  mu=args.mu)
         floor_sc, floor_nc = floors(pred.n, args.d, pred.delta, args.L, args.alpha)
     except ParameterError as exc:
         # each library parameter is the flag of the same name
@@ -553,15 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("predict")
-    p.add_argument("--kind", required=True, choices=PREDICT_KINDS,
-                   help="sc (strongly convex) or nc (nonconvex)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=_finite_float, required=True)
-    p.add_argument("--mu", type=_finite_float, default=None)
+    p.add_argument("--mu", type=_finite_float, default=None,
+                   help="strong convexity; omit for the nonconvex prediction")
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--delta-prime", type=_finite_float, default=0.1)
     p.add_argument("--alpha", type=_finite_float, default=1e-4)
-    p.add_argument("--c1", type=_finite_float, default=None)
     p.set_defaults(fn=cmd_predict)
     return parser
 

@@ -209,34 +209,31 @@ def make_quadratic(d: int, mu: float = 1.0, L: float = 10.0, seed: int = 7) -> O
 
 #: half-width of the start box [-2, 2]^d over which make_rosenbrock_like's L holds
 _BOX_HALFWIDTH = 2.0
+#: make_rosenbrock_like's valley curvature c
+_CURVATURE = 0.5
 
 
-def _rosenbrock_smoothness_bound(curvature: float) -> float:
-    # Interval row-sum bound on the (block-diagonal) Hessian over the box
-    # |x_i| <= _BOX_HALFWIDTH; pairs decouple so the max block row sum is
-    # a valid spectral-norm bound.
-    c, h = curvature, _BOX_HALFWIDTH
-    row_a = (4 * c * h + 12 * c * h * h + 2) + 4 * c * h
-    row_b = 4 * c * h + 2 * c
-    return float(max(row_a, row_b))
-
-
-def make_rosenbrock_like(d: int, curvature: float = 0.5) -> Objective:
+def make_rosenbrock_like(d: int) -> Objective:
     """Smooth nonconvex valley objective with a known optimum at all-ones.
 
     Pairwise-decoupled banana function
 
         f(x) = sum_j  c*(x_{2j} - x_{2j-1}^2)^2 + (1 - x_{2j-1})^2
 
-    over consecutive coordinate pairs, so ``d`` must be even (and >= 2).
-    ``f >= 0`` everywhere with ``f_star = 0`` at the all-ones point.  The
-    recorded ``L`` is an interval bound on the Hessian norm over the
-    declared start box ``[-2, 2]^d``; at the default curvature it is 34,
-    far below the 1e4 scaling cap.
+    over consecutive coordinate pairs with ``c = 0.5``, so ``d`` must be
+    even (and >= 2).  ``f >= 0`` everywhere with ``f_star = 0`` at the
+    all-ones point.  The recorded ``L`` is an interval bound on the
+    Hessian norm over the declared start box ``[-2, 2]^d``: 34, far
+    below the 1e4 scaling cap.
     """
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be even and >= 2, got {d}")
-    c = float(curvature)
+    c, h = _CURVATURE, _BOX_HALFWIDTH
+    # Interval row-sum bound on the (block-diagonal) Hessian over the box
+    # |x_i| <= h; pairs decouple so the max block row sum is a valid
+    # spectral-norm bound.
+    row_a = (4 * c * h + 12 * c * h * h + 2) + 4 * c * h
+    row_b = 4 * c * h + 2 * c
 
     def fn(x: Vector) -> float:
         a, b = x[0::2], x[1::2]
@@ -255,7 +252,7 @@ def make_rosenbrock_like(d: int, curvature: float = 0.5) -> Objective:
 
     return Objective(
         dim=d, fn=fn, grad=grad,
-        L=_rosenbrock_smoothness_bound(c),
+        L=float(max(row_a, row_b)),
         f_star=0.0, x_star=np.ones(d), batch_fn=batch_fn,
         name=f"rosenbrock_like(d={d},c={c})",
     )

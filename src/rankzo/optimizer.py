@@ -27,6 +27,7 @@ strictly increasing transform of the objective.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -389,6 +390,11 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
 
     for t in range(cfg.iterations):
         f_x = evaluate(obj, x)
+        if not math.isfinite(f_x):
+            # a diverged iterate: its -inf or nan gap must not pass the early stop
+            raise OptimizationError(
+                f"iteration {t} failed: non-finite objective value {f_x!r}",
+                _finalize(trace, x, obj, ledger, started, iterates))
         gap = f_x - f_star if f_star is not None else float("nan")
         if cfg.eps_target is not None and f_star is not None:
             if gap_target is None:
@@ -423,7 +429,12 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
         if iterates is not None:
             iterates.append(x.copy())
 
-    return _finalize(trace, x, obj, ledger, started, iterates)
+    trace = _finalize(trace, x, obj, ledger, started, iterates)
+    if not math.isfinite(trace.final_f):
+        # the last update diverged; a -inf final gap must not count as reached
+        raise OptimizationError(f"iteration {cfg.iterations} failed: non-finite "
+                                f"objective value {trace.final_f!r}", trace)
+    return trace
 
 
 def _instrumented_update(obj, cfg, sel, w_sel, c_nd, x, f_x, g, alpha, rng,

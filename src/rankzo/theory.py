@@ -205,39 +205,34 @@ class ComplexityPrediction:
     delta: float
 
 
-def predict_complexity(kind: str, d: int, L: float, eps: float,
-                       delta_prime: float, mu: Optional[float] = None,
-                       c1: float = 1.0) -> ComplexityPrediction:
+def predict_complexity(d: int, L: float, eps: float, delta_prime: float,
+                       mu: Optional[float] = None) -> ComplexityPrediction:
     """Predicted (T, Q, N) for a relative target ``eps``, in closed form.
 
-    T follows the headline complexity with unit constant and does not
-    depend on N: ``ceil((d L / mu) ln(1/eps))`` for the strongly convex
-    regime and ``ceil(d L / eps)`` for the nonconvex one, which takes no
-    ``mu``.  N follows from T as ``ceil_4(c1 (l + ln l))``, at least 4,
-    with ``l = max(ln(max(T, 2) / delta'), 2)``; then ``Q = T N`` and the
+    A given ``mu`` selects the strongly convex theorem, none the nonconvex
+    one.  T follows the headline complexity with unit constant and does
+    not depend on N: ``ceil((d L / mu) ln(1/eps))`` when strongly convex
+    and ``ceil(d L / eps)`` otherwise.  N follows from T as
+    ``ceil_4(l + ln l)``, at least 4, with
+    ``l = max(ln(max(T, 2) / delta'), 2)``; then ``Q = T N`` and the
     per-event failure budget is ``delta = delta'/(T N)``.
 
     A rejected argument raises :class:`ParameterError` naming it.
     """
-    if kind not in ("strongly_convex", "nonconvex"):
-        raise ParameterError(
-            "kind", f"kind must be strongly_convex or nonconvex, got {kind!r}")
-    for name, value in (("d", d), ("L", L), ("c1", c1)):
+    for name, value in (("d", d), ("L", L)):
         if not value > 0:
             raise ParameterError(name, f"{name} must be positive, got {value}")
     for name, value in (("eps", eps), ("delta_prime", delta_prime)):
         if not 0 < value < 1:
             raise ParameterError(name, f"{name} must lie in (0, 1), got {value}")
-    if kind == "strongly_convex":
-        if mu is None or not (0 < mu <= L):
-            raise ParameterError("mu", "strongly_convex prediction needs 0 < mu <= L")
-        t = math.ceil(d * L / mu * math.log(1.0 / eps))
-    elif mu is not None:
-        raise ParameterError("mu", "nonconvex prediction takes no mu")
-    else:
+    if mu is None:
         t = math.ceil(d * L / eps)
+    elif 0 < mu <= L:
+        t = math.ceil(d * L / mu * math.log(1.0 / eps))
+    else:
+        raise ParameterError("mu", f"mu must lie in (0, L], got {mu}")
     inner = max(math.log(max(t, 2) / delta_prime), 2.0)
-    n = _ceil4(c1 * (inner + math.log(inner)))
+    n = _ceil4(inner + math.log(inner))
     return ComplexityPrediction(t=t, q=t * n, n=n, delta=delta_prime / (t * n))
 
 

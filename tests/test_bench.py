@@ -181,6 +181,13 @@ def tiny_grid(seeds=(1, 2, 3)):
     return ExperimentGrid(cells=[cell], seeds=list(seeds), eps_rel=1e-2)
 
 
+def diverging_cell():
+    # a huge fixed step: f(x_1) overflows to a non-finite value
+    cfg = RunConfig(n=8, iterations=50, seed=0, step=StepPolicy("fixed", eta0=1e300),
+                    alpha=AlphaPolicy("fixed"))
+    return GridCell(config_id="diverges", d=8, mu=1.0, L=10.0, config=cfg)
+
+
 class TestRunGrid:
     def test_row_count(self):
         rows, summary = run_grid(tiny_grid())
@@ -214,6 +221,16 @@ class TestRunGrid:
         assert len(rows) == 1
         assert len(summary["errors"]) == 1
         assert "bad" in summary["errors"][0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failing_cells_give_the_same_errors_in_parallel(self):
+        grid = ExperimentGrid(cells=[diverging_cell(), tiny_grid().cells[0]],
+                              seeds=[1, 2], eps_rel=1e-2)
+        _, serial = run_grid(grid, jobs=1)
+        assert [e.split(":")[0] for e in serial["errors"]] == [
+            "diverges/seed=1", "diverges/seed=2"]
+        _, parallel = run_grid(grid, jobs=2)
+        assert parallel["errors"] == serial["errors"]
 
     def test_csv_output(self, tmp_path):
         run_grid(tiny_grid(seeds=(1,)), out_dir=str(tmp_path))
@@ -289,7 +306,7 @@ class TestBuildObjective:
 
     @pytest.mark.parametrize("kind,param", [
         ("quadratic", "curvature"), ("rosenbrock", "mu"), ("rosenbrock", "L"),
-        ("rosenbrock", "seed"),
+        ("rosenbrock", "seed"), ("rosenbrock", "curvature"),
     ])
     def test_param_the_maker_does_not_take_rejected(self, kind, param):
         with pytest.raises(TypeError, match=param):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -41,8 +42,8 @@ optimizer.eps = 1e-6
 """
 
 
-# a huge fixed step overflows after one iteration; the rank oracle then
-# sees a non-finite value and the run fails
+# a huge fixed step overflows after one iteration, so f(x_1) is not
+# finite and the run fails
 FAILING_CONFIG = """
 objective.d = 8
 optimizer.N = 16
@@ -111,6 +112,17 @@ class TestParseConfig:
         cfg = write_config(tmp_path, QUAD_CONFIG + "optimizer.etao = 5\n")
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "'optimizer.etao'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # keys of values the library now derives or fixes, set to what they held
+    @pytest.mark.parametrize("command,key,value", [
+        ("optimize", "objective.curvature", "0.5"), ("verify", "verify.mu", "1.0"),
+        ("verify", "verify.L", "10.0"), ("verify", "verify.objective_seed", "3"),
+    ], ids=["objective.curvature", "verify.mu", "verify.L", "verify.objective_seed"])
+    def test_removed_key_exit2(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, with_values(BASE_CONFIG[command], {key: value}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_key_exit2(self, tmp_path, capsys):
@@ -231,7 +243,8 @@ class TestOptimize:
         cfg = write_config(tmp_path, FAILING_CONFIG)
         out = tmp_path / "out"
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 3
-        assert "iteration 1 failed" in capsys.readouterr().err
+        assert ("iteration 1 failed: non-finite objective value"
+                in capsys.readouterr().err)
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "t,f,fgap,gradnorm,alpha,eta,queries_cum"
         assert len(lines) == 2 and lines[1].startswith("0,")
@@ -307,6 +320,7 @@ verify.alpha_scale = 10.0
         ("verify.alpha_scale", "-1"),
         ("verify.d", "0"),
         ("verify.delta", "1.5"),
+        # keys no longer read: unknown, so also rejected before any check
         ("verify.L", "-2"),
         ("verify.mu", "20"),
         ("verify.seed", "-50"),
@@ -407,6 +421,19 @@ verify.alpha_scale = 10.0
         # the pass's time goes on its first event's line, E3
         assert lines[3].endswith(" wall_ms=0")
 
+    @pytest.mark.parametrize("cpu_count", [2, None])
+    def test_pool_without_sched_getaffinity(self, tmp_path, monkeypatch, cpu_count):
+        # sched_getaffinity is Linux-only; elsewhere the pool falls back to
+        # cpu_count, or to one thread when that is unknown
+        cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {
+            "verify.events": "all", "verify.trials_appendix": "1000"}))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "reports.csv").read_bytes()
+                == (tmp_path / "b" / "reports.csv").read_bytes())
+
     def test_failing_check_exit3_and_stops_its_threads(self, tmp_path, capsys,
                                                        monkeypatch):
         real = cli.check_appendix_bounds
@@ -452,6 +479,26 @@ class TestBench:
         assert len(lines) == 3  # header + 1 cell x 2 seeds
         summary = strict_json(out / "summary.json")
         assert "d8_k10_N8_uniform" in summary["cells"]
+
+    # f(x_1) overflows to -inf, which is below any target gap; at T = 1 it
+    # is the final iterate's value
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("iterations", ["50", "1"])
+    def test_diverged_runs_are_errors_not_reached(self, tmp_path, iterations):
+        cfg = write_config(tmp_path, with_values(FAILING_CONFIG, {
+            "optimizer.N": "8", "optimizer.T": iterations, "bench.seeds": "1,2",
+            "bench.eps_rel": "1e-4"}).replace("objective.d", "bench.dims"))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "results.csv").read_text().splitlines() == [
+            "config_id,seed,scheme,N,d,kappa,policy,queries_to_target,final_gap,"
+            "slope,wall_ms"]
+        summary = strict_json(out / "summary.json")
+        assert summary["cells"] == {}
+        # the overflowed value (-inf here) depends on the BLAS summation order
+        assert [error.rsplit(" ", 1)[0] for error in summary["errors"]] == [
+            f"d8_k10_N8_uniform/seed={seed}: iteration 1 failed: "
+            "non-finite objective value" for seed in (1, 2)]
 
     @pytest.mark.parametrize("kappas", ["10,nan", "-inf"])
     def test_non_finite_kappa_exit2(self, tmp_path, capsys, kappas):
@@ -685,10 +732,19 @@ class TestAblate:
         assert not out.exists()
 
 
+#: a strongly convex prediction: --mu selects that theorem
+PREDICT_SC = ["predict", "--d", "32", "--L", "10", "--mu", "1", "--eps", "1e-6"]
+
+
+def predicted_t(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    return int([l for l in out.splitlines() if l.startswith("T =")][0].split("=")[1])
+
+
 class TestPredict:
     def test_strongly_convex_output(self, capsys):
-        rc = main(["predict", "--kind", "sc", "--d", "32", "--L", "10",
-                   "--mu", "1", "--eps", "1e-6"])
+        rc = main(PREDICT_SC)
         assert rc == 0
         out = capsys.readouterr().out
         values = {line.split(" = ")[0]: line.split(" = ")[1]
@@ -698,73 +754,54 @@ class TestPredict:
 
     def test_doubling_d_doubles_t(self, capsys):
         def t_of(d):
-            main(["predict", "--kind", "sc", "--d", str(d), "--L", "10",
-                  "--mu", "1", "--eps", "1e-6"])
-            out = capsys.readouterr().out
-            return int([l for l in out.splitlines() if l.startswith("T =")][0]
-                       .split("=")[1])
+            return predicted_t(capsys, ["predict", "--d", str(d), "--L", "10",
+                                        "--mu", "1", "--eps", "1e-6"])
         assert t_of(64) / t_of(32) == pytest.approx(2.0, rel=1e-3)
 
     def test_nonconvex_eps_halved_doubles_t(self, capsys):
         def t_of(eps):
-            main(["predict", "--kind", "nc", "--d", "32", "--L", "10",
-                  "--eps", eps])
-            out = capsys.readouterr().out
-            return int([l for l in out.splitlines() if l.startswith("T =")][0]
-                       .split("=")[1])
+            return predicted_t(capsys, ["predict", "--d", "32", "--L", "10",
+                                        "--eps", eps])
         assert t_of("5e-4") / t_of("1e-3") == pytest.approx(2.0, rel=1e-3)
 
-    # the library spellings of the two kinds are not --kind values
-    @pytest.mark.parametrize("kind", ["strongly_convex", "nonconvex"])
-    def test_kind_is_sc_or_nc(self, capsys, kind):
-        assert main(["predict", "--kind", kind, "--d", "32", "--L", "10",
-                     "--eps", "1e-3"]) == 2
-        assert "argument --kind: invalid choice" in capsys.readouterr().err
+    def test_mu_selects_the_theorem(self, capsys):
+        # with --mu the strongly convex T = ceil((d L / mu) ln(1/eps)),
+        # without it the nonconvex T = ceil(d L / eps)
+        argv = ["predict", "--d", "32", "--L", "10", "--eps", "1e-3"]
+        assert predicted_t(capsys, argv) == 320_000
+        assert predicted_t(capsys, argv + ["--mu", "2"]) == math.ceil(160 * math.log(1e3))
 
     def test_bad_flags_exit2(self):
-        assert main(["predict", "--kind", "sc", "--d", "-3", "--L", "10",
-                     "--mu", "1", "--eps", "1e-6"]) == 2
-        assert main(["predict", "--kind", "huh", "--d", "3", "--L", "10",
+        assert main(["predict", "--d", "-3", "--L", "10", "--mu", "1",
                      "--eps", "1e-6"]) == 2
+        assert main(["predict", "--d", "three", "--L", "10", "--eps", "1e-6"]) == 2
 
-    @pytest.mark.parametrize("kind,flag,value", [
-        ("sc", "--L", "inf"),
-        ("nc", "--mu", "nan"),
-        ("sc", "--eps", "nan"),
-        ("sc", "--delta-prime", "inf"),
-        ("sc", "--alpha", "nan"),
-        ("sc", "--c1", "inf"),
-    ], ids=["L", "mu", "eps", "delta-prime", "alpha", "c1"])
-    def test_non_finite_flag_exit2(self, capsys, kind, flag, value):
+    @pytest.mark.parametrize("flag,value", [
+        ("--L", "inf"),
+        ("--mu", "nan"),
+        ("--eps", "nan"),
+        ("--delta-prime", "inf"),
+        ("--alpha", "nan"),
+    ], ids=["L", "mu", "eps", "delta-prime", "alpha"])
+    def test_non_finite_flag_exit2(self, capsys, flag, value):
         # rejected while parsing, before any prediction is computed
-        argv = ["predict", "--kind", kind, "--d", "32", "--L", "10",
-                "--mu", "1", "--eps", "1e-6"]
-        assert main(argv + [flag, value]) == 2
+        assert main(PREDICT_SC + [flag, value]) == 2
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
     def test_missing_required_flag_exit2(self):
-        assert main(["predict", "--kind", "sc", "--d", "32"]) == 2
+        assert main(["predict", "--d", "32"]) == 2
 
-    def test_nonconvex_mu_exit2(self, capsys):
-        # the nonconvex prediction does not depend on mu
-        assert main(["predict", "--kind", "nc", "--d", "32", "--L", "10",
-                     "--eps", "1e-3", "--mu", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "config error: --mu: nonconvex prediction takes no mu\n"
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("kind,flag,value,message", [
-        ("sc", "--mu", "20", "strongly_convex prediction needs 0 < mu <= L"),
-        ("sc", "--d", "0", "d must be positive, got 0"),
-        ("sc", "--L", "-1", "L must be positive, got -1.0"),
-        ("sc", "--eps", "1", "eps must lie in (0, 1), got 1.0"),
-        ("sc", "--delta-prime", "0", "delta_prime must lie in (0, 1), got 0.0"),
-        ("sc", "--alpha", "-1e-4", "alpha must be nonnegative, got -0.0001"),
-        ("sc", "--c1", "0", "c1 must be positive, got 0.0"),
-    ], ids=["mu_above_L", "d", "L", "eps", "delta-prime", "alpha", "c1"])
-    def test_error_names_only_its_flag(self, capsys, kind, flag, value, message):
-        argv = ["predict", "--kind", kind, "--d", "32", "--L", "10", "--eps", "1e-3"]
-        if kind == "sc" and flag != "--mu":
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mu", "20", "mu must lie in (0, L], got 20.0"),
+        ("--d", "0", "d must be positive, got 0"),
+        ("--L", "-1", "L must be positive, got -1.0"),
+        ("--eps", "1", "eps must lie in (0, 1), got 1.0"),
+        ("--delta-prime", "0", "delta_prime must lie in (0, 1), got 0.0"),
+        ("--alpha", "-1e-4", "alpha must be nonnegative, got -0.0001"),
+    ], ids=["mu_above_L", "d", "L", "eps", "delta-prime", "alpha"])
+    def test_error_names_only_its_flag(self, capsys, flag, value, message):
+        argv = ["predict", "--d", "32", "--L", "10", "--eps", "1e-3"]
+        if flag != "--mu":
             argv += ["--mu", "1"]
         assert main(argv + [f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
@@ -773,8 +810,7 @@ class TestPredict:
 
     def test_verbose_flag_exit2(self, capsys):
         # predict always prints its whole result
-        assert main(["predict", "--kind", "sc", "--d", "32", "--L", "10",
-                     "--mu", "1", "--eps", "1e-6", "-v"]) == 2
+        assert main(PREDICT_SC + ["-v"]) == 2
         assert "unrecognized arguments: -v" in capsys.readouterr().err
 
 
@@ -789,7 +825,6 @@ BAD_VALUE = {
     "objective.mu": ("optimize", "-1", {}),
     "objective.L": ("optimize", "0.5", {}),
     "objective.seed": ("optimize", "-1", {}),
-    "objective.curvature": ("optimize", "steep", {"objective.kind": "rosenbrock"}),
     "optimizer.N": ("optimize", "6", {}),
     "optimizer.T": ("optimize", "-1", {}),
     "optimizer.scheme": ("optimize", "foo", {}),
@@ -812,9 +847,6 @@ BAD_VALUE = {
     "verify.delta": ("verify", "1.5", {}),
     "verify.alpha_scale": ("verify", "0", {}),
     "verify.seed": ("verify", "-1", {}),
-    "verify.mu": ("verify", "20", {}),
-    "verify.L": ("verify", "-2", {}),
-    "verify.objective_seed": ("verify", "-1", {}),
     "bench.dims": ("bench", "0", {}),
     "bench.kappas": ("bench", "0.5", {}),
     "bench.ns": ("bench", "6", {}),
@@ -887,15 +919,19 @@ class TestConfigErrors:
         assert names_key(err, "optimizer.step") and not names_key(err, "optimizer.eta0")
         assert not out.exists()
 
-    # each value has one source, its config key: no flag overrides it
+    # each value has one source, its config key: no flag overrides it; and
+    # predict's --mu selects the theorem, so no --kind, and N takes no --c1
     @pytest.mark.parametrize("command,flag,value", [
         ("optimize", "--seed", "1"), ("ablate", "--seed", "1"),
         ("verify", "--seed", "1"), ("verify", "--trials", "1000"),
+        ("predict", "--kind", "sc"), ("predict", "--c1", "1"),
     ])
     def test_override_flag_exit2(self, tmp_path, capsys, command, flag, value):
-        cfg = write_config(tmp_path, BASE_CONFIG[command])
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out), flag, value]) == 2
+        argv = (PREDICT_SC if command == "predict" else
+                [command, "--config", write_config(tmp_path, BASE_CONFIG[command]),
+                 "--out", str(out)])
+        assert main(argv + [flag, value]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -909,7 +945,6 @@ MINIMAL_CONFIG = {
 
 #: a key set to a value it can take, under kinds that do not read it
 UNREAD = [
-    ("objective.curvature", "0.5", {"objective.kind": "quadratic"}),
     ("objective.mu", "1.0", {"objective.kind": "rosenbrock"}),
     ("objective.L", "10.0", {"objective.kind": "rosenbrock"}),
     ("objective.seed", "7", {"objective.kind": "rosenbrock"}),
@@ -965,7 +1000,7 @@ class TestUnreadKeys:
 
     def test_kind_keys_read_under_their_kind(self, tmp_path):
         text = with_values(MINIMAL_CONFIG["optimize"], {
-            "objective.kind": "rosenbrock", "objective.curvature": "0.5",
+            "objective.kind": "rosenbrock",
             "optimizer.step": "backtracking", "optimizer.eta0": "1.0",
             "optimizer.shrink": "0.5", "optimizer.max_tries": "3",
             "optimizer.alpha": "geometric", "optimizer.alpha0": "1e-3",

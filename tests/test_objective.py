@@ -205,6 +205,13 @@ class TestMakeRosenbrockLike:
         obj = make_rosenbrock_like(4)
         assert obj.L <= 1e4
 
+    def test_fixed_curvature(self):
+        # c = 0.5 is a constant of the objective, not a parameter
+        obj = make_rosenbrock_like(4)
+        assert (obj.L, obj.name) == (34.0, "rosenbrock_like(d=4,c=0.5)")
+        with pytest.raises(TypeError, match="curvature"):
+            make_rosenbrock_like(4, curvature=0.5)
+
     def test_recorded_L_dominates_sampled_curvature(self):
         # sampled directional second differences over the declared box
         # stay below the recorded smoothness constant

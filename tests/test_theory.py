@@ -159,46 +159,40 @@ class TestFloors:
 
 class TestPredictComplexity:
     @pytest.mark.parametrize("args,kw,expected", [
-        (("strongly_convex", 32, 10.0, 1e-6, 0.1), {"mu": 1.0},
+        ((32, 10.0, 1e-6, 0.1), {"mu": 1.0},
          (4421, 16, 70736, 1.4137073060393577e-06)),
-        (("nonconvex", 32, 10.0, 1e-3, 0.1), {},
+        ((32, 10.0, 1e-3, 0.1), {},
          (320000, 20, 6400000, 1.5625e-08)),
         # T = 1: both clamps (max(T, 2) and the inner max(., 2)) bind, N = 4
-        (("strongly_convex", 1, 1.0, 0.5, 0.5), {"mu": 1.0},
+        ((1, 1.0, 0.5, 0.5), {"mu": 1.0},
          (1, 4, 4, 0.125)),
-        (("strongly_convex", 32, 10.0, 1e-6, 0.1), {"mu": 1.0, "c1": 3.0},
-         (4421, 40, 176840, 5.654829224157431e-07)),
-        (("nonconvex", 100, 2.0, 1e-2, 1e-3), {"c1": 3.0},
-         (20000, 60, 1200000, 8.333333333333334e-10)),
-    ], ids=["sc", "nc", "tiny_t", "sc_c1_3", "nc_c1_3"])
+    ], ids=["sc", "nc", "tiny_t"])
     def test_frozen_values(self, args, kw, expected):
         pred = predict_complexity(*args, **kw)
         assert (pred.t, pred.n, pred.q, pred.delta) == expected
 
     def test_doubling_d_doubles_t(self):
-        small = predict_complexity("strongly_convex", 32, 10.0, 1e-6, 0.1, mu=1.0)
-        big = predict_complexity("strongly_convex", 64, 10.0, 1e-6, 0.1, mu=1.0)
+        small = predict_complexity(32, 10.0, 1e-6, 0.1, mu=1.0)
+        big = predict_complexity(64, 10.0, 1e-6, 0.1, mu=1.0)
         assert big.t / small.t == pytest.approx(2.0, rel=1e-3)
 
     def test_halving_eps_doubles_nonconvex_t(self):
-        coarse = predict_complexity("nonconvex", 32, 10.0, 1e-3, 0.1)
-        fine = predict_complexity("nonconvex", 32, 10.0, 5e-4, 0.1)
+        coarse = predict_complexity(32, 10.0, 1e-3, 0.1)
+        fine = predict_complexity(32, 10.0, 5e-4, 0.1)
         assert fine.t / coarse.t == pytest.approx(2.0, rel=1e-3)
 
     def test_self_consistency(self):
-        pred = predict_complexity("strongly_convex", 32, 10.0, 1e-6, 0.1,
-                                  mu=1.0, c1=1.0)
+        pred = predict_complexity(32, 10.0, 1e-6, 0.1, mu=1.0)
         assert pred.q == pred.t * pred.n
         assert pred.t > 0 and pred.n >= 4 and pred.n % 4 == 0
         assert 0 < pred.delta < 1
 
     def test_invalid_inputs(self):
+        for mu in (0.0, -1.0, 20.0):
+            with pytest.raises(ValueError, match=r"mu must lie in \(0, L\]"):
+                predict_complexity(32, 10.0, 1e-6, 0.1, mu=mu)
         with pytest.raises(ValueError):
-            predict_complexity("convex", 32, 10.0, 1e-6, 0.1)
-        with pytest.raises(ValueError):
-            predict_complexity("strongly_convex", 32, 10.0, 1e-6, 0.1, mu=None)
-        with pytest.raises(ValueError):
-            predict_complexity("nonconvex", 32, 10.0, 2.0, 0.1)
+            predict_complexity(32, 10.0, 2.0, 0.1)
 
 
     @pytest.mark.parametrize("kwargs,message", [

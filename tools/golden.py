@@ -64,9 +64,9 @@ verify.trials_appendix = 1000
 """
 
 PREDICT = {
-    "predict_sc": ["--kind", "sc", "--d", "32", "--L", "10", "--mu", "1",
+    "predict_sc": ["--d", "32", "--L", "10", "--mu", "1",
                    "--eps", "1e-6", "--alpha", "1e-4"],
-    "predict_nc": ["--kind", "nc", "--d", "32", "--L", "10", "--eps", "1e-3"],
+    "predict_nc": ["--d", "32", "--L", "10", "--eps", "1e-3"],
 }
 
 
