@@ -16,7 +16,6 @@ are strict JSON, with non-finite values written as ``null``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -266,8 +265,6 @@ def cmd_optimize(args) -> int:
         _write_run(args.out, exc.trace, "failed")
         raise
     _write_run(args.out, trace, "ok")
-    if args.verbose:
-        print(f"final_gap={trace.final_gap!r} total_queries={trace.total_queries}")
     return 0
 
 
@@ -276,19 +273,19 @@ def _write_run(out: str, trace: RunTrace, status: str) -> None:
     write_json(os.path.join(out, "summary.json"), {**trace.summary(), "status": status})
 
 
-def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, int]]:
+def _verify_reports(cfg: Dict[str, str]) -> List[Tuple[EventCheckReport, int]]:
     """Run the requested checks; each report comes with its wall ms.
 
     Inputs are checked before the first check runs, so a value no check
-    can run with is a config error; ``verify.alpha_scale > 1`` is the
-    negative control and fails the checks instead.
+    can run with is a config error.  That includes a
+    ``verify.alpha_scale`` that puts a requested E1, E4 or E5 outside the
+    quartile-event regime bound (:func:`theory.event_precondition_errors`).
 
-    The requested events E1..E5 whose preconditions hold run as one
-    shared Monte-Carlo pass on the first check's stream (seed + 101);
-    the pass's wall ms goes to the first of them and the others get 0.
-    Each appendix check draws from its own stream.  The pass and the
-    appendix checks run concurrently, so their wall ms overlap; every
-    report is the same as in a serial run.
+    The requested events E1..E5 run as one shared Monte-Carlo pass on
+    the first check's stream (seed + 101); the pass's wall ms goes to the
+    first of them and the others get 0.  Each appendix check draws from
+    its own stream.  The pass and the appendix checks run concurrently,
+    so their wall ms overlap; every report is the same as in a serial run.
     """
     events_text = _get(cfg, "verify.events", str, "all")
     names = _entries("verify.events", list(ALL_CHECKS) if events_text == "all"
@@ -324,38 +321,27 @@ def _verify_reports(cfg: Dict[str, str], args) -> List[Tuple[EventCheckReport, i
     setup = EventSetup(obj=obj, x=x, alpha=alpha, n=n, delta=delta)
 
     events = [e for e in names if e in EVENT_IDS]
+    # the quadratic has grad and L and the state is random, so the regime
+    # bound is the one precondition that can fail here
     errors = event_precondition_errors(events, setup)
-    runnable = [e for e in events if e not in errors]
+    if errors:
+        event, reason = next(iter(errors.items()))
+        raise ConfigError(f"verify.alpha_scale: {event}: {reason}")
     # one unit of work per stream: the shared pass, then each appendix check
     units = []
-    if runnable:
-        units.append((check_events, runnable, setup, trials, new_generator(seed + 101)))
+    if events:
+        units.append((check_events, events, setup, trials, new_generator(seed + 101)))
     units += [(check_appendix_bounds, name, None, trials_appendix,
                new_generator(seed + 101 * (ALL_CHECKS.index(name) + 1)))
               for name in names if name in APPENDIX_IDS]
-    results = iter(_run_concurrently(units))
-    shared: Dict[str, EventCheckReport] = {}
-    if runnable:
-        pass_reports, pass_ms = next(results)
-        shared = dict(zip(runnable, pass_reports))
-
-    reports: List[Tuple[EventCheckReport, int]] = []
-    for name in names:
-        if name in errors:
-            # a violated checker precondition (e.g. alpha outside the
-            # regime bound) is reported as a failure, not a crash
-            reports.append((EventCheckReport(
-                event_id=name, trials=0, empirical_failure_rate=float("nan"),
-                theoretical_bound=float("nan"), passed=False,
-                params={"precondition_error": 1.0}), 0))
-            if args.verbose:
-                print(f"{name}: precondition violated: {errors[name]}", file=sys.stderr)
-        elif name in shared:
-            reports.append((shared[name], pass_ms))
-            pass_ms = 0
-        else:
-            reports.append(next(results))
-    return reports
+    results = _run_concurrently(units)
+    placed: Dict[str, Tuple[EventCheckReport, int]] = {}
+    if events:
+        pass_reports, pass_ms = results.pop(0)
+        placed.update((r.event_id, (r, 0 if i else pass_ms))
+                      for i, r in enumerate(pass_reports))
+    placed.update((r.event_id, (r, wall_ms)) for r, wall_ms in results)
+    return [placed[name] for name in names]
 
 
 def _run_concurrently(units: list) -> List[tuple]:
@@ -383,7 +369,7 @@ def _run_concurrently(units: list) -> List[tuple]:
 
 def cmd_verify(args) -> int:
     cfg = _read_config(args)
-    reports = _verify_reports(cfg, args)
+    reports = _verify_reports(cfg)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "reports.csv"), REPORT_COLUMNS,
               [(r.event_id, r.params_string(), r.trials, r.empirical_failure_rate,
@@ -439,9 +425,7 @@ def _bench_grid(cfg: Dict[str, str]) -> ExperimentGrid:
 def cmd_bench(args) -> int:
     cfg = _read_config(args)
     grid = _bench_grid(cfg)
-    rows, summary = run_grid(grid, jobs=args.jobs, out_dir=args.out)
-    if args.verbose:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+    run_grid(grid, jobs=args.jobs, out_dir=args.out)
     return 0
 
 
@@ -460,12 +444,11 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     results = {"full": [], "positive_only": []}
 
-    def write_summary(status: str) -> dict:
+    def write_summary(status: str) -> None:
         med = {label: median_or_none(qs) for label, qs in results.items()}
         write_json(os.path.join(args.out, "ablate_summary.json"),
                    {"eps_rel": eps_rel, "seeds": seeds, "status": status,
                     "queries_to_target": results, "median": med})
-        return med
 
     for i, seed in enumerate(seeds):
         for label, pos in (("full", False), ("positive_only", True)):
@@ -480,20 +463,27 @@ def cmd_ablate(args) -> int:
             if i == 0:
                 trace.to_csv(os.path.join(args.out, f"trace_{label}.csv"))
             results[label].append(queries_to_target(trace, eps_rel))
-    med = write_summary("ok")
-    if args.verbose:
-        print(json.dumps(med, indent=2, sort_keys=True))
+    write_summary("ok")
     return 0
 
 
 def cmd_predict(args) -> int:
+    # the flags a value out of float range comes from: all but --alpha for
+    # the prediction, all for the alpha-floor terms
+    flags = ["--d", "--L"] + ["--mu"] * (args.mu is not None) + ["--eps", "--delta-prime"]
     try:
         pred = predict_complexity(args.d, args.L, args.eps, args.delta_prime,
                                   mu=args.mu)
+        flags.append("--alpha")
         floor_sc, floor_nc = floors(pred.n, args.d, pred.delta, args.L, args.alpha)
+        if not all(map(math.isfinite, (floor_sc, floor_nc))):  # a product overflowed
+            raise OverflowError
     except ParameterError as exc:
         # each library parameter is the flag of the same name
         raise ConfigError(f"--{exc.param.replace('_', '-')}: {exc}") from None
+    except OverflowError:
+        raise ConfigError(f"{', '.join(flags)}: a predicted value is out of float "
+                          "range") from None
     print(f"N = {pred.n}")
     print(f"T = {pred.t}")
     print(f"Q = {pred.q}")
@@ -524,7 +514,6 @@ def _finite_float(text: str) -> float:
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="config file path")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("-v", "--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:

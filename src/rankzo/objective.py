@@ -15,6 +15,7 @@ concurrent evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -167,7 +168,8 @@ def make_quadratic(d: int, mu: float = 1.0, L: float = 10.0, seed: int = 7) -> O
     and a log-uniform spectrum whose endpoints are pinned to exactly
     ``mu`` and ``L`` (for d >= 2), so the recorded smoothness and
     strong-convexity constants are exact.  ``x*`` is drawn from the same
-    seed; ``f_star = 0``.
+    seed; ``f_star = 0``.  Since ``f >= 0``, a value that overflows a
+    float (to ``-inf``, ``+inf`` or ``nan``) is returned as ``+inf``.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -188,14 +190,18 @@ def make_quadratic(d: int, mu: float = 1.0, L: float = 10.0, seed: int = 7) -> O
 
     def fn(x: Vector) -> float:
         z = x - x_star
-        return float(0.5 * z @ a @ z)
+        value = float(0.5 * z @ a @ z)
+        return value if math.isfinite(value) else math.inf
 
     def batch_fn(points: np.ndarray) -> np.ndarray:
         # one BLAS product and one m x d temporary beside z; points untouched
         z = points - x_star
         za = z @ a
         za *= z
-        return 0.5 * za.sum(axis=1)
+        values = 0.5 * za.sum(axis=1)
+        if not math.isfinite(values.sum()):  # one test while all are finite
+            values[~np.isfinite(values)] = np.inf
+        return values
 
     def grad(x: Vector) -> Vector:
         return a @ (x - x_star)

@@ -140,6 +140,16 @@ class TestMakeQuadratic:
             g = obj.grad(x)
             assert np.linalg.norm(fd - g) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e250, 1e300])
+    def test_overflow_is_plus_inf(self, scale):
+        # f >= 0, but 0.5 z'Az overflows to -inf, +inf or nan by sign pattern
+        obj = make_quadratic(32, 1.0, 10.0, seed=7)
+        points = scale * np.random.default_rng(0).standard_normal((200, 32))
+        assert np.all(evaluate_batch(obj, points) == np.inf)
+        assert all(evaluate(obj, p) == np.inf for p in points)
+
     def test_mu_greater_than_L_rejected(self):
         with pytest.raises(ValueError):
             make_quadratic(4, 10.0, 1.0, seed=0)

@@ -63,6 +63,13 @@ verify.trials = 1000
 verify.trials_appendix = 1000
 """
 
+#: the quartile events inside the regime bound, at half its radius
+VERIFY_BELOW_BOUND = """\
+verify.events = E1,E4,E5
+verify.trials = 1000
+verify.alpha_scale = 0.5
+"""
+
 PREDICT = {
     "predict_sc": ["--d", "32", "--L", "10", "--mu", "1",
                    "--eps", "1e-6", "--alpha", "1e-4"],
@@ -111,7 +118,8 @@ def main(argv) -> int:
     configs.mkdir()
     for name, text in (("backtracking_log.cfg", BACKTRACKING_LOG),
                        ("rosenbrock_blom.cfg", ROSENBROCK_BLOM),
-                       ("verify_reordered.cfg", VERIFY_REORDERED)):
+                       ("verify_reordered.cfg", VERIFY_REORDERED),
+                       ("verify_below_bound.cfg", VERIFY_BELOW_BOUND)):
         (configs / name).write_text(text)
 
     _cli(out / "optimize_quadratic", "optimize", "--config", str(CONFIGS / "quadratic.cfg"))
@@ -125,6 +133,8 @@ def main(argv) -> int:
     _cli(out / "verify_config", "verify", "--config", str(CONFIGS / "verify.cfg"))
     _cli(out / "verify_reordered", "verify",
          "--config", str(configs / "verify_reordered.cfg"))
+    _cli(out / "verify_below_bound", "verify",
+         "--config", str(configs / "verify_below_bound.cfg"))
     for name, flags in PREDICT.items():
         (out / f"{name}.txt").write_text(_run(["-m", "rankzo", "predict", *flags]))
     _strip_timing(out)
