@@ -369,72 +369,75 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
 
     Per iteration: f(x_t) (uncharged), early stop, gradient diagnostic,
     alpha, then ``update(x, f_x, g, alpha, rng, ledger)``, which returns
-    ``(x_new, alpha_used, eta)``.
+    ``(x_new, alpha_used, eta)``.  Overflow and invalid values raise no
+    numpy warning inside the run: every non-finite value it meets ends
+    it with an :class:`OptimizationError`.
     """
     if cfg.alpha.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented alpha needs an objective with grad and L")
-    started = time.perf_counter()
-    rng = new_generator(cfg.seed)
-    d = obj.dim
-    x = (np.array(cfg.x0, dtype=float) if cfg.x0 is not None
-         else rng.standard_normal(d))
-    if x.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        started = time.perf_counter()
+        rng = new_generator(cfg.seed)
+        d = obj.dim
+        x = (np.array(cfg.x0, dtype=float) if cfg.x0 is not None
+             else rng.standard_normal(d))
+        if x.shape != (d,):
+            raise ValueError(f"x0 must have shape ({d},)")
 
-    ledger = QueryLedger()
-    trace = RunTrace(scheme=scheme, seed=cfg.seed)
-    iterates = [x.copy()] if cfg.record_iterates else None
-    c_d = c_d_delta(d, cfg.delta) if cfg.alpha.kind == "instrumented" else None
-    f_star = obj.f_star
-    gap_target = None
+        ledger = QueryLedger()
+        trace = RunTrace(scheme=scheme, seed=cfg.seed)
+        iterates = [x.copy()] if cfg.record_iterates else None
+        c_d = c_d_delta(d, cfg.delta) if cfg.alpha.kind == "instrumented" else None
+        f_star = obj.f_star
+        gap_target = None
 
-    for t in range(cfg.iterations):
-        f_x = evaluate(obj, x)
-        if not math.isfinite(f_x):
-            # a diverged iterate: its -inf or nan gap must not pass the early stop
-            raise OptimizationError(
-                f"iteration {t} failed: non-finite objective value {f_x!r}",
-                _finalize(trace, x, obj, ledger, started, iterates))
-        gap = f_x - f_star if f_star is not None else float("nan")
-        if cfg.eps_target is not None and f_star is not None:
-            if gap_target is None:
-                gap_target = cfg.eps_target * gap
-            if gap <= gap_target:
-                break
-        if obj.grad is not None:
-            g = np.asarray(obj.grad(x), dtype=float)
-            gnorm = float(np.linalg.norm(g))
-        else:
-            g, gnorm = None, float("nan")
-
-        if cfg.alpha.kind == "instrumented":
-            if gnorm <= 0:
+        for t in range(cfg.iterations):
+            f_x = evaluate(obj, x)
+            if not math.isfinite(f_x):
+                # a diverged iterate: its -inf or nan gap must not pass the early stop
                 raise OptimizationError(
-                    f"at stationary point (iteration {t}): cannot set alpha",
+                    f"iteration {t} failed: non-finite objective value {f_x!r}",
                     _finalize(trace, x, obj, ledger, started, iterates))
-            alpha = instrumented_alpha(gnorm, obj.L, c_d, cfg.alpha.c)
-        elif cfg.alpha.kind == "geometric":
-            alpha = cfg.alpha.alpha0 * cfg.alpha.gamma**t
-        else:
-            alpha = cfg.alpha.alpha0
+            gap = f_x - f_star if f_star is not None else float("nan")
+            if cfg.eps_target is not None and f_star is not None:
+                if gap_target is None:
+                    gap_target = cfg.eps_target * gap
+                if gap <= gap_target:
+                    break
+            if obj.grad is not None:
+                g = np.asarray(obj.grad(x), dtype=float)
+                gnorm = float(np.linalg.norm(g))
+            else:
+                g, gnorm = None, float("nan")
 
-        try:
-            x, alpha_used, eta = update(x, f_x, g, alpha, rng, ledger)
-        except (ValueError, ArithmeticError) as exc:
-            raise OptimizationError(
-                f"iteration {t} failed: {exc}",
-                _finalize(trace, x, obj, ledger, started, iterates)) from exc
+            if cfg.alpha.kind == "instrumented":
+                if gnorm <= 0:
+                    raise OptimizationError(
+                        f"at stationary point (iteration {t}): cannot set alpha",
+                        _finalize(trace, x, obj, ledger, started, iterates))
+                alpha = instrumented_alpha(gnorm, obj.L, c_d, cfg.alpha.c)
+            elif cfg.alpha.kind == "geometric":
+                alpha = cfg.alpha.alpha0 * cfg.alpha.gamma**t
+            else:
+                alpha = cfg.alpha.alpha0
 
-        trace.record(t, f_x, gap, gnorm, alpha_used, eta, ledger.total_queries)
-        if iterates is not None:
-            iterates.append(x.copy())
+            try:
+                x, alpha_used, eta = update(x, f_x, g, alpha, rng, ledger)
+            except (ValueError, ArithmeticError) as exc:
+                raise OptimizationError(
+                    f"iteration {t} failed: {exc}",
+                    _finalize(trace, x, obj, ledger, started, iterates)) from exc
 
-    trace = _finalize(trace, x, obj, ledger, started, iterates)
-    if not math.isfinite(trace.final_f):
-        # the last update diverged; a -inf final gap must not count as reached
-        raise OptimizationError(f"iteration {cfg.iterations} failed: non-finite "
-                                f"objective value {trace.final_f!r}", trace)
-    return trace
+            trace.record(t, f_x, gap, gnorm, alpha_used, eta, ledger.total_queries)
+            if iterates is not None:
+                iterates.append(x.copy())
+
+        trace = _finalize(trace, x, obj, ledger, started, iterates)
+        if not math.isfinite(trace.final_f):
+            # the last update diverged; a -inf final gap must not count as reached
+            raise OptimizationError(f"iteration {cfg.iterations} failed: non-finite "
+                                    f"objective value {trace.final_f!r}", trace)
+        return trace
 
 
 def _instrumented_update(obj, cfg, sel, w_sel, c_nd, x, f_x, g, alpha, rng,

@@ -462,7 +462,11 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
       bound delta;  defaults d=100, delta=0.01.
     * ``spectral``:  failure s_max(A) > sqrt(n/2) + sqrt(d) + tau for a
       d x n/2 Gaussian matrix, bound 2 exp(-tau^2/2);
-      defaults n=16, d=100, tau=2.
+      defaults n=16, d=100, tau=2.  A is not drawn: its smaller Gram
+      matrix (k x k, k = min(d, n/2)) is Wishart, drawn as T T^T from
+      its Bartlett factor T (k chi-square and k(k-1)/2 normal values per
+      trial, on two streams split off ``rng``; 36 instead of 800 at the
+      defaults).
     * ``order_low1``: failure = the (n/4)-th largest of n standard
       normals is <= tau, bound exp(-n D(1/4 || 1-Phi(tau))); valid for
       1-Phi(tau) > 1/4, i.e. tau < Phi^{-1}(3/4); default tau=0, n=64.
@@ -472,7 +476,8 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
       tau=0, n=64.
 
     The trials run in draws of at most ``_DRAW_BUDGET`` values, as in
-    :func:`check_events`.
+    :func:`check_events` (``spectral`` counts the d x n/2 values of the
+    matrix it stands for).
     """
     if which not in APPENDIX_IDS:
         raise ValueError(f"unknown appendix check {which!r}")
@@ -502,7 +507,8 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         per_trial = n
 
         def fails(m):
-            return np.sum(np.max(np.abs(rng.standard_normal((m, n))), axis=1) > thr)
+            x = rng.standard_normal((m, n))
+            return np.sum(np.max(np.abs(x, out=x), axis=1) > thr)
 
         bound = delta
     elif which == "chi2":
@@ -522,11 +528,26 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         tau = float(p.setdefault("tau", 2.0))
         cols = n // 2
         thr = math.sqrt(cols) + math.sqrt(d) + tau
+        # budgeted as the d x cols matrix a trial stands for, which keeps
+        # the working set (the factor, its Gram matrix and eigvalsh's copy,
+        # k^2 values each) far inside the budget
         per_trial = d * cols
+        # one stream per variate family: both samplers reject, so
+        # interleaving them would make the values depend on the draw size
+        chi_rng, normal_rng = rng.spawn(2)
+        # s_max(A) = s_max(A^T): factor the smaller Gram matrix
+        k = min(d, cols)
+        diag = np.arange(k)
+        dof = max(d, cols) - diag
+        low_r, low_c = np.tril_indices(k, -1)
 
         def fails(m):
-            a = rng.standard_normal((m, d, cols))
-            gram = np.swapaxes(a, 1, 2) @ a
+            # Bartlett: the k x k Gram matrix is T T^T, T lower triangular
+            # with sqrt(chi^2(dof_i)) on the diagonal and N(0, 1) below it
+            t = np.zeros((m, k, k))
+            t[:, diag, diag] = np.sqrt(chi_rng.chisquare(dof, size=(m, k)))
+            t[:, low_r, low_c] = normal_rng.standard_normal((m, low_r.size))
+            gram = t @ np.swapaxes(t, 1, 2)
             return np.sum(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]) > thr)
 
         bound = 2.0 * math.exp(-tau**2 / 2.0)

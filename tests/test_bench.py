@@ -222,8 +222,7 @@ class TestRunGrid:
         assert len(summary["errors"]) == 1
         assert "bad" in summary["errors"][0]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_failing_cells_give_the_same_errors_in_parallel(self):
+    def test_failing_cells_give_the_same_errors_in_parallel(self, recwarn):
         grid = ExperimentGrid(cells=[diverging_cell(), tiny_grid().cells[0]],
                               seeds=[1, 2], eps_rel=1e-2)
         _, serial = run_grid(grid, jobs=1)
@@ -231,6 +230,8 @@ class TestRunGrid:
             "diverges/seed=1", "diverges/seed=2"]
         _, parallel = run_grid(grid, jobs=2)
         assert parallel["errors"] == serial["errors"]
+        # the diverging runs warn of no overflow
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_csv_output(self, tmp_path):
         run_grid(tiny_grid(seeds=(1,)), out_dir=str(tmp_path))

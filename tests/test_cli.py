@@ -239,12 +239,14 @@ class TestOptimize:
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["status"] == "ok"
 
-    def test_failed_run_keeps_partial_outputs(self, tmp_path, capsys):
+    def test_failed_run_keeps_partial_outputs(self, tmp_path, capsys, recwarn):
         cfg = write_config(tmp_path, FAILING_CONFIG)
         out = tmp_path / "out"
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 3
         assert ("iteration 1 failed: non-finite objective value"
                 in capsys.readouterr().err)
+        # the error is the only report of the overflow
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "t,f,fgap,gradnorm,alpha,eta,queries_cum"
         assert len(lines) == 2 and lines[1].startswith("0,")
@@ -479,10 +481,11 @@ class TestBench:
         assert "d8_k10_N8_uniform" in summary["cells"]
 
     # f(x_1) overflows, which make_quadratic reads as +inf; at T = 1 it is
-    # the final iterate's value
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # the final iterate's value.  The error is the only report: numpy
+    # warns of no overflow on the way.
     @pytest.mark.parametrize("iterations", ["50", "1"])
-    def test_diverged_runs_are_errors_not_reached(self, tmp_path, iterations):
+    def test_diverged_runs_are_errors_not_reached(self, tmp_path, recwarn,
+                                                  iterations):
         cfg = write_config(tmp_path, with_values(FAILING_CONFIG, {
             "optimizer.N": "8", "optimizer.T": iterations, "bench.seeds": "1,2",
             "bench.eps_rel": "1e-4"}).replace("objective.d", "bench.dims"))
@@ -496,6 +499,7 @@ class TestBench:
         assert summary["errors"] == [
             f"d8_k10_N8_uniform/seed={seed}: iteration 1 failed: "
             "non-finite objective value inf" for seed in (1, 2)]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("kappas", ["10,nan", "-inf"])
     def test_non_finite_kappa_exit2(self, tmp_path, capsys, kappas):

@@ -5,7 +5,9 @@ closed forms (independent of the implementation path under test).
 """
 
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,7 +410,8 @@ def _event_rows(reports):
              r.params_string()) for r in reports]
 
 
-# per check: parameters at which it sees failures, and the values one trial draws
+# per check: parameters at which it sees failures, and the values one trial
+# counts against the draw budget (spectral: the d x n/2 matrix it stands for)
 APPENDIX_DRAWS = {
     "chernoff": ({"n": 32, "p": 0.1, "r": 0.25}, 1),
     "gauss_max": (None, 32),
@@ -452,6 +455,32 @@ class TestDrawBudget:
         assert rng.random() == default_rng.random()
 
 
+class TestDrawMemory:
+    """No check holds much more than one draw's worth of values at once."""
+
+    @pytest.mark.parametrize("which", theory.APPENDIX_IDS)
+    def test_appendix_peak(self, which):
+        tracemalloc.start()
+        try:
+            check_appendix_bounds(which, None, 100_000, new_generator(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * theory._DRAW_BUDGET * 8, peak
+
+
+@functools.lru_cache(maxsize=None)
+def direct_spectral_norms(d, cols):
+    """s_max of 20,000 directly drawn d x cols Gaussian matrices, the
+    matrices ``spectral`` stands for."""
+    rng = new_generator(23)
+    norms = []
+    for _ in range(10):
+        a = rng.standard_normal((2000, d, cols))
+        norms.append(np.sqrt(np.linalg.eigvalsh(np.swapaxes(a, 1, 2) @ a)[:, -1]))
+    return np.concatenate(norms)
+
+
 class TestCheckAppendixBounds:
     def test_chernoff_zero_hits(self):
         report = check_appendix_bounds("chernoff", None, 10_000, new_generator(1))
@@ -482,6 +511,21 @@ class TestCheckAppendixBounds:
                                        5_000, new_generator(5))
         assert report.passed
         assert report.theoretical_bound == pytest.approx(2 * math.exp(-2), rel=1e-12)
+
+    # s_max tail rates ~0.9 / 0.5 / 0.1 at d = 100, n/2 = 8, and ~0.5 at
+    # d = 4 < n/2, where the check factors A A^T instead
+    @pytest.mark.parametrize("d,tau", [(100, -1.2), (100, -0.6), (100, 0.0),
+                                       (4, -0.8)])
+    def test_spectral_matches_direct_draw(self, d, tau):
+        norms = direct_spectral_norms(d, 8)
+        trials = norms.size
+        report = check_appendix_bounds("spectral", {"n": 16, "d": d, "tau": tau},
+                                       trials, new_generator(29))
+        direct = int(np.sum(norms > math.sqrt(8) + math.sqrt(d) + tau))
+        # two independent binomial counts: sigma of their difference
+        p = (report.failures + direct) / (2 * trials)
+        sigma = math.sqrt(2 * trials * p * (1 - p))
+        assert abs(report.failures - direct) <= 4 * sigma, (report.failures, direct)
 
     @pytest.mark.parametrize("which", ["order_low1", "order_low2"])
     def test_order_statistics(self, which):
