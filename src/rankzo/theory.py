@@ -78,10 +78,12 @@ P_TAIL_EXACT = 1.0 - _normal_cdf(2.0)
 #: fewest Monte-Carlo trials either checker accepts
 MIN_TRIALS = 1000
 
-#: most float64 values one Monte-Carlo draw may hold (~3 MB); every
-#: checker splits its trials into draws of at most this size, which leaves
-#: the stream, and so every report, unchanged
-_DRAW_BUDGET = 400_000
+#: most float64 values one Monte-Carlo draw may hold (800 KB, so a draw
+#: fits in a 1-2 MB L2 cache); every checker splits its trials into draws
+#: of at most this size, which leaves the stream, and so every report,
+#: unchanged.  The E1..E5 pass holds about 4 draws at once, an appendix
+#: check about one
+_DRAW_BUDGET = 100_000
 
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
 APPENDIX_IDS = ("chernoff", "gauss_max", "chi2", "spectral",
@@ -333,6 +335,13 @@ def event_precondition_errors(event_ids: Sequence[str],
     return _preconditions(event_ids, setup)[0]
 
 
+def _selected_smax2(u: np.ndarray, sel_idx: np.ndarray) -> np.ndarray:
+    """Squared spectral norm of each trial's selected directions; the
+    gathered rows are freed on return, before the next draw."""
+    u_sel = u[np.arange(len(u))[:, None], sel_idx]
+    return np.linalg.eigvalsh(u_sel @ np.swapaxes(u_sel, 1, 2))[:, -1]
+
+
 def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
                  rng: np.random.Generator) -> List[EventCheckReport]:
     """Simulate the per-iteration events in one shared experiment.
@@ -354,9 +363,11 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
       (bound exp(-n D(1/4 || 1-Phi(2)))).
 
     Trials run in chunks of at most ``_DRAW_BUDGET`` Gaussian values
-    (125 trials at n = 32, d = 100); each chunk makes one draw, one batch
+    (31 trials at n = 32, d = 100); each chunk makes one draw, one batch
     evaluation, one stable argsort and one ``u @ grad``, whatever the
-    requested events.  The draws do not depend on which
+    requested events, and holds about 4 draws' worth of values at once
+    while the objective evaluates (the directions, the probe points, and
+    the quadratic's ``z`` and ``z @ a``).  The draws do not depend on which
     events are requested, so an event's report for a given ``rng`` state
     is the same alone or in company.  Each estimate is unbiased; estimates of
     different events are correlated, and each passes or fails on its own.
@@ -408,7 +419,8 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
 
     for m in _chunks(trials, n * d):
         u = rng.standard_normal((m, n, d))
-        pts = x[None, None, :] + alpha * u
+        pts = alpha * u
+        pts += x
         fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
         perm = np.argsort(fv, axis=1, kind="stable")
         sel_idx = perm[:, sel]
@@ -419,10 +431,7 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
             rem = np.take_along_axis(fv, sel_idx, axis=1) - f_x - alpha * ip[:, sel]
             failures["E1"] += int(np.sum(np.any(np.abs(rem) > rem_max, axis=1)))
         if "E2" in failures:
-            u_sel = np.take_along_axis(u, sel_idx[:, :, None], axis=1)
-            gram = u_sel @ np.swapaxes(u_sel, 1, 2)
-            smax2 = np.linalg.eigvalsh(gram)[:, -1]
-            failures["E2"] += int(np.sum(smax2 > cn))
+            failures["E2"] += int(np.sum(_selected_smax2(u, sel_idx) > cn))
         if "E3" in failures:
             failures["E3"] += int(np.sum(np.max(np.abs(ip[:, sel]), axis=1) > thr_e3))
         if "E4" in failures:
@@ -478,6 +487,12 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
     The trials run in draws of at most ``_DRAW_BUDGET`` values, as in
     :func:`check_events` (``spectral`` counts the d x n/2 values of the
     matrix it stands for).
+
+    A size that is not an integer at least its least value raises
+    :class:`ParameterError` naming it, before anything is drawn:
+    ``n >= 1`` for chernoff and gauss_max,
+    ``n >= 4`` for order_low1/2, ``d >= 1`` for chi2, and ``n >= 2``,
+    ``d >= 1`` for spectral.
     """
     if which not in APPENDIX_IDS:
         raise ValueError(f"unknown appendix check {which!r}")
@@ -485,10 +500,17 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     p = dict(params or {})
 
+    def size(name, default, least):
+        value = p.setdefault(name, default)
+        if value != int(value) or value < least:
+            raise ParameterError(
+                name, f"{which}: {name} must be an integer >= {least}, got {value}")
+        return int(value)
+
     # each branch sets the values one trial draws and ``fails(m)``, the
     # failures among m fresh trials; the trials run in budgeted draws
     if which == "chernoff":
-        n = int(p.setdefault("n", 64))
+        n = size("n", 64, 1)
         prob = float(p.setdefault("p", P_TAIL_EXACT))
         r = float(p.setdefault("r", 0.25))
         if not (0 < prob < r < 1):
@@ -500,7 +522,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
 
         bound = math.exp(-n * kl_bernoulli(r, prob))
     elif which == "gauss_max":
-        n = int(p.setdefault("n", 32))
+        n = size("n", 32, 1)
         delta = float(p.setdefault("delta", 0.1))
         _check_delta(delta)
         thr = _gauss_max(n, delta)
@@ -512,7 +534,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
 
         bound = delta
     elif which == "chi2":
-        d = int(p.setdefault("d", 100))
+        d = size("d", 100, 1)
         delta = float(p.setdefault("delta", 0.01))
         _check_delta(delta)
         thr = 2.0 * d + 3.0 * math.log(1.0 / delta)
@@ -523,8 +545,8 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
 
         bound = delta
     elif which == "spectral":
-        n = int(p.setdefault("n", 16))
-        d = int(p.setdefault("d", 100))
+        n = size("n", 16, 2)      # at least one column
+        d = size("d", 100, 1)
         tau = float(p.setdefault("tau", 2.0))
         cols = n // 2
         thr = math.sqrt(cols) + math.sqrt(d) + tau
@@ -552,7 +574,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
 
         bound = 2.0 * math.exp(-tau**2 / 2.0)
     else:  # order_low1 / order_low2
-        n = int(p.setdefault("n", 64))
+        n = size("n", 64, 4)      # at least one value per quartile
         tau = float(p.setdefault("tau", 0.0))
         m_rank = n // 4
         q = m_rank / n

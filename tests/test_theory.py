@@ -468,6 +468,18 @@ class TestDrawMemory:
             tracemalloc.stop()
         assert peak <= 1.25 * theory._DRAW_BUDGET * 8, peak
 
+    def test_event_pass_peak(self):
+        # the directions, the probe points and the quadratic's z and z @ a:
+        # about 4 draws; one more half-size array breaks the bound
+        setup = quadratic_setup(n=32, d=100)
+        tracemalloc.start()
+        try:
+            check_events(EVENT_IDS, setup, 1000, new_generator(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * theory._DRAW_BUDGET * 8, peak
+
 
 @functools.lru_cache(maxsize=None)
 def direct_spectral_norms(d, cols):
@@ -554,8 +566,29 @@ class TestCheckAppendixBounds:
          "chernoff check needs 0 < p < r < 1"),
         ("chernoff", {"p": 0.1, "r": 1.0}, 1000,
          "chernoff check needs 0 < p < r < 1"),
-    ], ids=["trials", "p_above_r", "r_one"])
+        ("chernoff", {"n": 0}, 1000,
+         "chernoff: n must be an integer >= 1, got 0"),
+        ("gauss_max", {"n": 0}, 1000,
+         "gauss_max: n must be an integer >= 1, got 0"),
+        ("chi2", {"d": 0}, 1000, "chi2: d must be an integer >= 1, got 0"),
+        ("chi2", {"d": 2.7}, 1000, "chi2: d must be an integer >= 1, got 2.7"),
+        ("spectral", {"n": 1}, 1000,
+         "spectral: n must be an integer >= 2, got 1"),
+        ("spectral", {"d": 0}, 1000,
+         "spectral: d must be an integer >= 1, got 0"),
+        ("spectral", {"n": 16, "d": -3}, 1000,
+         "spectral: d must be an integer >= 1, got -3"),
+        ("order_low1", {"n": 3}, 1000,
+         "order_low1: n must be an integer >= 4, got 3"),
+        ("order_low2", {"n": 2}, 1000,
+         "order_low2: n must be an integer >= 4, got 2"),
+    ], ids=["trials", "p_above_r", "r_one", "chernoff_n", "gauss_max_n",
+            "chi2_d", "chi2_d_fraction", "spectral_n", "spectral_d_zero",
+            "spectral_d_negative", "order_low1_n", "order_low2_n"])
     def test_bad_inputs_rejected(self, which, params, trials, message):
+        rng = new_generator(0)
         with pytest.raises(ValueError) as exc:
-            check_appendix_bounds(which, params, trials, new_generator(0))
+            check_appendix_bounds(which, params, trials, rng)
         assert str(exc.value) == message
+        # rejected before anything is drawn
+        assert rng.random() == new_generator(0).random()
