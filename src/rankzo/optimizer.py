@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -311,7 +310,8 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     and resamples (charging the queries) for the instrumented/geometric
     alpha policies, up to ``MAX_REGIME_RETRIES`` samples; under a fixed
     alpha the iteration records a null step instead, which is what
-    produces the alpha-floor plateau.
+    produces the alpha-floor plateau.  A run that fails part-way raises
+    :class:`OptimizationError` with its partial trace (see :func:`_drive`).
     """
     if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented step needs an objective with grad and L")
@@ -323,7 +323,25 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     if cfg.step.kind == "instrumented":
         c_nd = c_N_d_delta(cfg.n, obj.dim, cfg.delta, cfg.positive_only)
-        update = partial(_instrumented_update, obj, cfg, sel, w_sel, c_nd)
+        retries = MAX_REGIME_RETRIES if cfg.alpha.kind != "fixed" else 1
+
+        def update(x, f_x, g, alpha, rng, ledger):
+            # every regime violation halves alpha and resamples; after the
+            # last one the step is null, at the alpha that sample used
+            for attempt in range(retries):
+                if attempt:
+                    alpha *= 0.5
+                u = sample_directions(rng, cfg.n, obj.dim)
+                perm, fvals = rank_oracle(obj, x, alpha, u, ledger)
+                idx = perm[sel]
+                u_sel = u[idx]
+                try:
+                    eta = instrumented_step_size(f_x, g, u_sel, fvals[idx], w_sel,
+                                                 alpha, obj.L, c_nd)
+                except StepRegimeError:
+                    continue
+                return x + eta * descent_direction(u_sel, w_sel), alpha, eta
+            return x, alpha, 0.0
     else:
         eta0, shrink = cfg.step.eta0, cfg.step.shrink
         eta_first = eta0
@@ -369,9 +387,13 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
 
     Per iteration: f(x_t) (uncharged), early stop, gradient diagnostic,
     alpha, then ``update(x, f_x, g, alpha, rng, ledger)``, which returns
-    ``(x_new, alpha_used, eta)``.  Overflow and invalid values raise no
-    numpy warning inside the run: every non-finite value it meets ends
-    it with an :class:`OptimizationError`.
+    ``(x_new, alpha_used, eta)``.  A failed run has one exit: every
+    ``ValueError`` or ``ArithmeticError`` an iteration meets (a non-finite
+    f(x_t), a stationary point under the instrumented alpha, an error
+    from ``fn``, ``grad`` or ``update``) ends it with an
+    :class:`OptimizationError` ``"iteration t failed: ..."`` whose trace
+    holds the rows before iteration t.  Overflow and invalid values raise
+    no numpy warning inside the run, and a non-finite final f fails too.
     """
     if cfg.alpha.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented alpha needs an objective with grad and L")
@@ -392,36 +414,29 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
         gap_target = None
 
         for t in range(cfg.iterations):
-            f_x = evaluate(obj, x)
-            if not math.isfinite(f_x):
-                # a diverged iterate: its -inf or nan gap must not pass the early stop
-                raise OptimizationError(
-                    f"iteration {t} failed: non-finite objective value {f_x!r}",
-                    _finalize(trace, x, obj, ledger, started, iterates))
-            gap = f_x - f_star if f_star is not None else float("nan")
-            if cfg.eps_target is not None and f_star is not None:
-                if gap_target is None:
-                    gap_target = cfg.eps_target * gap
-                if gap <= gap_target:
-                    break
-            if obj.grad is not None:
-                g = np.asarray(obj.grad(x), dtype=float)
-                gnorm = float(np.linalg.norm(g))
-            else:
-                g, gnorm = None, float("nan")
-
-            if cfg.alpha.kind == "instrumented":
-                if gnorm <= 0:
-                    raise OptimizationError(
-                        f"at stationary point (iteration {t}): cannot set alpha",
-                        _finalize(trace, x, obj, ledger, started, iterates))
-                alpha = instrumented_alpha(gnorm, obj.L, c_d, cfg.alpha.c)
-            elif cfg.alpha.kind == "geometric":
-                alpha = cfg.alpha.alpha0 * cfg.alpha.gamma**t
-            else:
-                alpha = cfg.alpha.alpha0
-
             try:
+                f_x = evaluate(obj, x)
+                if not math.isfinite(f_x):
+                    # a diverged iterate: its -inf or nan gap must not pass the early stop
+                    raise ValueError(f"non-finite objective value {f_x!r}")
+                gap = f_x - f_star if f_star is not None else float("nan")
+                if cfg.eps_target is not None and f_star is not None:
+                    if gap_target is None:
+                        gap_target = cfg.eps_target * gap
+                    if gap <= gap_target:
+                        break
+                if obj.grad is not None:
+                    g = np.asarray(obj.grad(x), dtype=float)
+                    gnorm = float(np.linalg.norm(g))
+                else:
+                    g, gnorm = None, float("nan")
+
+                if cfg.alpha.kind == "instrumented":
+                    alpha = instrumented_alpha(gnorm, obj.L, c_d, cfg.alpha.c)
+                elif cfg.alpha.kind == "geometric":
+                    alpha = cfg.alpha.alpha0 * cfg.alpha.gamma**t
+                else:
+                    alpha = cfg.alpha.alpha0
                 x, alpha_used, eta = update(x, f_x, g, alpha, rng, ledger)
             except (ValueError, ArithmeticError) as exc:
                 raise OptimizationError(
@@ -438,30 +453,6 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
             raise OptimizationError(f"iteration {cfg.iterations} failed: non-finite "
                                     f"objective value {trace.final_f!r}", trace)
         return trace
-
-
-def _instrumented_update(obj, cfg, sel, w_sel, c_nd, x, f_x, g, alpha, rng,
-                         ledger):
-    """One instrumented step; returns (x_new, alpha_used, eta).
-
-    Shrinks alpha and resamples on regime violations unless the alpha
-    policy is fixed, in which case the step is null.
-    """
-    retries = MAX_REGIME_RETRIES if cfg.alpha.kind != "fixed" else 1
-    for attempt in range(retries):
-        u = sample_directions(rng, cfg.n, obj.dim)
-        perm, fvals = rank_oracle(obj, x, alpha, u, ledger)
-        idx = perm[sel]
-        u_sel = u[idx]
-        try:
-            eta = instrumented_step_size(f_x, g, u_sel, fvals[idx], w_sel,
-                                         alpha, obj.L, c_nd)
-        except StepRegimeError:
-            if attempt == retries - 1:
-                return x, alpha, 0.0
-            alpha *= 0.5
-            continue
-        return x + eta * descent_direction(u_sel, w_sel), alpha, eta
 
 
 def _finalize(trace: RunTrace, x, obj, ledger, started, iterates) -> RunTrace:

@@ -255,23 +255,28 @@ class EventSetup:
 
 @dataclass(frozen=True)
 class EventCheckReport:
+    """One check's failure count; its rate and verdict follow from it."""
+
     event_id: str
     trials: int
-    empirical_failure_rate: float
     theoretical_bound: float
-    passed: bool
-    failures: int = 0
+    failures: int
     params: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def empirical_failure_rate(self) -> float:
+        return self.failures / self.trials
+
+    @property
+    def passed(self) -> bool:
+        """The empirical rate is within the bound plus 3 sigma of a
+        Bernoulli(min(bound, 1)) mean over ``trials``."""
+        b = min(self.theoretical_bound, 1.0)
+        tol = 3.0 * math.sqrt(b * (1.0 - b) / self.trials)
+        return self.empirical_failure_rate <= self.theoretical_bound + tol
 
     def params_string(self) -> str:
         return ";".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
-
-
-def _three_sigma_pass(failures: int, trials: int, bound: float) -> tuple[float, bool]:
-    emp = failures / trials
-    b = min(bound, 1.0)
-    tol = 3.0 * math.sqrt(b * (1.0 - b) / trials)
-    return emp, emp <= bound + tol
 
 
 def _chunks(trials: int, per_trial: int):
@@ -287,42 +292,6 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def _preconditions(event_ids: Sequence[str], setup: EventSetup
-                   ) -> tuple[Dict[str, str], Optional[np.ndarray], float]:
-    """Precondition failures by event id, and the gradient at ``setup.x``
-    with its norm (``None`` and nan when no requested event needs it or
-    the objective has none)."""
-    unknown = [e for e in event_ids if e not in EVENT_IDS]
-    if unknown:
-        raise ValueError(f"unknown event id {unknown[0]!r}")
-    obj = setup.obj
-    g, gn = None, float("nan")
-    if obj.grad is not None and any(e != "E2" for e in event_ids):
-        g = np.asarray(obj.grad(setup.x), dtype=float)
-        gn = float(np.linalg.norm(g))
-    errors: Dict[str, str] = {}
-    for e in event_ids:
-        if e == "E2":  # only ranks probes; no gradient needed
-            continue
-        if e == "E3":
-            if g is None:
-                errors[e] = "E3 needs an objective with a gradient"
-            elif gn <= 0:
-                errors[e] = "E3 needs a state with nonzero gradient"
-            continue
-        if g is None or obj.L is None:
-            errors[e] = "event check needs an objective with grad and L"
-        elif gn <= 0:
-            errors[e] = "event check needs a state with nonzero gradient"
-        else:
-            alpha_max = instrumented_alpha(gn, obj.L, c_d_delta(obj.dim, setup.delta))
-            if setup.alpha > alpha_max * (1.0 + 1e-12):
-                errors[e] = (
-                    f"alpha {setup.alpha:g} violates the quartile-event regime "
-                    f"bound {alpha_max:g} (grad-norm / (4 L C_d))")
-    return errors, g, gn
-
-
 def event_precondition_errors(event_ids: Sequence[str],
                               setup: EventSetup) -> Dict[str, str]:
     """Why each event in ``event_ids`` cannot be checked at ``setup``.
@@ -332,7 +301,33 @@ def event_precondition_errors(event_ids: Sequence[str],
     and ``setup.alpha`` within the ``||grad||/(4 L C_d)`` regime bound.
     Events that can be checked are absent from the result.
     """
-    return _preconditions(event_ids, setup)[0]
+    unknown = [e for e in event_ids if e not in EVENT_IDS]
+    if unknown:
+        raise ValueError(f"unknown event id {unknown[0]!r}")
+    obj = setup.obj
+    if obj.grad is not None and any(e != "E2" for e in event_ids):
+        gn = float(np.linalg.norm(np.asarray(obj.grad(setup.x), dtype=float)))
+    errors: Dict[str, str] = {}
+    for e in event_ids:
+        if e == "E2":  # only ranks probes; no gradient needed
+            continue
+        if e == "E3":
+            if obj.grad is None:
+                errors[e] = "E3 needs an objective with a gradient"
+            elif gn <= 0:
+                errors[e] = "E3 needs a state with nonzero gradient"
+            continue
+        if obj.grad is None or obj.L is None:
+            errors[e] = "event check needs an objective with grad and L"
+        elif gn <= 0:
+            errors[e] = "event check needs a state with nonzero gradient"
+        else:
+            alpha_max = instrumented_alpha(gn, obj.L, c_d_delta(obj.dim, setup.delta))
+            if setup.alpha > alpha_max * (1.0 + 1e-12):
+                errors[e] = (
+                    f"alpha {setup.alpha:g} violates the quartile-event regime "
+                    f"bound {alpha_max:g} (grad-norm / (4 L C_d))")
+    return errors
 
 
 def _selected_smax2(u: np.ndarray, sel_idx: np.ndarray) -> np.ndarray:
@@ -395,9 +390,13 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     _check_delta(delta)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    errors, g, gn = _preconditions(ids, setup)
+    errors = event_precondition_errors(ids, setup)
     if errors:
         raise ValueError(next(iter(errors.values())))
+    g, gn = None, float("nan")
+    if any(e != "E2" for e in ids):  # each has passed, so the objective has grad
+        g = np.asarray(obj.grad(setup.x), dtype=float)
+        gn = float(np.linalg.norm(g))
     d = obj.dim
     cd = c_d_delta(d, delta)
     failures = dict.fromkeys(ids, 0)
@@ -439,15 +438,10 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
         if "E5" in failures:
             failures["E5"] += int(np.sum(ip[:, n // 4 - 1] < -slack))
 
-    reports = []
-    for e in ids:
-        emp, ok = _three_sigma_pass(failures[e], trials, bounds[e])
-        reports.append(EventCheckReport(
-            event_id=e, trials=trials, empirical_failure_rate=emp,
-            theoretical_bound=bounds[e], passed=ok, failures=failures[e],
-            params={"n": n, "d": d, "delta": delta, "alpha": alpha,
-                    "grad_norm": float("nan") if e == "E2" else gn}))
-    return reports
+    return [EventCheckReport(
+        event_id=e, trials=trials, theoretical_bound=bounds[e], failures=failures[e],
+        params={"n": n, "d": d, "delta": delta, "alpha": alpha,
+                "grad_norm": float("nan") if e == "E2" else gn}) for e in ids]
 
 
 def check_event(event_id: str, setup: EventSetup, trials: int,
@@ -599,9 +593,6 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         bound = math.exp(-n * kl_bernoulli(q, prob))
 
     failures = sum(int(fails(m)) for m in _chunks(trials, per_trial))
-    emp, ok = _three_sigma_pass(failures, trials, bound)
-    return EventCheckReport(
-        event_id=which, trials=trials, empirical_failure_rate=emp,
-        theoretical_bound=bound, passed=ok, failures=failures, params=p,
-    )
+    return EventCheckReport(event_id=which, trials=trials, theoretical_bound=bound,
+                            failures=failures, params=p)
 

@@ -74,6 +74,7 @@ class TestBaselineValueZO:
         cfg = small_cfg(alpha=AlphaPolicy(), x0=obj.x_star.copy())
         with pytest.raises(OptimizationError) as err:
             baseline_value_zo(obj, cfg)
+        assert str(err.value) == "iteration 0 failed: at stationary point: gradient norm is zero"
         assert len(err.value.trace) == 0
 
 

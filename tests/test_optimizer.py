@@ -240,7 +240,32 @@ class TestRun:
         cfg = RunConfig(n=8, iterations=5, seed=0, x0=obj.x_star.copy())
         with pytest.raises(OptimizationError) as err:
             run(obj, cfg)
+        assert str(err.value) == "iteration 0 failed: at stationary point: gradient norm is zero"
         assert len(err.value.trace) == 0
+
+    @pytest.mark.parametrize("oracle", ["fn", "grad"])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_oracle_error_raises_with_trace(self, oracle, k):
+        """An error from the objective's own ``fn`` or ``grad`` at the top of
+        iteration k ends the run like any other failure: k rows kept."""
+        obj = make_quadratic(6, 1.0, 10.0, seed=3)
+        inner, calls = getattr(obj, oracle), []
+
+        def failing(x):
+            calls.append(1)
+            if len(calls) == k + 1:  # the (k+1)-th call evaluates x_k
+                raise ValueError(f"{oracle} oracle unavailable")
+            return inner(x)
+
+        cfg = RunConfig(n=8, iterations=10, seed=1,
+                        step=StepPolicy("fixed", eta0=0.02),
+                        alpha=AlphaPolicy("fixed", alpha0=1e-3))
+        with pytest.raises(OptimizationError) as err:
+            run(replace(obj, **{oracle: failing}), cfg)
+        assert str(err.value) == f"iteration {k} failed: {oracle} oracle unavailable"
+        assert isinstance(err.value.__cause__, ValueError)
+        assert len(err.value.trace) == k
+        assert err.value.trace.total_queries == 8 * k
 
     def test_descent_fraction_and_direction_correlation(self):
         # before the floor, most instrumented iterations decrease f and
@@ -528,9 +553,13 @@ class TestValidation:
         (Objective(dim=4, fn=lambda x: float(x @ x)),
          RunConfig(n=8, iterations=3, step=StepPolicy("fixed", eta0=0.1)),
          "instrumented alpha needs an objective with grad and L"),
+        (Objective(dim=4, fn=lambda x: float(x @ x)),
+         RunConfig(n=8, iterations=3, alpha=AlphaPolicy("fixed", alpha0=1e-3)),
+         "instrumented step needs an objective with grad and L"),
         (make_quadratic(6, 1.0, 10.0, seed=3),
          RunConfig(n=8, iterations=3, x0=np.zeros(5)), "x0 must have shape (6,)"),
-    ], ids=["instrumented_alpha_without_grad", "x0_shape"])
+    ], ids=["instrumented_alpha_without_grad", "instrumented_step_without_grad",
+            "x0_shape"])
     def test_run_rejected(self, obj, cfg, message):
         with pytest.raises(ValueError) as exc:
             run(obj, cfg)

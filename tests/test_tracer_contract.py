@@ -48,6 +48,16 @@ def tracer_module():
     return module
 
 
+#: spans each subcommand must fire, with their call counts: a call site
+#: that stops going through the module global it patches reads 0 here
+SPANS = {
+    "optimize": {"sampling.sample": 20, "optimizer.descent_direction": 20,
+                 "optimizer.instrumented_step": 20},
+    "bench": {"optimizer.line_search": 10},
+    "verify": {},
+}
+
+
 @pytest.mark.parametrize("command,config,runs", [
     ("optimize", OPTIMIZE, 1), ("bench", BENCH, 1), ("verify", VERIFY, 0),
 ], ids=["optimize", "bench", "verify"])
@@ -67,4 +77,5 @@ def test_each_subcommand_is_traced(tmp_path, tracer_module, command, config, run
     if runs:
         assert tracer.calls["sampling.rank_oracle"] > 0
         assert tracer.count["sampling.queries_charged"] > 0
+    assert {span: tracer.calls[span] for span in SPANS[command]} == SPANS[command]
 

@@ -11,7 +11,7 @@ stdout under ``OUT``.  Timing is stripped and nothing else: the
 ``results.csv`` and ``wall_ms=`` in ``rankzo verify`` stdout.  Two trees
 that behave the same therefore write byte-identical directories.  To
 check a change against its parent, copy this script into a checkout of
-the parent (for example a ``git worktree``), run it in both, and
+the parent (for example a ``git clone``), run it in both, and
 ``diff -r`` the two ``OUT`` directories.
 """
 
@@ -53,6 +53,17 @@ optimizer.eta0 = 0.02
 optimizer.alpha = fixed
 optimizer.alpha0 = 1e-3
 optimizer.seed = 3
+"""
+
+#: a fixed step so large that f(x_1) overflows: the run fails at iteration
+#: 1 and keeps its partial trace and a "failed" summary
+DIVERGING = """\
+objective.d = 8
+optimizer.N = 16
+optimizer.T = 50
+optimizer.step = fixed
+optimizer.eta0 = 1e300
+optimizer.alpha = fixed
 """
 
 #: a subset of the checks in an order unlike the suite's, so the rows
@@ -118,6 +129,7 @@ def main(argv) -> int:
     configs.mkdir()
     for name, text in (("backtracking_log.cfg", BACKTRACKING_LOG),
                        ("rosenbrock_blom.cfg", ROSENBROCK_BLOM),
+                       ("diverging.cfg", DIVERGING),
                        ("verify_reordered.cfg", VERIFY_REORDERED),
                        ("verify_below_bound.cfg", VERIFY_BELOW_BOUND)):
         (configs / name).write_text(text)
@@ -127,6 +139,7 @@ def main(argv) -> int:
          "--config", str(configs / "backtracking_log.cfg"))
     _cli(out / "optimize_rosenbrock_blom", "optimize",
          "--config", str(configs / "rosenbrock_blom.cfg"))
+    _cli(out / "optimize_diverging", "optimize", "--config", str(configs / "diverging.cfg"))
     _cli(out / "ablate_quadratic", "ablate", "--config", str(CONFIGS / "quadratic.cfg"))
     _cli(out / "bench", "bench", "--config", str(CONFIGS / "bench.cfg"))
     _cli(out / "verify_defaults", "verify")
