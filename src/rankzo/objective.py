@@ -7,8 +7,10 @@ order Taylor remainder satisfies ``|remainder(y, x)| <= (L/2) ||y-x||^2``,
 a strong-convexity constant ``mu`` (lower bound ``remainder >= (mu/2)
 ||y-x||^2``), and the optimum ``(x_star, f_star)``.
 
-The optimizer itself only ever calls :func:`evaluate`; the rest of the
-fields feed the instrumented step-size/alpha rules and the event
+The optimizer itself only ever reads values: through :func:`evaluate`
+and :func:`evaluate_batch`, and through ``fn`` directly for the driver's
+f(x_t) on an iterate whose shape it checked at the start.  The rest of
+the fields feed the instrumented step-size/alpha rules and the event
 checkers.  Objectives are immutable after construction and safe for
 concurrent evaluation.
 """
@@ -188,23 +190,25 @@ def make_quadratic(d: int, mu: float = 1.0, L: float = 10.0, seed: int = 7) -> O
         a = 0.5 * (a + a.T)
     x_star = rng.standard_normal(d)
 
+    # ndarray.dot and np.add.reduce run the same BLAS and summation
+    # kernels as the @ and .sum they stand for, minus a layer of dispatch
     def fn(x: Vector) -> float:
         z = x - x_star
-        value = float(0.5 * z @ a @ z)
+        value = float((0.5 * z).dot(a).dot(z))
         return value if math.isfinite(value) else math.inf
 
     def batch_fn(points: np.ndarray) -> np.ndarray:
         # one BLAS product and one m x d temporary beside z; points untouched
         z = points - x_star
-        za = z @ a
+        za = z.dot(a)
         za *= z
-        values = 0.5 * za.sum(axis=1)
+        values = 0.5 * np.add.reduce(za, axis=1)
         if not math.isfinite(values.sum()):  # one test while all are finite
             values[~np.isfinite(values)] = np.inf
         return values
 
     def grad(x: Vector) -> Vector:
-        return a @ (x - x_star)
+        return a.dot(x - x_star)
 
     return Objective(
         dim=d, fn=fn, grad=grad, L=float(L), mu=float(mu),

@@ -232,15 +232,18 @@ def write_csv(path, columns, rows) -> None:
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_cell, row)) + "\n")
+        # plain floats and ints, most of a trace's cells, skip _csv_cell's checks
+        fh.writelines(",".join([repr(v) if v.__class__ is float
+                                else str(v) if v.__class__ is int
+                                else _csv_cell(v) for v in row]) + "\n"
+                      for row in rows)
 
 
 def descent_direction(u_sel: np.ndarray, w_sel: np.ndarray) -> np.ndarray:
     """Signed weighted combination ``w_sel @ u_sel`` of the selected
     directions; row k of ``u_sel`` is the direction at the k-th selected
     rank and ``w_sel`` its signed weight (``weights_by_name``)."""
-    return w_sel @ u_sel
+    return w_sel.dot(u_sel)
 
 
 def instrumented_step_size(f_x: float, grad: np.ndarray, u_sel: np.ndarray,
@@ -259,26 +262,31 @@ def instrumented_step_size(f_x: float, grad: np.ndarray, u_sel: np.ndarray,
     ``f_sel`` and ``w_sel`` are the directions, probe values and signed
     weights at the selected ranks, in the same order.
     """
-    ip = u_sel @ np.asarray(grad, dtype=float)
+    ip = u_sel.dot(grad)
     fdiff_rate = (f_x - f_sel) / alpha
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = ip**2 / (2.0 * L * c_nd * w_sel) / fdiff_rate
-    if not np.all(np.isfinite(terms)) or np.any(terms <= 0.0):
+    lo = terms.min()
+    # a nan term makes both the min and the max nan, and fails either test
+    if not (lo > 0.0 and terms.max() < math.inf):
         raise StepRegimeError("step-size regime violated: nonpositive term "
                               "(alpha too large or degenerate sample)")
-    return float(terms.min())
+    return float(lo)
 
 
 def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
                    policy: StepPolicy, ledger: QueryLedger, eta_first: float):
     """Rank-only update along ``direction``.
 
-    ``fixed``: unconditional step of eta0, no extra queries.
-    ``backtracking``: compare f(x + eta*direction) against f(x), two
-    charged evaluations per comparison, starting at ``eta_first`` and
-    shrinking eta until the first improvement; if no tried eta improves,
-    the move is rejected and x is returned unchanged (eta reported as
-    0).  :func:`run` warm-starts each search at
+    ``fixed``: unconditional step of eta0; no evaluation, no extra queries.
+    ``backtracking``: each try makes two charged :func:`evaluate` calls,
+    f(x) and then f(x + eta*direction), starting at ``eta_first`` and
+    shrinking eta until the first improvement, whose candidate point is
+    returned as it was evaluated; if none of the ``max_tries`` tries
+    improves, the move is rejected and x is returned unchanged (eta
+    reported as 0).  f(x) is evaluated again at every try, so the
+    comparison never rests on a value held over from the driver or from
+    an earlier try.  :func:`run` warm-starts each search at
     ``min(eta0, eta_prev / shrink)``, where ``eta_prev`` is the step the
     previous iteration accepted, and at ``eta0`` after a rejected move.
 
@@ -294,9 +302,9 @@ def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
         ledger.charge(2)
         extra += 2
         f_ref = evaluate(obj, x)
-        f_cand = evaluate(obj, x + eta * direction)
-        if f_cand < f_ref:
-            return x + eta * direction, eta, extra
+        x_cand = x + eta * direction
+        if evaluate(obj, x_cand) < f_ref:
+            return x_cand, eta, extra
         eta *= policy.shrink
     return x, 0.0, extra
 
@@ -317,12 +325,14 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         raise ValueError("instrumented step needs an objective with grad and L")
     # the selected ranks and their signed weights are fixed for the run;
     # the positive-only ablation keeps just the best quartile
-    k = cfg.n // 4 if cfg.positive_only else cfg.n // 2
-    sel = selected_ranks(cfg.n)[:k] - 1
-    w_sel = weights_by_name(cfg.scheme, cfg.n)[:k]
+    n, d = cfg.n, obj.dim
+    k = n // 4 if cfg.positive_only else n // 2
+    sel = selected_ranks(n)[:k] - 1
+    w_sel = weights_by_name(cfg.scheme, n)[:k]
 
     if cfg.step.kind == "instrumented":
-        c_nd = c_N_d_delta(cfg.n, obj.dim, cfg.delta, cfg.positive_only)
+        L = obj.L
+        c_nd = c_N_d_delta(n, d, cfg.delta, cfg.positive_only)
         retries = MAX_REGIME_RETRIES if cfg.alpha.kind != "fixed" else 1
 
         def update(x, f_x, g, alpha, rng, ledger):
@@ -331,27 +341,28 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             for attempt in range(retries):
                 if attempt:
                     alpha *= 0.5
-                u = sample_directions(rng, cfg.n, obj.dim)
+                u = sample_directions(rng, n, d)
                 perm, fvals = rank_oracle(obj, x, alpha, u, ledger)
                 idx = perm[sel]
-                u_sel = u[idx]
+                u_sel = u.take(idx, axis=0)
                 try:
                     eta = instrumented_step_size(f_x, g, u_sel, fvals[idx], w_sel,
-                                                 alpha, obj.L, c_nd)
+                                                 alpha, L, c_nd)
                 except StepRegimeError:
                     continue
                 return x + eta * descent_direction(u_sel, w_sel), alpha, eta
             return x, alpha, 0.0
     else:
-        eta0, shrink = cfg.step.eta0, cfg.step.shrink
+        step = cfg.step
+        eta0, shrink = step.eta0, step.shrink
         eta_first = eta0
 
         def update(x, f_x, g, alpha, rng, ledger):
             nonlocal eta_first
-            u = sample_directions(rng, cfg.n, obj.dim)
+            u = sample_directions(rng, n, d)
             perm, _ = rank_oracle(obj, x, alpha, u, ledger)
-            direction = descent_direction(u[perm[sel]], w_sel)
-            x_new, eta, _extra = practical_step(obj, x, direction, cfg.step,
+            direction = descent_direction(u.take(perm[sel], axis=0), w_sel)
+            x_new, eta, _extra = practical_step(obj, x, direction, step,
                                                 ledger, eta_first)
             # warm start: one step above the last accepted one, capped at eta0
             eta_first = min(eta0, eta / shrink) if eta > 0 else eta0
@@ -385,15 +396,26 @@ def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
 def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
     """The iteration loop shared by :func:`run` and :func:`baseline_value_zo`.
 
-    Per iteration: f(x_t) (uncharged), early stop, gradient diagnostic,
-    alpha, then ``update(x, f_x, g, alpha, rng, ledger)``, which returns
-    ``(x_new, alpha_used, eta)``.  A failed run has one exit: every
-    ``ValueError`` or ``ArithmeticError`` an iteration meets (a non-finite
-    f(x_t), a stationary point under the instrumented alpha, an error
-    from ``fn``, ``grad`` or ``update``) ends it with an
-    :class:`OptimizationError` ``"iteration t failed: ..."`` whose trace
-    holds the rows before iteration t.  Overflow and invalid values raise
-    no numpy warning inside the run, and a non-finite final f fails too.
+    Per iteration: f(x_t), one uncharged ``obj.fn`` call; the early stop;
+    ``obj.grad(x_t)`` and its norm when the objective has a gradient;
+    alpha; then ``update(x, f_x, g, alpha, rng, ledger)``, which returns
+    ``(x_new, alpha_used, eta)`` and makes every charged evaluation: one
+    n-row batch per sample in :func:`run` (up to ``MAX_REGIME_RETRIES``
+    samples under an instrumented step), plus two ``fn`` calls per
+    line-search try (:func:`practical_step`), or the one ``fn`` call of
+    :func:`baseline_value_zo`.  After the last iteration, or an early
+    stop, one more uncharged ``obj.fn`` call gives the final f.  The
+    driver calls ``obj.fn`` directly: the iterate's shape is checked once,
+    on the start point.
+
+    A failed run has one exit: every ``ValueError`` or ``ArithmeticError``
+    the loop meets (a non-finite f(x_t) or final f, a stationary point
+    under the instrumented alpha, an error from ``fn``, ``grad`` or
+    ``update``) ends it with an :class:`OptimizationError`
+    ``"iteration t failed: ..."`` whose trace holds the rows before
+    iteration t, with the failing iteration's f(x_t) as ``final_f``, or
+    nan if it computed none.  Overflow and invalid values raise no numpy
+    warning inside the run.
     """
     if cfg.alpha.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented alpha needs an objective with grad and L")
@@ -409,57 +431,59 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
         ledger = QueryLedger()
         trace = RunTrace(scheme=scheme, seed=cfg.seed)
         iterates = [x.copy()] if cfg.record_iterates else None
-        c_d = c_d_delta(d, cfg.delta) if cfg.alpha.kind == "instrumented" else None
-        f_star = obj.f_star
-        gap_target = None
+        fn, grad, f_star = obj.fn, obj.grad, obj.f_star
+        eps_target = cfg.eps_target if f_star is not None else None
+        alpha_kind, alpha0, gamma = cfg.alpha.kind, cfg.alpha.alpha0, cfg.alpha.gamma
+        if alpha_kind == "instrumented":
+            L, c_d, c = obj.L, c_d_delta(d, cfg.delta), cfg.alpha.c
+        g = gap_target = None
+        gap = gnorm = f_x = math.nan
 
-        for t in range(cfg.iterations):
-            try:
-                f_x = evaluate(obj, x)
+        try:
+            for t in range(cfg.iterations):
+                f_x = math.nan  # what a failure reports until fn gives f(x_t)
+                f_x = float(fn(x))
                 if not math.isfinite(f_x):
                     # a diverged iterate: its -inf or nan gap must not pass the early stop
                     raise ValueError(f"non-finite objective value {f_x!r}")
-                gap = f_x - f_star if f_star is not None else float("nan")
-                if cfg.eps_target is not None and f_star is not None:
-                    if gap_target is None:
-                        gap_target = cfg.eps_target * gap
-                    if gap <= gap_target:
-                        break
-                if obj.grad is not None:
-                    g = np.asarray(obj.grad(x), dtype=float)
-                    gnorm = float(np.linalg.norm(g))
-                else:
-                    g, gnorm = None, float("nan")
+                if f_star is not None:
+                    gap = f_x - f_star
+                    if eps_target is not None:
+                        if gap_target is None:
+                            gap_target = eps_target * gap
+                        if gap <= gap_target:
+                            break
+                if grad is not None:
+                    g = np.asarray(grad(x), dtype=float)
+                    # what np.linalg.norm computes for a vector, bit for bit
+                    gnorm = math.sqrt(g.dot(g))
 
-                if cfg.alpha.kind == "instrumented":
-                    alpha = instrumented_alpha(gnorm, obj.L, c_d, cfg.alpha.c)
-                elif cfg.alpha.kind == "geometric":
-                    alpha = cfg.alpha.alpha0 * cfg.alpha.gamma**t
+                if alpha_kind == "instrumented":
+                    alpha = instrumented_alpha(gnorm, L, c_d, c)
+                elif alpha_kind == "geometric":
+                    alpha = alpha0 * gamma**t
                 else:
-                    alpha = cfg.alpha.alpha0
+                    alpha = alpha0
                 x, alpha_used, eta = update(x, f_x, g, alpha, rng, ledger)
-            except (ValueError, ArithmeticError) as exc:
-                raise OptimizationError(
-                    f"iteration {t} failed: {exc}",
-                    _finalize(trace, x, obj, ledger, started, iterates)) from exc
-
-            trace.record(t, f_x, gap, gnorm, alpha_used, eta, ledger.total_queries)
-            if iterates is not None:
-                iterates.append(x.copy())
-
-        trace = _finalize(trace, x, obj, ledger, started, iterates)
-        if not math.isfinite(trace.final_f):
-            # the last update diverged; a -inf final gap must not count as reached
-            raise OptimizationError(f"iteration {cfg.iterations} failed: non-finite "
-                                    f"objective value {trace.final_f!r}", trace)
-        return trace
+                trace.record(t, f_x, gap, gnorm, alpha_used, eta, ledger.total_queries)
+                if iterates is not None:
+                    iterates.append(x.copy())
+            f_x = math.nan
+            f_x = float(fn(x))
+            if not math.isfinite(f_x):
+                # the last update diverged; a -inf final gap must not count as reached
+                raise ValueError(f"non-finite objective value {f_x!r}")
+        except (ValueError, ArithmeticError) as exc:
+            raise OptimizationError(
+                f"iteration {len(trace)} failed: {exc}",
+                _finalize(trace, x, f_x, obj, ledger, started, iterates)) from exc
+        return _finalize(trace, x, f_x, obj, ledger, started, iterates)
 
 
-def _finalize(trace: RunTrace, x, obj, ledger, started, iterates) -> RunTrace:
+def _finalize(trace: RunTrace, x, f_final, obj, ledger, started, iterates) -> RunTrace:
     trace.final_x = x.copy()
-    trace.final_f = evaluate(obj, x)
-    trace.final_gap = (trace.final_f - obj.f_star
-                       if obj.f_star is not None else float("nan"))
+    trace.final_f = f_final
+    trace.final_gap = f_final - obj.f_star if obj.f_star is not None else math.nan
     trace.total_queries = ledger.total_queries
     trace.wall_ms = int(round((time.perf_counter() - started) * 1000))
     if iterates is not None:

@@ -15,6 +15,7 @@ instrumentation side channel for theory validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -91,14 +92,14 @@ def rank_oracle(obj: Objective, x: np.ndarray, alpha: float, u: np.ndarray,
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    x = np.asarray(x, dtype=float)
-    points = x[None, :] + alpha * u
-    fvals = evaluate_batch(obj, points)
+    fvals = evaluate_batch(obj, alpha * u + np.asarray(x, dtype=float))
     ledger.charge(len(u))
-    bad = np.flatnonzero(~np.isfinite(fvals))
-    if bad.size:
-        raise NonFiniteValueError(int(bad[0]), float(fvals[bad[0]]))
-    perm = np.argsort(fvals, kind="stable")
+    perm = fvals.argsort(kind="stable")
+    # the sort puts -inf first and +inf, then nan, last: the two ends are
+    # finite exactly when every value is
+    if perm.size and not (-math.inf < fvals[perm[0]] and fvals[perm[-1]] < math.inf):
+        bad = int(np.flatnonzero(~np.isfinite(fvals))[0])
+        raise NonFiniteValueError(bad, float(fvals[bad]))
     return perm, fvals
 
 

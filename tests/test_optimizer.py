@@ -1,12 +1,15 @@
 """Descent direction, step-size rules, the driver loop, and traces."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rankzo import optimizer
-from rankzo.objective import (MonotoneTransform, Objective, make_quadratic,
+from rankzo.objective import (MonotoneTransform, Objective, evaluate,
+                              evaluate_batch, make_quadratic,
                               wrap_monotone)
 from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               StepPolicy, StepRegimeError, baseline_value_zo,
@@ -102,6 +105,28 @@ class TestInstrumentedStepSize:
             instrumented_step_size(obj.fn(obj.x_star), obj.grad(obj.x_star),
                                    u_sel, f_sel, weights_by_name("uniform", 8),
                                    0.5, obj.L, c_N_d_delta(8, 6, 0.1))
+
+
+    @pytest.mark.parametrize("f_sel,grad,kind", [
+        ([-1.0, 1.0], [1.0, 0.0], "zero"),       # <grad, u> = 0 on the second row
+        ([1.0, -1.0], [1.0, 1.0], "negative"),   # both f-differences against their weight
+        ([-1.0, 0.0], [1.0, 0.0], "nan"),        # 0 / 0 on the second row
+        ([0.0, 1.0], [1.0, 1.0], "infinite"),    # a zero f-difference on the first row
+    ])
+    def test_bad_term_raises_without_warning(self, f_sel, grad, kind):
+        """Each kind of bad term is a regime violation, also when the call
+        comes from outside run(), where no error state is set for it."""
+        u_sel = np.array([[1.0, 0.0], [0.0, 1.0]])
+        w_sel = np.array([1.0, -1.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = (u_sel @ np.array(grad))**2 / (2.0 * w_sel) / (0.0 - np.array(f_sel))
+        assert {"zero": terms.min() == 0.0, "negative": terms.max() < 0.0,
+                "nan": np.isnan(terms).any(), "infinite": np.isinf(terms).any()}[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepRegimeError):
+                instrumented_step_size(0.0, np.array(grad), u_sel, np.array(f_sel),
+                                       w_sel, 1.0, 1.0, 1.0)
 
 
 class TestInstrumentedAlpha:
@@ -266,6 +291,56 @@ class TestRun:
         assert isinstance(err.value.__cause__, ValueError)
         assert len(err.value.trace) == k
         assert err.value.trace.total_queries == 8 * k
+
+    @pytest.mark.parametrize("iterations", [10, 3], ids=["in_loop", "final_f"])
+    def test_fn_that_keeps_raising_keeps_the_trace(self, iterations):
+        """An ``fn`` that raises from its 4th call on fails at f(x_3): at the
+        top of iteration 3, or as the final f of a 3-iteration run.  Either
+        way the error carries the three rows before it, and the failed
+        run's final f is nan instead of another call to ``fn``."""
+        obj = make_quadratic(6, 1.0, 10.0, seed=3)
+        inner, calls = obj.fn, []
+
+        def failing(x):
+            calls.append(1)
+            if len(calls) >= 4:
+                raise ValueError("fn oracle unavailable")
+            return inner(x)
+
+        cfg = RunConfig(n=8, iterations=iterations, seed=1,
+                        step=StepPolicy("fixed", eta0=0.02),
+                        alpha=AlphaPolicy("fixed", alpha0=1e-3))
+        with pytest.raises(OptimizationError) as err:
+            run(replace(obj, fn=failing), cfg)
+        trace = err.value.trace
+        assert str(err.value) == "iteration 3 failed: fn oracle unavailable"
+        assert len(calls) == 4
+        assert trace.t == [0, 1, 2]
+        assert trace.queries_cum == [8, 16, 24] and trace.total_queries == 24
+        assert math.isnan(trace.final_f) and math.isnan(trace.final_gap)
+        np.testing.assert_array_equal(trace.final_x,
+                                      run(obj, replace(cfg, iterations=3)).final_x)
+
+    def test_failed_update_reports_the_iterations_f(self):
+        """An update that fails after f(x_t) was computed passes that value
+        through as the final f, without evaluating f again."""
+        obj = make_quadratic(6, 1.0, 10.0, seed=3)
+        fn_calls = []
+
+        def failing_batch(points):
+            raise ValueError("batch oracle unavailable")
+
+        def counted_fn(x):
+            fn_calls.append(1)
+            return obj.fn(x)
+
+        with pytest.raises(OptimizationError) as err:
+            run(replace(obj, fn=counted_fn, batch_fn=failing_batch),
+                RunConfig(n=8, iterations=5, seed=1))
+        trace = err.value.trace
+        assert str(err.value) == "iteration 0 failed: batch oracle unavailable"
+        assert len(trace) == 0 and len(fn_calls) == 1
+        assert trace.final_f == obj.fn(trace.final_x) == trace.final_gap
 
     def test_descent_fraction_and_direction_correlation(self):
         # before the floor, most instrumented iterations decrease f and
@@ -479,6 +554,117 @@ def counting_objective(obj):
         return batch_fn(points)
 
     return replace(obj, fn=counted_fn, batch_fn=counted_batch), counts
+
+
+def reference_run(obj, cfg, value_zo=False):
+    """:func:`run` (or :func:`baseline_value_zo` with ``value_zo``) written
+    out as one plain loop with the first implementation's formulas: the
+    norm from ``np.linalg.norm``, probes ``x[None, :] + alpha * u``, the
+    step-size terms under ``np.errstate`` and one ``evaluate`` pair per
+    line-search try.  Returns the trace rows, the final f and the query count.
+    """
+    n, d, L = cfg.n, obj.dim, obj.L
+    rng = new_generator(cfg.seed)
+    x = rng.standard_normal(d)
+    sel = selected_ranks(n)[:n // 2] - 1
+    w_sel = weights_by_name(cfg.scheme, n)[:n // 2]
+    c_d, c_nd = c_d_delta(d, cfg.delta), c_N_d_delta(n, d, cfg.delta)
+    step, alpha_policy = cfg.step, cfg.alpha
+    queries, rows, gap_target, eta_first = 0, [], None, step.eta0
+    for t in range(cfg.iterations):
+        f_x = evaluate(obj, x)
+        gap = f_x - obj.f_star
+        if cfg.eps_target is not None:
+            if gap_target is None:
+                gap_target = cfg.eps_target * gap
+            if gap <= gap_target:
+                break
+        g = obj.grad(x)
+        gnorm = float(np.linalg.norm(g))
+        if alpha_policy.kind == "instrumented":
+            alpha = alpha_policy.c * gnorm / (4.0 * L * c_d)
+        elif alpha_policy.kind == "geometric":
+            alpha = alpha_policy.alpha0 * alpha_policy.gamma**t
+        else:
+            alpha = alpha_policy.alpha0
+        if value_zo:
+            u = rng.standard_normal(d)
+            queries += 2
+            eta = 1.0 / (4.0 * (d + 4) * L)
+            x = x - eta * ((evaluate(obj, x + alpha * u) - f_x) / alpha * u)
+        elif step.kind == "instrumented":
+            eta = 0.0
+            for attempt in range(30 if alpha_policy.kind != "fixed" else 1):
+                if attempt:
+                    alpha *= 0.5
+                u = rng.standard_normal((n, d))
+                fvals = evaluate_batch(obj, x[None, :] + alpha * u)
+                queries += n
+                idx = np.argsort(fvals, kind="stable")[sel]
+                fdiff_rate = (f_x - fvals[idx]) / alpha
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    terms = (u[idx] @ g)**2 / (2.0 * L * c_nd * w_sel) / fdiff_rate
+                if np.all(np.isfinite(terms)) and not np.any(terms <= 0.0):
+                    eta = float(terms.min())
+                    x = x + eta * (w_sel @ u[idx])
+                    break
+        else:
+            u = rng.standard_normal((n, d))
+            fvals = evaluate_batch(obj, x[None, :] + alpha * u)
+            queries += n
+            direction = w_sel @ u[np.argsort(fvals, kind="stable")[sel]]
+            if step.kind == "fixed":
+                eta = step.eta0
+                x = x + eta * direction
+            else:
+                eta = eta_first
+                for _ in range(step.max_tries):
+                    queries += 2
+                    if evaluate(obj, x + eta * direction) < evaluate(obj, x):
+                        x = x + eta * direction
+                        break
+                    eta *= step.shrink
+                else:
+                    eta = 0.0
+                eta_first = min(step.eta0, eta / step.shrink) if eta > 0 else step.eta0
+        rows.append((t, f_x, gap, gnorm, alpha, eta, queries))
+    return rows, evaluate(obj, x), queries
+
+
+class TestBitIdentity:
+    """The driver against :func:`reference_run`, compared with ``==``: a
+    faster hot path must not move one bit of the trace."""
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(n=8, iterations=200, seed=0),
+        RunConfig(n=16, iterations=150, seed=2, scheme="log",
+                  step=StepPolicy("fixed", eta0=0.02), alpha=AlphaPolicy("fixed", alpha0=1e-3)),
+        RunConfig(n=16, iterations=400, seed=5, scheme="blom", eps_target=1e-3,
+                  step=StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=30),
+                  alpha=AlphaPolicy("geometric", alpha0=1e-2, gamma=0.99)),
+    ], ids=["instrumented", "fixed", "backtracking_early_stop"])
+    def test_run_matches_reference(self, cfg):
+        obj = make_quadratic(8, 1.0, 10.0, seed=7)
+        trace = run(obj, cfg)
+        self.assert_same(trace, *reference_run(obj, cfg))
+        per_row = np.diff(trace.queries_cum, prepend=0)
+        if cfg.step.kind == "instrumented":
+            assert (per_row > cfg.n).sum() >= 1  # at least one regime retry
+        if cfg.eps_target is not None:
+            assert len(trace) < cfg.iterations
+
+    def test_value_baseline_matches_reference(self):
+        obj = make_quadratic(8, 1.0, 10.0, seed=7)
+        cfg = RunConfig(n=8, iterations=300, seed=4)
+        self.assert_same(baseline_value_zo(obj, cfg), *reference_run(obj, cfg, value_zo=True))
+
+    @staticmethod
+    def assert_same(trace, rows, final_f, queries):
+        assert len(rows) > 0
+        for name, column in zip(optimizer.TRACE_COLUMNS, zip(*rows)):
+            assert getattr(trace, name) == list(column), name
+        assert trace.final_f == final_f
+        assert trace.total_queries == queries
 
 
 class TestQueryLedgerAudit:

@@ -1,5 +1,8 @@
 """Direction sampling, the rank oracle, and query accounting."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,37 @@ class TestRankOracle:
         with pytest.raises(NonFiniteValueError) as err:
             rank_oracle(obj, np.zeros(1), 1.0, batch, QueryLedger())
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad_rows", [[0], [5], [7], [3, 6]],
+                             ids=["first", "middle", "last", "two"])
+    def test_non_finite_value_reports_first_bad_row(self, value, bad_rows):
+        """Any nan or infinity fails the batch, wherever the sort puts it,
+        and the error names the lowest bad row and its value, warning-free."""
+        values = np.linspace(-1.0, 1.0, 8)
+        values[bad_rows] = value
+        obj = Objective(dim=2, fn=lambda x: 0.0, batch_fn=lambda points: values.copy())
+        ledger = QueryLedger()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError) as err:
+                rank_oracle(obj, np.zeros(2), 0.5, np.ones((8, 2)), ledger)
+        assert err.value.index == bad_rows[0]
+        assert math.isnan(err.value.value) if math.isnan(value) else err.value.value == value
+        assert ledger.total_queries == 8
+
+    def test_finite_values_beyond_the_float_range_in_sum(self):
+        """Finite values whose sum overflows are still finite: ranked, not
+        rejected, and no overflow warning."""
+        # numpy's pairwise sum adds neighbours first: inf + -inf, then nan
+        values = np.array([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0, 0.0, -1.0, 2.0])
+        obj = Objective(dim=2, fn=lambda x: 0.0, batch_fn=lambda points: values.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            perm, fvals = rank_oracle(obj, np.zeros(2), 0.5, np.ones((8, 2)), QueryLedger())
+        np.testing.assert_array_equal(perm, [2, 3, 6, 5, 4, 7, 0, 1])
+        np.testing.assert_array_equal(fvals, values)
 
     def test_nonpositive_alpha_rejected(self):
         batch = batch_from_rows([[1.0], [2.0], [3.0], [4.0]])

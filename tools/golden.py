@@ -1,31 +1,38 @@
-"""Write the golden outputs of this checkout into a directory.
+"""Write the golden outputs of this checkout, or compare them with a revision's.
 
 Usage::
 
     python3 tools/golden.py OUT
+    python3 tools/golden.py --against REV
 
 Runs the six demos and the ``rankzo`` CLI on fixed inputs, importing
-rankzo from this checkout's ``src/``, and writes every output file and
+rankzo from the tree's own ``src/``, and writes every output file and
 stdout under ``OUT``.  Timing is stripped and nothing else: the
 ``wall_ms`` entry of each summary, the ``wall_ms`` column of
 ``results.csv`` and ``wall_ms=`` in ``rankzo verify`` stdout.  Two trees
-that behave the same therefore write byte-identical directories.  To
-check a change against its parent, copy this script into a checkout of
-the parent (for example a ``git clone``), run it in both, and
-``diff -r`` the two ``OUT`` directories.
+that behave the same therefore write byte-identical directories.
+
+``--against REV`` exports the git revision ``REV`` (for example
+``HEAD~1``) with ``git archive`` into a temporary directory, writes the
+golden outputs of that tree and of this checkout's working tree, both
+from the fixed inputs of this script, and prints ``diff -r`` of the two.
+It exits 0 when they are byte-identical, 1 when they differ and 2 when
+``REV`` cannot be exported.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = ROOT / "demos" / "configs"
 
 #: backtracking with log weights, a geometric alpha and an early stop
 BACKTRACKING_LOG = """\
@@ -88,17 +95,17 @@ PREDICT = {
 }
 
 
-def _run(argv) -> str:
-    """Run ``argv`` against this checkout; return stdout plus the exit code."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+def _run(tree: Path, argv) -> str:
+    """Run ``argv`` against ``tree``; return stdout plus the exit code."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
     return f"{done.stdout}exit={done.returncode}\n"
 
 
-def _cli(out: Path, command: str, *argv: str) -> None:
+def _cli(tree: Path, out: Path, command: str, *argv: str) -> None:
     out.mkdir(parents=True)
-    stdout = _run(["-m", "rankzo", command, *argv, "--out", str(out)])
+    stdout = _run(tree, ["-m", "rankzo", command, *argv, "--out", str(out)])
     # verify prints each check's wall time; everything else must repeat
     (out / "stdout.txt").write_text(re.sub(r" wall_ms=\d+", "", stdout))
 
@@ -114,16 +121,14 @@ def _strip_timing(out: Path) -> None:
         path.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+def write_golden(tree: Path, out: Path) -> None:
+    """Write the golden outputs of the source tree ``tree`` under ``out``."""
     out.mkdir(parents=True, exist_ok=False)
+    shipped = tree / "demos" / "configs"
 
     (out / "demos").mkdir()
-    for demo in sorted((ROOT / "demos").glob("[0-9]*.py")):
-        (out / "demos" / f"{demo.stem}.txt").write_text(_run([str(demo)]))
+    for demo in sorted((tree / "demos").glob("[0-9]*.py")):
+        (out / "demos" / f"{demo.stem}.txt").write_text(_run(tree, [str(demo)]))
 
     configs = out / "configs"
     configs.mkdir()
@@ -134,23 +139,57 @@ def main(argv) -> int:
                        ("verify_below_bound.cfg", VERIFY_BELOW_BOUND)):
         (configs / name).write_text(text)
 
-    _cli(out / "optimize_quadratic", "optimize", "--config", str(CONFIGS / "quadratic.cfg"))
-    _cli(out / "optimize_backtracking_log", "optimize",
+    _cli(tree, out / "optimize_quadratic", "optimize",
+         "--config", str(shipped / "quadratic.cfg"))
+    _cli(tree, out / "optimize_backtracking_log", "optimize",
          "--config", str(configs / "backtracking_log.cfg"))
-    _cli(out / "optimize_rosenbrock_blom", "optimize",
+    _cli(tree, out / "optimize_rosenbrock_blom", "optimize",
          "--config", str(configs / "rosenbrock_blom.cfg"))
-    _cli(out / "optimize_diverging", "optimize", "--config", str(configs / "diverging.cfg"))
-    _cli(out / "ablate_quadratic", "ablate", "--config", str(CONFIGS / "quadratic.cfg"))
-    _cli(out / "bench", "bench", "--config", str(CONFIGS / "bench.cfg"))
-    _cli(out / "verify_defaults", "verify")
-    _cli(out / "verify_config", "verify", "--config", str(CONFIGS / "verify.cfg"))
-    _cli(out / "verify_reordered", "verify",
+    _cli(tree, out / "optimize_diverging", "optimize",
+         "--config", str(configs / "diverging.cfg"))
+    _cli(tree, out / "ablate_quadratic", "ablate", "--config", str(shipped / "quadratic.cfg"))
+    _cli(tree, out / "bench", "bench", "--config", str(shipped / "bench.cfg"))
+    _cli(tree, out / "verify_defaults", "verify")
+    _cli(tree, out / "verify_config", "verify", "--config", str(shipped / "verify.cfg"))
+    _cli(tree, out / "verify_reordered", "verify",
          "--config", str(configs / "verify_reordered.cfg"))
-    _cli(out / "verify_below_bound", "verify",
+    _cli(tree, out / "verify_below_bound", "verify",
          "--config", str(configs / "verify_below_bound.cfg"))
     for name, flags in PREDICT.items():
-        (out / f"{name}.txt").write_text(_run(["-m", "rankzo", "predict", *flags]))
+        (out / f"{name}.txt").write_text(_run(tree, ["-m", "rankzo", "predict", *flags]))
     _strip_timing(out)
+
+
+def compare_against(rev: str) -> int:
+    """Diff the golden outputs of ``rev`` and of this checkout; 1 if they differ."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return 2
+    # the diff names its two sides <label>/ and checkout/
+    label = "rev-" + rev.replace("/", "_")
+    with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
+        work = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(work / "tree", filter="data")
+        write_golden(work / "tree", work / label)
+        write_golden(ROOT, work / "checkout")
+        done = subprocess.run(["diff", "-r", label, "checkout"],
+                              cwd=work, capture_output=True, text=True)
+    print(done.stdout, end="")
+    print(f"golden outputs of {rev} and this checkout: "
+          f"{'identical' if done.returncode == 0 else 'differ'}")
+    return 0 if done.returncode == 0 else 1
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--against":
+        return compare_against(argv[1])
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    write_golden(ROOT, Path(argv[0]).resolve())
     return 0
 
 
