@@ -81,8 +81,8 @@ MIN_TRIALS = 1000
 #: most float64 values one Monte-Carlo draw may hold (800 KB, so a draw
 #: fits in a 1-2 MB L2 cache); every checker splits its trials into draws
 #: of at most this size, which leaves the stream, and so every report,
-#: unchanged.  The E1..E5 pass holds about 4 draws at once, an appendix
-#: check about one
+#: unchanged.  The E1..E5 pass draws half of it at a time and holds about
+#: 2.5 budgets at once, an appendix check about one
 _DRAW_BUDGET = 100_000
 
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
@@ -330,11 +330,41 @@ def event_precondition_errors(event_ids: Sequence[str],
     return errors
 
 
-def _selected_smax2(u: np.ndarray, sel_idx: np.ndarray) -> np.ndarray:
-    """Squared spectral norm of each trial's selected directions; the
-    gathered rows are freed on return, before the next draw."""
+def _lmax(gram: np.ndarray, level: float) -> np.ndarray:
+    """Largest eigenvalue of each Gram matrix in the stack ``gram`` where
+    it may exceed ``level``, and an upper bound below ``level`` elsewhere.
+
+    For a symmetric G and a positive v, lambda_max(G) <= rho(|G|) <=
+    max_i (|G| v)_i / v_i (Perron-Frobenius and Collatz-Wielandt).  One
+    step from the row sums r = |G| 1 gives the bound b.  A zero row of |G|
+    is a zero row and column of G, a block with eigenvalue 0 of its own,
+    so it is left out of the maximum.  ``eigvalsh`` runs only on the
+    trials with b > level (1 - 1e-9), so each entry exceeds ``level``
+    exactly where ``eigvalsh``'s value would.  Proof that a screened entry
+    is not a changed verdict: b is a few sums of k nonnegative terms, so
+    its computed value is within ~3k ulps (about 1e-14 at k <= 16) of b;
+    ``eigvalsh`` is backward stable and a Gram matrix is positive
+    semidefinite, so its ||G|| is lambda_max and its computed lambda_max
+    is within ~1e-13 of it, relative; the product is symmetric to the
+    same order, though ``eigvalsh`` reads its lower triangle.  A screened
+    trial's ``eigvalsh`` value is then at most level (1 - 1e-9 + 1e-12),
+    below ``level`` and below any threshold whose square is ``level``.
+    """
+    a = np.abs(gram)
+    r = a.sum(axis=2)
+    ar = (a @ r[:, :, None])[:, :, 0]
+    bound = np.divide(ar, r, out=np.zeros_like(ar), where=r > 0).max(axis=1)
+    open_ = bound > level * (1.0 - 1e-9)
+    bound[open_] = np.linalg.eigvalsh(gram[open_])[:, -1]
+    return bound
+
+
+def _selected_smax2(u: np.ndarray, sel_idx: np.ndarray, level: float) -> np.ndarray:
+    """Squared spectral norm of each trial's selected directions where it
+    may exceed ``level`` (see :func:`_lmax`); the gathered rows are freed
+    on return, before the next draw."""
     u_sel = u[np.arange(len(u))[:, None], sel_idx]
-    return np.linalg.eigvalsh(u_sel @ np.swapaxes(u_sel, 1, 2))[:, -1]
+    return _lmax(u_sel @ np.swapaxes(u_sel, 1, 2), level)
 
 
 def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
@@ -357,16 +387,23 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
       ``<grad, u_(n/4)> >= -2||grad|| - 2 C_d L alpha``
       (bound exp(-n D(1/4 || 1-Phi(2)))).
 
-    Trials run in chunks of at most ``_DRAW_BUDGET`` Gaussian values
-    (31 trials at n = 32, d = 100); each chunk makes one draw, one batch
-    evaluation, one stable argsort and one ``u @ grad``, whatever the
-    requested events, and holds about 4 draws' worth of values at once
-    while the objective evaluates (the directions, the probe points, and
-    the quadratic's ``z`` and ``z @ a``).  The draws do not depend on which
-    events are requested, so an event's report for a given ``rng`` state
-    is the same alone or in company.  Each estimate is unbiased; estimates of
-    different events are correlated, and each passes or fails on its own.
-    One report comes back per requested id, in the order requested.
+    Trials run in chunks of at most half of ``_DRAW_BUDGET`` Gaussian
+    values (15 trials at n = 32, d = 100); each chunk makes one draw, one
+    batch evaluation, one stable argsort and one ``u @ grad``, whatever
+    the requested events.  The draws run on one drawer thread, which
+    draws chunk k+1 while chunk k is evaluated, ranked and tested; they
+    come off ``rng`` in order, and no draw is made past the last chunk,
+    so the values and the stream's final state are those of one draw.
+    The pass holds about 2.5 budgets at once while the objective
+    evaluates (the directions, the probe points, the quadratic's ``z``
+    and ``z @ a``, and the next chunk's directions).  E2 bounds each
+    trial's spectral norm from above first (see :func:`_lmax`) and runs
+    ``eigvalsh`` only where the bound does not decide the verdict.  The
+    draws do not depend on which events are requested, so an event's
+    report for a given ``rng`` state is the same alone or in company.
+    Each estimate is unbiased; estimates of different events are
+    correlated, and each passes or fails on its own.  One report comes
+    back per requested id, in the order requested.
 
     Note on E4/E5: the analysis states these quartile events as lower
     bounds |<grad, u_(k)>| >= ||grad|| on every selected direction, but
@@ -416,27 +453,37 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
         "E5": event_bound_E45(n),
     }
 
-    for m in _chunks(trials, n * d):
-        u = rng.standard_normal((m, n, d))
-        pts = alpha * u
-        pts += x
-        fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
-        perm = np.argsort(fv, axis=1, kind="stable")
-        sel_idx = perm[:, sel]
-        if g is not None:
-            # <grad, u> of every probe, in rank order
-            ip = np.take_along_axis(u @ g, perm, axis=1)
-        if "E1" in failures:
-            rem = np.take_along_axis(fv, sel_idx, axis=1) - f_x - alpha * ip[:, sel]
-            failures["E1"] += int(np.sum(np.any(np.abs(rem) > rem_max, axis=1)))
-        if "E2" in failures:
-            failures["E2"] += int(np.sum(_selected_smax2(u, sel_idx) > cn))
-        if "E3" in failures:
-            failures["E3"] += int(np.sum(np.max(np.abs(ip[:, sel]), axis=1) > thr_e3))
-        if "E4" in failures:
-            failures["E4"] += int(np.sum(ip[:, 3 * n // 4] > slack))
-        if "E5" in failures:
-            failures["E5"] += int(np.sum(ip[:, n // 4 - 1] < -slack))
+    # imported here, as in cli._run_concurrently, so importing rankzo.theory
+    # never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = list(_chunks(trials, 2 * n * d))    # draws of half the budget
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        pending = drawer.submit(rng.standard_normal, (sizes[0], n, d))
+        for following in sizes[1:] + [0]:
+            u = pending.result()
+            if following:   # drawn while this chunk is evaluated and tested
+                pending = drawer.submit(rng.standard_normal, (following, n, d))
+            m = len(u)
+            pts = alpha * u
+            pts += x
+            fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
+            perm = np.argsort(fv, axis=1, kind="stable")
+            sel_idx = perm[:, sel]
+            if g is not None:
+                # <grad, u> of every probe, in rank order
+                ip = np.take_along_axis(u @ g, perm, axis=1)
+            if "E1" in failures:
+                rem = np.take_along_axis(fv, sel_idx, axis=1) - f_x - alpha * ip[:, sel]
+                failures["E1"] += int(np.sum(np.any(np.abs(rem) > rem_max, axis=1)))
+            if "E2" in failures:
+                failures["E2"] += int(np.sum(_selected_smax2(u, sel_idx, cn) > cn))
+            if "E3" in failures:
+                failures["E3"] += int(np.sum(np.max(np.abs(ip[:, sel]), axis=1) > thr_e3))
+            if "E4" in failures:
+                failures["E4"] += int(np.sum(ip[:, 3 * n // 4] > slack))
+            if "E5" in failures:
+                failures["E5"] += int(np.sum(ip[:, n // 4 - 1] < -slack))
 
     return [EventCheckReport(
         event_id=e, trials=trials, theoretical_bound=bounds[e], failures=failures[e],
@@ -469,7 +516,8 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
       matrix (k x k, k = min(d, n/2)) is Wishart, drawn as T T^T from
       its Bartlett factor T (k chi-square and k(k-1)/2 normal values per
       trial, on two streams split off ``rng``; 36 instead of 800 at the
-      defaults).
+      defaults).  ``eigvalsh`` runs only on the trials whose cheap upper
+      bound on s_max^2 does not already decide them (see :func:`_lmax`).
     * ``order_low1``: failure = the (n/4)-th largest of n standard
       normals is <= tau, bound exp(-n D(1/4 || 1-Phi(tau))); valid for
       1-Phi(tau) > 1/4, i.e. tau < Phi^{-1}(3/4); default tau=0, n=64.
@@ -545,8 +593,8 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         cols = n // 2
         thr = math.sqrt(cols) + math.sqrt(d) + tau
         # budgeted as the d x cols matrix a trial stands for, which keeps
-        # the working set (the factor, its Gram matrix and eigvalsh's copy,
-        # k^2 values each) far inside the budget
+        # the working set (the factor, its Gram matrix, |G| and eigvalsh's
+        # copy, k^2 values each) far inside the budget
         per_trial = d * cols
         # one stream per variate family: both samplers reject, so
         # interleaving them would make the values depend on the draw size
@@ -556,6 +604,9 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         diag = np.arange(k)
         dof = max(d, cols) - diag
         low_r, low_c = np.tril_indices(k, -1)
+        # a trial fails where sqrt(lambda_max) > thr; below thr = 0 every
+        # nonzero Gram matrix does, so none may be screened out
+        level = max(thr, 0.0) ** 2
 
         def fails(m):
             # Bartlett: the k x k Gram matrix is T T^T, T lower triangular
@@ -564,7 +615,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
             t[:, diag, diag] = np.sqrt(chi_rng.chisquare(dof, size=(m, k)))
             t[:, low_r, low_c] = normal_rng.standard_normal((m, low_r.size))
             gram = t @ np.swapaxes(t, 1, 2)
-            return np.sum(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]) > thr)
+            return np.sum(np.sqrt(_lmax(gram, level)) > thr)
 
         bound = 2.0 * math.exp(-tau**2 / 2.0)
     else:  # order_low1 / order_low2
@@ -583,12 +634,13 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
                 "(tau below Phi^{-1}(3/4) resp. above Phi^{-1}(1/4))")
         per_trial = n
 
+        # the m-th largest is <= tau exactly when fewer than m values
+        # exceed tau, and the m-th smallest >= tau exactly when fewer than
+        # m fall below it: a count, with no sort
         def fails(m):
             x = rng.standard_normal((m, n))
-            x.sort(axis=1)
-            if which == "order_low1":
-                return np.sum(x[:, n - m_rank] <= tau)     # m-th largest
-            return np.sum(x[:, m_rank - 1] >= tau)         # m-th smallest
+            beyond = x > tau if which == "order_low1" else x < tau
+            return np.sum(np.count_nonzero(beyond, axis=1) < m_rank)
 
         bound = math.exp(-n * kl_bernoulli(q, prob))
 

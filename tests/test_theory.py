@@ -7,7 +7,9 @@ closed forms (independent of the implementation path under test).
 import dataclasses
 import functools
 import math
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +408,93 @@ class TestNegativeControls:
         (r,) = check_events(("E2",), quadratic_setup(), 1000, new_generator(3))
         assert r.empirical_failure_rate == 1.0 and not r.passed
 
+    def test_e2_screen_hides_no_failure(self, monkeypatch):
+        # at a spectral constant that ~1% of trials exceed, the screened
+        # count equals eigvalsh's on every trial of the same stream
+        setup = quadratic_setup(n=32, d=100)
+        screened_lmax, tops = theory._lmax, []
+
+        def eigvalsh_lmax(gram, level):
+            tops.append(np.linalg.eigvalsh(gram)[:, -1])
+            return tops[-1]
+
+        monkeypatch.setattr(theory, "_lmax", eigvalsh_lmax)
+        check_events(("E2",), setup, 2000, new_generator(31))
+        smax2 = np.concatenate(tops)
+        level = float(np.quantile(smax2, 0.99))
+        direct = int(np.sum(smax2 > level))
+        assert 10 <= direct <= 30
+        monkeypatch.setattr(theory, "c_N_d_delta", lambda n, d, delta: level)
+        (r,) = check_events(("E2",), setup, 2000, new_generator(31))
+        assert r.failures == direct
+        monkeypatch.setattr(theory, "_lmax", screened_lmax)
+        (r,) = check_events(("E2",), setup, 2000, new_generator(31))
+        assert r.failures == direct
+
+    def test_spectral_fails_below_every_norm(self):
+        # tau = -6: thr = sqrt(8) + 10 - 6 = 6.8, below the smallest s_max
+        # of a 100 x 8 Gaussian matrix (~ 10 - sqrt(8) = 7.2 and up)
+        r = check_appendix_bounds("spectral", {"tau": -6.0}, 1000, new_generator(3))
+        assert r.empirical_failure_rate == 1.0 and not r.passed
+
+
+def gram_stack(k, seed):
+    """40 Gram matrices A A^T of k x (k + 3) Gaussian A, then a rank-1
+    one, on which the bound is tight, and the zero matrix."""
+    rng = new_generator(seed)
+    a = rng.standard_normal((42, k, k + 3))
+    a[40] = np.outer(rng.standard_normal(k), rng.standard_normal(k + 3))
+    a[41] = 0.0
+    return a @ np.swapaxes(a, 1, 2)
+
+
+class TestSpectralScreen:
+    """``_lmax`` gives every verdict that ``eigvalsh`` gives."""
+
+    @pytest.mark.parametrize("k", [2, 8, 16])
+    def test_verdicts_match_eigvalsh_at_the_threshold(self, k):
+        gram = gram_stack(k, seed=k)
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in top:
+                # down to one ulp either side of eigvalsh's own value
+                for level in (lam * (1 - 1e-6), lam * (1 - 1e-12),
+                              np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf),
+                              lam * (1 + 1e-12), lam * (1 + 1e-6)):
+                    values = theory._lmax(gram, level)
+                    np.testing.assert_array_equal(values > level, top > level)
+                    if level >= 0:  # spectral compares sqrt(value) with thr
+                        thr = math.sqrt(level)
+                        np.testing.assert_array_equal(np.sqrt(values) > thr,
+                                                      np.sqrt(top) > thr)
+
+    @pytest.mark.parametrize("level,screened", [(1e9, 42), (0.0, 1), (-1.0, 0)],
+                             ids=["all_screened", "zero_screened", "none_screened"])
+    def test_eigvalsh_stack(self, monkeypatch, level, screened):
+        # every trial decided by the bound leaves eigvalsh an empty stack;
+        # at level 0 only the zero matrix, whose bound is 0, is decided,
+        # and below 0 none is
+        gram = gram_stack(8, seed=5)
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(stack):
+            sizes.append(len(stack))
+            return eigvalsh(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = theory._lmax(gram, level)
+        assert sizes == [42 - screened]
+        np.testing.assert_array_equal(values > level, top > level)
+        if screened == 42:
+            assert np.all(values < level)
+        else:
+            np.testing.assert_array_equal(values, top)
+
 
 def _event_rows(reports):
     # E2's grad_norm param is nan, so compare the printed params
@@ -437,7 +526,8 @@ class TestDrawBudget:
         setup = recorded_l_setup(n, delta, recorded_l)
         default_rng = new_generator(seed)
         default = check_events(EVENT_IDS, setup, trials, default_rng)
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", trials_per_draw * n * 20)
+        # the pass draws half the budget at a time
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", 2 * trials_per_draw * n * 20)
         rng = new_generator(seed)
         chunked = check_events(EVENT_IDS, setup, trials, rng)
         assert _event_rows(chunked) == _event_rows(default)
@@ -472,8 +562,9 @@ class TestDrawMemory:
         assert peak <= 1.25 * theory._DRAW_BUDGET * 8, peak
 
     def test_event_pass_peak(self):
-        # the directions, the probe points and the quadratic's z and z @ a:
-        # about 4 draws; one more half-size array breaks the bound
+        # the directions, the probe points, the quadratic's z and z @ a,
+        # and the next chunk's directions in flight, each half a budget:
+        # about 2.5 budgets; full-budget draws would hold about 5
         setup = quadratic_setup(n=32, d=100)
         tracemalloc.start()
         try:
@@ -481,7 +572,47 @@ class TestDrawMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * theory._DRAW_BUDGET * 8, peak
+        assert peak <= 3.0 * theory._DRAW_BUDGET * 8, peak
+
+
+def raising_on_call(obj, call=None, error=None):
+    """``obj`` whose ``batch_fn`` records the live thread count on each
+    call and raises ``error`` on its ``call``-th call."""
+    seen = []
+
+    def batch_fn(points):
+        seen.append(threading.active_count())
+        if len(seen) == call:
+            raise error
+        return obj.batch_fn(points)
+
+    return dataclasses.replace(obj, batch_fn=batch_fn), seen
+
+
+class TestDrawerThread:
+    """The pass's drawer thread is gone once ``check_events`` returns or
+    raises."""
+
+    def test_joined_after_return(self):
+        setup = quadratic_setup()
+        obj, seen = raising_on_call(setup.obj)
+        before = threading.active_count()
+        check_events(EVENT_IDS, dataclasses.replace(setup, obj=obj), 1000,
+                     new_generator(1))
+        assert len(seen) == 7 and max(seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_joined_after_objective_raises(self):
+        setup = quadratic_setup()
+        error = RuntimeError("simulator down")
+        obj, seen = raising_on_call(setup.obj, 3, error)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            check_events(EVENT_IDS, dataclasses.replace(setup, obj=obj), 1000,
+                         new_generator(1))
+        assert exc.value is error
+        assert len(seen) == 3
+        assert threading.active_count() == before
 
 
 @functools.lru_cache(maxsize=None)
@@ -549,6 +680,20 @@ class TestCheckAppendixBounds:
         assert report.passed
         assert report.theoretical_bound == pytest.approx(
             math.exp(-64 * kl_bernoulli(0.25, 0.5)), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("which", ["order_low1", "order_low2"])
+    def test_order_statistics_match_sorted_draw(self, which, tau):
+        # the count of failures is the one the sorted rows give on the
+        # same stream, drawn in one piece
+        report = check_appendix_bounds(which, {"n": 8, "tau": tau}, 5000,
+                                       new_generator(8))
+        x = np.sort(new_generator(8).standard_normal((5000, 8)), axis=1)
+        if which == "order_low1":
+            direct = np.sum(x[:, 8 - 2] <= tau)     # 2nd largest
+        else:
+            direct = np.sum(x[:, 2 - 1] >= tau)     # 2nd smallest
+        assert report.failures == direct > 0
 
     def test_order_invalid_regime_rejected(self):
         with pytest.raises(ValueError):
