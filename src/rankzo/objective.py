@@ -7,12 +7,11 @@ order Taylor remainder satisfies ``|remainder(y, x)| <= (L/2) ||y-x||^2``,
 a strong-convexity constant ``mu`` (lower bound ``remainder >= (mu/2)
 ||y-x||^2``), and the optimum ``(x_star, f_star)``.
 
-The optimizer itself only ever reads values: through :func:`evaluate`
-and :func:`evaluate_batch`, and through ``fn`` directly for the driver's
-f(x_t) on an iterate whose shape it checked at the start.  The rest of
-the fields feed the instrumented step-size/alpha rules and the event
-checkers.  Objectives are immutable after construction and safe for
-concurrent evaluation.
+The optimizer itself only ever reads values: its queries through a
+:class:`~rankzo.sampling.QueryLedger`, its uncharged f(x_t) through
+``fn`` directly.  The rest of the fields feed the instrumented
+step-size/alpha rules and the event checkers.  Objectives are immutable
+after construction and safe for concurrent evaluation.
 """
 
 from __future__ import annotations
@@ -69,9 +68,8 @@ class Objective:
 def evaluate(obj: Objective, x: Vector) -> float:
     """Evaluate ``f(x)``.
 
-    Raises ``ValueError`` on a dimension mismatch.  Query accounting is
-    *not* done here; only the rank oracle and comparison probes charge
-    the ledger.
+    Raises ``ValueError`` on a dimension mismatch.  Uncharged: a run's
+    queries go through :meth:`rankzo.sampling.QueryLedger.value`.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.dim,):

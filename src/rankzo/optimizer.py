@@ -15,7 +15,7 @@ Two regimes are supported:
   proportional to the gradient norm).  This regime exists to validate
   the theory; it is not available to a rank-only user.
 * **practical** - rank-only: a fixed step or a comparison-based
-  backtracking search whose probes are charged to the query ledger.
+  backtracking search whose probes are queries like the rank oracle's.
   The search is warm-started: each iteration's first trial step is
   ``min(eta0, eta_prev / shrink)``, one shrink above the step the
   previous iteration accepted, and ``eta0`` again after a rejected move.
@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .objective import Objective, evaluate
+from .objective import Objective
 from .sampling import (QueryLedger, check_sample_size, new_generator,
                        rank_oracle, sample_directions, selected_ranks)
 from .theory import c_N_d_delta, c_d_delta, instrumented_alpha
@@ -274,21 +274,21 @@ def instrumented_step_size(f_x: float, grad: np.ndarray, u_sel: np.ndarray,
     return float(lo)
 
 
-def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
-                   policy: StepPolicy, ledger: QueryLedger, eta_first: float):
+def practical_step(ledger: QueryLedger, x: np.ndarray, direction: np.ndarray,
+                   policy: StepPolicy, eta_first: float):
     """Rank-only update along ``direction``.
 
     ``fixed``: unconditional step of eta0; no evaluation, no extra queries.
-    ``backtracking``: each try makes two charged :func:`evaluate` calls,
-    f(x) and then f(x + eta*direction), starting at ``eta_first`` and
-    shrinking eta until the first improvement, whose candidate point is
-    returned as it was evaluated; if none of the ``max_tries`` tries
-    improves, the move is rejected and x is returned unchanged (eta
-    reported as 0).  f(x) is evaluated again at every try, so the
-    comparison never rests on a value held over from the driver or from
-    an earlier try.  :func:`run` warm-starts each search at
-    ``min(eta0, eta_prev / shrink)``, where ``eta_prev`` is the step the
-    previous iteration accepted, and at ``eta0`` after a rejected move.
+    ``backtracking``: each try queries f(x) and then f(x + eta*direction)
+    through ``ledger``, starting at ``eta_first`` and shrinking eta until
+    the first improvement, whose candidate point is returned as it was
+    evaluated; if none of the ``max_tries`` tries improves, the move is
+    rejected and x is returned unchanged (eta reported as 0).  f(x) is
+    evaluated again at every try, so the comparison never rests on a
+    value held over from the driver or from an earlier try.  :func:`run`
+    warm-starts each search at ``min(eta0, eta_prev / shrink)``, where
+    ``eta_prev`` is the step the previous iteration accepted, and at
+    ``eta0`` after a rejected move.
 
     Returns ``(x_new, eta_used, extra_queries)``.
     """
@@ -296,17 +296,14 @@ def practical_step(obj: Objective, x: np.ndarray, direction: np.ndarray,
         raise ValueError("practical_step does not handle the instrumented policy")
     if policy.kind == "fixed":
         return x + policy.eta0 * direction, policy.eta0, 0
-    extra = 0
     eta = eta_first
-    for _ in range(policy.max_tries):
-        ledger.charge(2)
-        extra += 2
-        f_ref = evaluate(obj, x)
+    for tries in range(1, policy.max_tries + 1):
+        f_ref = ledger.value(x)
         x_cand = x + eta * direction
-        if evaluate(obj, x_cand) < f_ref:
-            return x_cand, eta, extra
+        if ledger.value(x_cand) < f_ref:
+            return x_cand, eta, 2 * tries
         eta *= policy.shrink
-    return x, 0.0, extra
+    return x, 0.0, 2 * policy.max_tries
 
 
 def run(obj: Objective, cfg: RunConfig) -> RunTrace:
@@ -342,7 +339,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
                 if attempt:
                     alpha *= 0.5
                 u = sample_directions(rng, n, d)
-                perm, fvals = rank_oracle(obj, x, alpha, u, ledger)
+                perm, fvals = rank_oracle(ledger, x, alpha, u)
                 idx = perm[sel]
                 u_sel = u.take(idx, axis=0)
                 try:
@@ -360,10 +357,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         def update(x, f_x, g, alpha, rng, ledger):
             nonlocal eta_first
             u = sample_directions(rng, n, d)
-            perm, _ = rank_oracle(obj, x, alpha, u, ledger)
+            perm, _ = rank_oracle(ledger, x, alpha, u)
             direction = descent_direction(u.take(perm[sel], axis=0), w_sel)
-            x_new, eta, _extra = practical_step(obj, x, direction, step,
-                                                ledger, eta_first)
+            x_new, eta, _extra = practical_step(ledger, x, direction, step, eta_first)
             # warm start: one step above the last accepted one, capped at eta0
             eta_first = min(eta0, eta / shrink) if eta > 0 else eta0
             return x_new, alpha, eta
@@ -375,19 +371,17 @@ def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
     """Two-point Gaussian-smoothing baseline (value-based estimator).
 
     Per iteration: draw one direction u, form the gradient estimate
-    ``g_hat = ((f(x + alpha u) - f(x)) / alpha) u`` (2 charged queries)
+    ``g_hat = ((f(x + alpha u) - f(x)) / alpha) u`` from two queries
     and step ``x <- x - g_hat / (4 (d + 4) L)`` (Nesterov & Spokoiny,
-    FoCM 2017).  ``f(x)`` is the driver's own evaluation of the trace
-    row.  Same driver and trace format as :func:`run`.
+    FoCM 2017).  Same driver and trace format as :func:`run`.
     """
     if obj.L is None:
         raise ValueError("value-based baseline needs a known smoothness L")
     eta = 1.0 / (4.0 * (obj.dim + 4) * obj.L)
 
     def update(x, f_x, g, alpha, rng, ledger):
-        u = rng.standard_normal(obj.dim)
-        ledger.charge(2)
-        g_hat = (evaluate(obj, x + alpha * u) - f_x) / alpha * u
+        u = rng.standard_normal(len(x))
+        g_hat = (ledger.value(x + alpha * u) - ledger.value(x)) / alpha * u
         return x - eta * g_hat, alpha, eta
 
     return _drive(obj, cfg, "value_zo", update)
@@ -396,17 +390,14 @@ def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
 def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
     """The iteration loop shared by :func:`run` and :func:`baseline_value_zo`.
 
-    Per iteration: f(x_t), one uncharged ``obj.fn`` call; the early stop;
+    Per iteration: f(x_t) from ``obj.fn``; the early stop;
     ``obj.grad(x_t)`` and its norm when the objective has a gradient;
     alpha; then ``update(x, f_x, g, alpha, rng, ledger)``, which returns
-    ``(x_new, alpha_used, eta)`` and makes every charged evaluation: one
-    n-row batch per sample in :func:`run` (up to ``MAX_REGIME_RETRIES``
-    samples under an instrumented step), plus two ``fn`` calls per
-    line-search try (:func:`practical_step`), or the one ``fn`` call of
-    :func:`baseline_value_zo`.  After the last iteration, or an early
-    stop, one more uncharged ``obj.fn`` call gives the final f.  The
-    driver calls ``obj.fn`` directly: the iterate's shape is checked once,
-    on the start point.
+    ``(x_new, alpha_used, eta)`` and makes every query through the run's
+    :class:`~rankzo.sampling.QueryLedger`.  After the last iteration, or
+    an early stop, one more ``obj.fn`` call gives the final f.  These
+    diagnostics are uncharged, and the driver calls ``obj.fn`` directly:
+    the iterate's shape is checked once, on the start point.
 
     A failed run has one exit: every ``ValueError`` or ``ArithmeticError``
     the loop meets (a non-finite f(x_t) or final f, a stationary point
@@ -428,7 +419,7 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
         if x.shape != (d,):
             raise ValueError(f"x0 must have shape ({d},)")
 
-        ledger = QueryLedger()
+        ledger = QueryLedger(obj)
         trace = RunTrace(scheme=scheme, seed=cfg.seed)
         iterates = [x.copy()] if cfg.record_iterates else None
         fn, grad, f_star = obj.fn, obj.grad, obj.f_star

@@ -1,4 +1,4 @@
-"""Gaussian direction batches, the rank oracle, and query accounting.
+"""Gaussian direction batches, the rank oracle, and the query ledger.
 
 The sampler draws ``n`` i.i.d. standard normal directions per iteration
 from a counter-based Philox generator (64-bit seed), so every batch is
@@ -6,11 +6,12 @@ reproducible bit for bit across platforms.  ``n`` must be a positive
 multiple of 4 (:func:`check_sample_size`) because the selected index set
 splits into a best quartile and a worst quartile.
 
-The rank oracle evaluates the ``n`` probe points ``x + alpha * u_i``,
-charges ``n`` queries, and returns the stable ascending permutation of
-the values together with the values.  Callers in the practical regime
-consume nothing but the permutation; the raw values are an
-instrumentation side channel for theory validation.
+The rank oracle evaluates the ``n`` probe points ``x + alpha * u_i``
+through the run's :class:`QueryLedger`, the one place queries are
+charged, and returns the stable ascending permutation of the values
+together with the values.  Callers in the practical regime consume
+nothing but the permutation; the raw values are an instrumentation
+side channel for theory validation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .objective import Objective, evaluate_batch
+from .objective import Objective, evaluate, evaluate_batch
 
 __all__ = [
     "QueryLedger",
@@ -56,13 +57,27 @@ def new_generator(seed: int) -> np.random.Generator:
 
 @dataclass
 class QueryLedger:
-    """Running count of charged objective queries."""
+    """A run's one query path: ``value(x)`` is :func:`evaluate` and
+    ``values(points)`` :func:`evaluate_batch` on ``obj``, each charging
+    one query per point that returned.  A run's uncharged diagnostics
+    (f(x_t), the gradient, the final f) read ``obj`` directly."""
 
+    obj: Objective
     _total: int = 0
 
     @property
     def total_queries(self) -> int:
         return self._total
+
+    def value(self, x: np.ndarray) -> float:
+        f = evaluate(self.obj, x)
+        self.charge(1)
+        return f
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        fvals = evaluate_batch(self.obj, points)
+        self.charge(len(fvals))
+        return fvals
 
     def charge(self, n: int) -> None:
         if n < 0:
@@ -81,10 +96,10 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return rng.standard_normal((n, d))
 
 
-def rank_oracle(obj: Objective, x: np.ndarray, alpha: float, u: np.ndarray,
-                ledger: QueryLedger) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate the probes ``x + alpha*u_i``, charge ``len(u)`` queries,
-    and return ``(perm, fvals)``.
+def rank_oracle(ledger: QueryLedger, x: np.ndarray, alpha: float,
+                u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Evaluate the probes ``x + alpha*u_i`` through ``ledger`` and return
+    ``(perm, fvals)``.
 
     ``perm[j]`` is the sample index of the (j+1)-th smallest probe value,
     i.e. ``fvals[perm[0]] <= fvals[perm[1]] <= ...`` with ties broken by
@@ -92,8 +107,7 @@ def rank_oracle(obj: Objective, x: np.ndarray, alpha: float, u: np.ndarray,
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    fvals = evaluate_batch(obj, alpha * u + np.asarray(x, dtype=float))
-    ledger.charge(len(u))
+    fvals = ledger.values(alpha * u + np.asarray(x, dtype=float))
     perm = fvals.argsort(kind="stable")
     # the sort puts -inf first and +inf, then nan, last: the two ends are
     # finite exactly when every value is

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .objective import Objective, evaluate, evaluate_batch
-from .sampling import check_sample_size, selected_ranks
+from .sampling import NonFiniteValueError, check_sample_size, selected_ranks
 
 __all__ = [
     "P_TAIL_EXACT",
@@ -415,7 +415,9 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
 
     Preconditions: trials >= MIN_TRIALS, and every requested event's
     (see :func:`event_precondition_errors`); a violated one raises
-    ``ValueError`` before anything is drawn.
+    ``ValueError`` before anything is drawn, as does a nan or infinite
+    f(x) under E1.  A nan or infinite probe value raises
+    :class:`NonFiniteValueError` at index trial * n + i.
     """
     ids = tuple(event_ids)
     if not ids:
@@ -439,6 +441,8 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     failures = dict.fromkeys(ids, 0)
     if "E1" in failures:
         f_x = evaluate(obj, x)
+        if not math.isfinite(f_x):  # a nan f(x) would make every remainder pass
+            raise ValueError(f"non-finite objective value {f_x!r} at the state x")
         rem_max = cd * float(obj.L) * alpha**2
     if "E4" in failures or "E5" in failures:
         slack = 2.0 * gn + 2.0 * cd * float(obj.L) * alpha
@@ -460,7 +464,7 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     sizes = list(_chunks(trials, 2 * n * d))    # draws of half the budget
     with ThreadPoolExecutor(max_workers=1) as drawer:
         pending = drawer.submit(rng.standard_normal, (sizes[0], n, d))
-        for following in sizes[1:] + [0]:
+        for k, following in enumerate(sizes[1:] + [0]):
             u = pending.result()
             if following:   # drawn while this chunk is evaluated and tested
                 pending = drawer.submit(rng.standard_normal, (following, n, d))
@@ -468,6 +472,9 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
             pts = alpha * u
             pts += x
             fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
+            if not np.isfinite(fv).all():  # a nan would be ranked and fail no test
+                bad = int(np.flatnonzero(~np.isfinite(fv))[0])
+                raise NonFiniteValueError(k * sizes[0] * n + bad, float(fv.flat[bad]))
             perm = np.argsort(fv, axis=1, kind="stable")
             sel_idx = perm[:, sel]
             if g is not None:

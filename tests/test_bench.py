@@ -93,7 +93,7 @@ class TestAblatePositiveOnly:
         b2 = sample_directions(new_generator(42), 16, 6)
         np.testing.assert_array_equal(b1, b2)
         obj = make_quadratic(6, 1.0, 10.0, seed=0)
-        perm, _ = rank_oracle(obj, np.zeros(6), 0.1, b1, QueryLedger())
+        perm, _ = rank_oracle(QueryLedger(obj), np.zeros(6), 0.1, b1)
         w = weights_by_name("uniform", 16)
         d_full = descent_direction(b1[perm[selected_ranks(16) - 1]], w)
         d_pos = descent_direction(b1[perm[selected_ranks(16)[:4] - 1]], w[:4])

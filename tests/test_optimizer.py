@@ -31,7 +31,7 @@ def select_manual(obj, rows, x=None, alpha=1.0, k=None):
     selected ranks (all of them by default)."""
     u = np.asarray(rows, dtype=float)
     x = np.zeros(u.shape[1]) if x is None else x
-    perm, fvals = rank_oracle(obj, x, alpha, u, QueryLedger())
+    perm, fvals = rank_oracle(QueryLedger(obj), x, alpha, u)
     idx = perm[selected_ranks(len(u))[:k] - 1]
     return u[idx], fvals[idx]
 
@@ -153,11 +153,10 @@ class TestPracticalStep:
         # f = x^2/2 at x=1 along d=-1: eta=10 overshoots (f=40.5),
         # eta=1 lands at the optimum; each comparison charges 2
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
-        ledger = QueryLedger()
+        ledger = QueryLedger(obj)
         policy = StepPolicy("backtracking", eta0=10.0, shrink=0.1, max_tries=3)
-        x_new, eta, extra = practical_step(obj, np.array([1.0]),
-                                           np.array([-1.0]), policy, ledger,
-                                           10.0)
+        x_new, eta, extra = practical_step(ledger, np.array([1.0]),
+                                           np.array([-1.0]), policy, 10.0)
         assert x_new == pytest.approx(np.array([0.0]))
         assert eta == pytest.approx(1.0)
         assert extra == 4
@@ -168,11 +167,10 @@ class TestPracticalStep:
         # on the first comparison, so eta0=10 is never tried (a cold start
         # rejects 10 and accepts 1 at 4 queries)
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
-        ledger = QueryLedger()
+        ledger = QueryLedger(obj)
         policy = StepPolicy("backtracking", eta0=10.0, shrink=0.1, max_tries=3)
-        x_new, eta, extra = practical_step(obj, np.array([1.0]),
-                                           np.array([-1.0]), policy, ledger,
-                                           0.5)
+        x_new, eta, extra = practical_step(ledger, np.array([1.0]),
+                                           np.array([-1.0]), policy, 0.5)
         assert x_new == pytest.approx(np.array([0.5]))
         assert eta == 0.5
         assert extra == 2
@@ -180,11 +178,10 @@ class TestPracticalStep:
 
     def test_fixed_policy_no_extra_queries(self):
         obj = Objective(dim=1, fn=lambda x: float(x[0]))
-        ledger = QueryLedger()
-        x_new, eta, extra = practical_step(obj, np.array([2.0]),
+        ledger = QueryLedger(obj)
+        x_new, eta, extra = practical_step(ledger, np.array([2.0]),
                                            np.array([1.5]),
-                                           StepPolicy("fixed", eta0=0.5), ledger,
-                                           0.5)
+                                           StepPolicy("fixed", eta0=0.5), 0.5)
         assert extra == 0 and ledger.total_queries == 0
         assert x_new == pytest.approx(np.array([2.75]))
         assert eta == 0.5
@@ -192,11 +189,10 @@ class TestPracticalStep:
     def test_rejected_move_keeps_x(self):
         # ascent direction: no eta improves, so the move is rejected
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
-        ledger = QueryLedger()
+        ledger = QueryLedger(obj)
         policy = StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=4)
-        x_new, eta, extra = practical_step(obj, np.array([1.0]),
-                                           np.array([1.0]), policy, ledger,
-                                           1.0)
+        x_new, eta, extra = practical_step(ledger, np.array([1.0]),
+                                           np.array([1.0]), policy, 1.0)
         assert x_new == pytest.approx(np.array([1.0]))
         assert eta == 0.0
         assert extra == 8
@@ -204,8 +200,8 @@ class TestPracticalStep:
     def test_instrumented_policy_rejected(self):
         obj = Objective(dim=1, fn=lambda x: float(x[0]))
         with pytest.raises(ValueError):
-            practical_step(obj, np.zeros(1), np.ones(1),
-                           StepPolicy(), QueryLedger(), 1.0)
+            practical_step(QueryLedger(obj), np.zeros(1), np.ones(1),
+                           StepPolicy(), 1.0)
 
 
 class TestRun:
@@ -691,9 +687,9 @@ class TestQueryLedgerAudit:
 
     @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "early_stop"])
     def test_value_baseline_uncharged_evaluations(self, eps_target):
-        """The two-point estimator charges 2 queries but evaluates only
-        f(x_t + alpha u): its f(x_t) is the trace row's own evaluation,
-        so only the final f and an early-stop check stay uncharged."""
+        """The two-point estimator queries both f(x_t + alpha u) and f(x_t)
+        through the ledger, so it leaves uncharged what :func:`run` does:
+        f(x_t) once per trace row, the final f and an early-stop check."""
         obj, counts = counting_objective(make_quadratic(8, 1.0, 10.0, seed=7))
         cfg = RunConfig(n=16, iterations=400, seed=3,
                         alpha=AlphaPolicy("fixed", alpha0=1e-3), eps_target=eps_target)
@@ -701,7 +697,39 @@ class TestQueryLedgerAudit:
         stopped_early = len(trace) < cfg.iterations
         assert stopped_early == (eps_target is not None)
         assert trace.total_queries == 2 * len(trace)
-        assert counts["evals"] - trace.total_queries == 1 + stopped_early
+        assert counts["evals"] - trace.total_queries == len(trace) + 1 + stopped_early
+
+    # fn calls 2, 3 are iteration 0's first try, 7, 8 iteration 1's second
+    @pytest.mark.parametrize("k", [2, 3, 7, 8], ids=["first_try_ref", "first_try_cand",
+                                                    "second_try_ref", "second_try_cand"])
+    def test_failed_run_counts_what_returned(self, k):
+        """Under backtracking, an ``fn`` that raises on its k-th call ends
+        the run in an :class:`OptimizationError` whose ``total_queries``
+        counts the charged evaluations that returned, not the failed one."""
+        base = make_quadratic(8, 1.0, 10.0, seed=7)
+        calls = {"fn": 0, "rows": 0}
+
+        def fn(x):
+            calls["fn"] += 1
+            if calls["fn"] == k:
+                raise ValueError("fn failed")
+            return base.fn(x)
+
+        def batch_fn(points):
+            calls["rows"] += len(points)
+            return base.batch_fn(points)
+
+        cfg = RunConfig(n=16, iterations=60, seed=3,
+                        step=StepPolicy("backtracking", eta0=1.0),
+                        alpha=AlphaPolicy("fixed", alpha0=1e-3))
+        with pytest.raises(OptimizationError, match="fn failed") as exc:
+            run(replace(base, fn=fn, batch_fn=batch_fn), cfg)
+        trace = exc.value.trace
+        # the failing call was a line-search query: its iteration's f(x_t) returned
+        assert math.isfinite(trace.final_f)
+        returned = calls["rows"] + calls["fn"] - 1
+        # uncharged: f(x_t) of each trace row and of the failing iteration
+        assert trace.total_queries == returned - (len(trace) + 1)
 
 
 class TestValidation:

@@ -64,8 +64,8 @@ def test_rank_invariant_under_increasing_transform(seed, d, quarter, alpha, tran
     obj = make_quadratic(d, 1.0, 10.0, seed=seed % 1000)
     x = new_generator(seed).standard_normal(d)
     batch = sample_directions(new_generator(seed + 1), 4 * quarter, d)
-    plain, _ = rank_oracle(obj, x, alpha, batch, QueryLedger())
-    warped, _ = rank_oracle(transformed(obj, transform), x, alpha, batch, QueryLedger())
+    plain, _ = rank_oracle(QueryLedger(obj), x, alpha, batch)
+    warped, _ = rank_oracle(QueryLedger(transformed(obj, transform)), x, alpha, batch)
     np.testing.assert_array_equal(plain, warped)
 
 
@@ -77,7 +77,7 @@ def test_ties_broken_stably(values, transform):
     expected = sorted(range(len(values)), key=values.__getitem__)  # stable sort
     batch = np.arange(len(values), dtype=float)[:, None]
     for obj in (table_objective(values), transformed(table_objective(values), transform)):
-        perm, _ = rank_oracle(obj, np.zeros(1), 1.0, batch, QueryLedger())
+        perm, _ = rank_oracle(QueryLedger(obj), np.zeros(1), 1.0, batch)
         assert perm.tolist() == expected
 
 

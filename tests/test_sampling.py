@@ -1,17 +1,22 @@
-"""Direction sampling, the rank oracle, and query accounting."""
+"""Direction sampling, the rank oracle, and the query ledger."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankzo.objective import MonotoneTransform, Objective, make_quadratic, wrap_monotone
+from rankzo.objective import (MonotoneTransform, Objective, evaluate_batch,
+                              make_quadratic, wrap_monotone)
 from rankzo.optimizer import RunConfig
 from rankzo.sampling import (NonFiniteValueError, QueryLedger,
                              check_sample_size, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
 from rankzo.theory import c_N_d_delta, event_bound_E45
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rankzo"
 
 
 def linear_1d():
@@ -56,28 +61,26 @@ class TestSampleDirections:
 class TestRankOracle:
     def test_linear_ordering(self):
         batch = batch_from_rows([[3.0], [-1.0], [2.0], [-2.0]])
-        ledger = QueryLedger()
-        perm, _ = rank_oracle(linear_1d(), np.zeros(1), 1.0, batch, ledger)
+        perm, _ = rank_oracle(QueryLedger(linear_1d()), np.zeros(1), 1.0, batch)
         # ascending f(0 + u) = u: order -2 < -1 < 2 < 3, 0-based indices
         np.testing.assert_array_equal(perm, [3, 1, 2, 0])
 
     def test_stable_tie_break(self):
         const = Objective(dim=2, fn=lambda x: 1.0)
         batch = sample_directions(new_generator(3), 8, 2)
-        perm, _ = rank_oracle(const, np.zeros(2), 0.5, batch, QueryLedger())
+        perm, _ = rank_oracle(QueryLedger(const), np.zeros(2), 0.5, batch)
         np.testing.assert_array_equal(perm, np.arange(8))
 
     def test_ledger_accounting(self):
-        ledger = QueryLedger()
-        obj = make_quadratic(3, 1.0, 10.0, seed=0)
+        ledger = QueryLedger(make_quadratic(3, 1.0, 10.0, seed=0))
         batch = sample_directions(new_generator(5), 16, 3)
-        rank_oracle(obj, np.zeros(3), 0.1, batch, ledger)
+        rank_oracle(ledger, np.zeros(3), 0.1, batch)
         assert ledger.total_queries == 16
 
     def test_sorted_values(self):
         obj = make_quadratic(4, 1.0, 10.0, seed=1)
         batch = sample_directions(new_generator(6), 12, 4)
-        perm, fvals = rank_oracle(obj, np.ones(4), 0.3, batch, QueryLedger())
+        perm, fvals = rank_oracle(QueryLedger(obj), np.ones(4), 0.3, batch)
         ordered = fvals[perm]
         assert np.all(np.diff(ordered) >= 0)
 
@@ -87,7 +90,7 @@ class TestRankOracle:
         obj = Objective(dim=1, fn=bad)
         batch = batch_from_rows([[0.0], [3.0], [1.0], [-1.0]])
         with pytest.raises(NonFiniteValueError) as err:
-            rank_oracle(obj, np.zeros(1), 1.0, batch, QueryLedger())
+            rank_oracle(QueryLedger(obj), np.zeros(1), 1.0, batch)
         assert err.value.index == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
@@ -100,11 +103,11 @@ class TestRankOracle:
         values = np.linspace(-1.0, 1.0, 8)
         values[bad_rows] = value
         obj = Objective(dim=2, fn=lambda x: 0.0, batch_fn=lambda points: values.copy())
-        ledger = QueryLedger()
+        ledger = QueryLedger(obj)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValueError) as err:
-                rank_oracle(obj, np.zeros(2), 0.5, np.ones((8, 2)), ledger)
+                rank_oracle(ledger, np.zeros(2), 0.5, np.ones((8, 2)))
         assert err.value.index == bad_rows[0]
         assert math.isnan(err.value.value) if math.isnan(value) else err.value.value == value
         assert ledger.total_queries == 8
@@ -117,14 +120,14 @@ class TestRankOracle:
         obj = Objective(dim=2, fn=lambda x: 0.0, batch_fn=lambda points: values.copy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            perm, fvals = rank_oracle(obj, np.zeros(2), 0.5, np.ones((8, 2)), QueryLedger())
+            perm, fvals = rank_oracle(QueryLedger(obj), np.zeros(2), 0.5, np.ones((8, 2)))
         np.testing.assert_array_equal(perm, [2, 3, 6, 5, 4, 7, 0, 1])
         np.testing.assert_array_equal(fvals, values)
 
     def test_nonpositive_alpha_rejected(self):
         batch = batch_from_rows([[1.0], [2.0], [3.0], [4.0]])
         with pytest.raises(ValueError):
-            rank_oracle(linear_1d(), np.zeros(1), 0.0, batch, QueryLedger())
+            rank_oracle(QueryLedger(linear_1d()), np.zeros(1), 0.0, batch)
 
     def test_rank_invariance_under_monotone_transforms(self):
         # identical permutation for identical batches, 100 random instances
@@ -137,8 +140,8 @@ class TestRankOracle:
             wrapped = wrap_monotone(obj, MonotoneTransform(kind, a=a, b=b))
             batch = sample_directions(new_generator(1000 + i), 8, 6)
             x = rng.standard_normal(6)
-            p1, _ = rank_oracle(obj, x, 0.05, batch, QueryLedger())
-            p2, _ = rank_oracle(wrapped, x, 0.05, batch, QueryLedger())
+            p1, _ = rank_oracle(QueryLedger(obj), x, 0.05, batch)
+            p2, _ = rank_oracle(QueryLedger(wrapped), x, 0.05, batch)
             np.testing.assert_array_equal(p1, p2)
 
 
@@ -191,11 +194,71 @@ class TestSelectedIndexSet:
 
 class TestQueryLedger:
     def test_total_is_sum(self):
-        ledger = QueryLedger()
+        ledger = QueryLedger(linear_1d())
         for n in (16, 2, 2, 16):
             ledger.charge(n)
         assert ledger.total_queries == 36
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
-            QueryLedger().charge(-1)
+            QueryLedger(linear_1d()).charge(-1)
+
+    def test_value_evaluates_and_charges_one(self):
+        ledger = QueryLedger(linear_1d())
+        assert ledger.value(np.array([2.5])) == 2.5
+        assert ledger.value(np.array([-1.0])) == -1.0
+        assert ledger.total_queries == 2
+
+    def test_values_evaluates_and_charges_each_row(self):
+        obj = make_quadratic(3, 1.0, 10.0, seed=0)
+        points = sample_directions(new_generator(2), 8, 3)
+        ledger = QueryLedger(obj)
+        np.testing.assert_array_equal(ledger.values(points), evaluate_batch(obj, points))
+        assert ledger.total_queries == 8
+
+    def test_failed_evaluation_not_charged(self):
+        def fail(x):
+            raise ArithmeticError("fn failed")
+        ledger = QueryLedger(Objective(dim=2, fn=fail))
+        with pytest.raises(ArithmeticError):
+            ledger.value(np.zeros(2))
+        with pytest.raises(ArithmeticError):
+            ledger.values(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"expected shape \(2,\)"):
+            ledger.value(np.zeros(3))
+        assert ledger.total_queries == 0
+
+    def test_every_query_goes_through_charge(self):
+        """A subclass that overrides ``charge`` sees every query the
+        ledger makes, one call per ``value`` or ``values``."""
+        seen = []
+
+        class Recording(QueryLedger):
+            def charge(self, n):
+                seen.append(n)
+                super().charge(n)
+
+        ledger = Recording(make_quadratic(3, 1.0, 10.0, seed=0))
+        ledger.value(np.ones(3))
+        ledger.values(np.ones((8, 3)))
+        rank_oracle(ledger, np.zeros(3), 0.1, np.ones((4, 3)))
+        assert seen == [1, 8, 4] and ledger.total_queries == 13
+
+    def test_charged_only_inside_the_ledger(self):
+        """``.charge(`` appears in the package only inside ``class
+        QueryLedger``, so every query a run counts is one the ledger made."""
+        outside, inside_count = [], 0
+        for path in sorted(SRC.glob("*.py")):
+            text = path.read_text()
+            inside = set()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.ClassDef) and node.name == "QueryLedger":
+                    inside.update(range(node.lineno, node.end_lineno + 1))
+            for i, line in enumerate(text.splitlines(), 1):
+                if ".charge(" in line:
+                    if i in inside:
+                        inside_count += 1
+                    else:
+                        outside.append(f"{path.name}:{i}: {line.strip()}")
+        assert inside_count > 0
+        assert outside == []

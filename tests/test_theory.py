@@ -16,7 +16,7 @@ import pytest
 
 from rankzo import theory
 from rankzo.objective import Objective, make_quadratic
-from rankzo.sampling import new_generator
+from rankzo.sampling import NonFiniteValueError, new_generator
 from rankzo.theory import (EVENT_IDS, P_TAIL_EXACT, EventSetup, c_N_d_delta,
                            c_d_delta, check_appendix_bounds, check_event,
                            check_events, event_bound_E45,
@@ -613,6 +613,63 @@ class TestDrawerThread:
         assert exc.value is error
         assert len(seen) == 3
         assert threading.active_count() == before
+
+
+def poisoned(obj, bad_probes, value):
+    """``obj`` whose ``batch_fn`` returns ``value`` at the positions
+    ``bad_probes`` of the sequence of all the rows it is given."""
+    done = [0]
+
+    def batch_fn(points):
+        fv = obj.batch_fn(points)
+        fv[[p - done[0] for p in bad_probes if 0 <= p - done[0] < len(fv)]] = value
+        done[0] += len(fv)
+        return fv
+
+    return dataclasses.replace(obj, batch_fn=batch_fn)
+
+
+class TestNonFiniteValues:
+    """The E1-E5 pass stops at a nan or infinite probe value instead of
+    ranking it: a nan compares false, so E1 would count no failure."""
+
+    def test_every_7th_probe_nan(self):
+        setup = quadratic_setup(n=16, d=20)
+        obj = poisoned(setup.obj, range(6, 16 * 1000, 7), math.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError) as err:
+                check_events(EVENT_IDS, dataclasses.replace(setup, obj=obj), 1000,
+                             new_generator(1))
+        assert err.value.index == 6 and math.isnan(err.value.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_state_value_rejected_under_e1(self, value):
+        """E1 compares each probe with f(x); a nan f(x) would pass every trial."""
+        setup = quadratic_setup(n=16, d=20)
+        obj = dataclasses.replace(setup.obj, fn=lambda x: value)
+        with pytest.raises(ValueError) as exc:
+            check_events(("E1",), dataclasses.replace(setup, obj=obj), 1000,
+                         new_generator(1))
+        assert str(exc.value) == f"non-finite objective value {value!r} at the state x"
+
+    # at n = 16, d = 20 a chunk is 156 trials, 2,496 probes
+    @pytest.mark.parametrize("probe", [0, 2495, 2496, 16 * 1000 - 1],
+                             ids=["first", "chunk_end", "second_chunk", "last"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("events", [EVENT_IDS, ("E2",), ("E1",)],
+                             ids=["all", "E2", "E1"])
+    def test_first_bad_probe_named(self, probe, value, events):
+        setup = quadratic_setup(n=16, d=20)
+        obj = poisoned(setup.obj, [probe, probe + 1], value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError) as err:
+                check_events(events, dataclasses.replace(setup, obj=obj), 1000,
+                             new_generator(1))
+        assert err.value.index == probe
+        assert math.isnan(err.value.value) if math.isnan(value) else err.value.value == value
 
 
 @functools.lru_cache(maxsize=None)
