@@ -1,11 +1,11 @@
 """Command-line entry point: optimize / verify / bench / ablate / predict.
 
 Configuration is a flat structured-text file, one ``dotted.key = value``
-per line, ``#`` comments allowed.  :data:`CONFIG_KEYS` lists every key
-and :data:`SECTIONS` the sections each subcommand reads; the README
-documents each key and every config error (exit 2).  A key that
-configures a library object is passed only when the config sets it, so
-the library's default is the only default.
+per line, ``#`` comments allowed.  :data:`CONFIG_KEYS` gives every key
+its cast and least value, and :data:`SECTIONS` the sections each
+subcommand reads; the README documents each key and every config error
+(exit 2).  A key that configures a library object is passed only when
+the config sets it, so the library's default is the only default.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
 error.  All CSV output uses '.' decimals, '\\n' line endings and a header
@@ -43,20 +43,45 @@ __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
 REPORT_COLUMNS = ("event_id", "params", "trials", "empirical", "bound", "pass")
 
-#: every key a config file may set: exactly the keys the subcommands read
-CONFIG_KEYS = frozenset([
-    "objective.kind", "objective.d", "objective.mu", "objective.L",
-    "objective.seed",
-    "optimizer.N", "optimizer.T", "optimizer.scheme", "optimizer.step",
-    "optimizer.alpha", "optimizer.eta0", "optimizer.shrink",
-    "optimizer.max_tries", "optimizer.alpha0", "optimizer.gamma",
-    "optimizer.alpha_c", "optimizer.seed", "optimizer.delta", "optimizer.eps",
-    "verify.events", "verify.trials", "verify.trials_appendix", "verify.n",
-    "verify.d", "verify.delta", "verify.alpha_scale", "verify.seed",
-    "bench.dims", "bench.kappas", "bench.ns", "bench.schemes", "bench.seeds",
-    "bench.eps_rel", "bench.mu", "bench.objective_seed",
-    "ablate.seeds", "ablate.eps_rel",
-])
+def _int_list(text: str) -> List[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _float_list(text: str) -> List[float]:
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("not finite")
+    return values
+
+
+def _str_list(text: str) -> List[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+#: every key a config file may set, exactly the keys the subcommands read:
+#: ``key -> (cast, least)``, where ``least`` is the smallest value the key,
+#: or each entry of a list key, may take (None: no bound)
+CONFIG_KEYS = {
+    "objective.kind": (str, None), "objective.d": (int, None),
+    "objective.mu": (float, None), "objective.L": (float, None),
+    "objective.seed": (int, 0),
+    "optimizer.N": (int, None), "optimizer.T": (int, None),
+    "optimizer.scheme": (str, None), "optimizer.step": (str, None),
+    "optimizer.alpha": (str, None), "optimizer.eta0": (float, None),
+    "optimizer.shrink": (float, None), "optimizer.max_tries": (int, None),
+    "optimizer.alpha0": (float, None), "optimizer.gamma": (float, None),
+    "optimizer.alpha_c": (float, None), "optimizer.seed": (int, 0),
+    "optimizer.delta": (float, None), "optimizer.eps": (float, None),
+    "verify.events": (_str_list, None), "verify.trials": (int, MIN_TRIALS),
+    "verify.trials_appendix": (int, MIN_TRIALS), "verify.n": (int, None),
+    "verify.d": (int, None), "verify.delta": (float, None),
+    "verify.alpha_scale": (float, None), "verify.seed": (int, 0),
+    "bench.dims": (_int_list, 1), "bench.kappas": (_float_list, 1),
+    "bench.ns": (_int_list, None), "bench.schemes": (_str_list, None),
+    "bench.seeds": (_int_list, 0), "bench.eps_rel": (float, None),
+    "bench.mu": (float, None), "bench.objective_seed": (int, 0),
+    "ablate.seeds": (_int_list, 0), "ablate.eps_rel": (float, None),
+}
 
 #: the config sections each subcommand reads; a key from any other
 #: section is a config error
@@ -130,25 +155,35 @@ def _read_config(args) -> Dict[str, str]:
     return cfg
 
 
-def _get(cfg: Dict[str, str], key: str, cast, default=None):
+def _get(cfg: Dict[str, str], key: str, default=None):
+    """The value of ``key``, cast and checked as :data:`CONFIG_KEYS` says:
+    a list must be nonempty and repeat no entry, and the value, or each
+    entry, must be at least the key's least value.  ``default`` when the
+    config leaves the key out (None makes it required)."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing config key {key!r}")
         return default
+    cast, least = CONFIG_KEYS[key]
     try:
         value = cast(cfg[key])
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError("not finite")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from None
+    entries = value if isinstance(value, list) else [value]
+    if not entries:
+        raise ConfigError(f"{key} is empty")
+    # float entries repeat when they print alike with %g, as bench's cell
+    # ids write bench.kappas
+    printed = [f"{v:g}" if isinstance(v, float) else v for v in entries]
+    repeated = sorted({v for v in printed if printed.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{key}: repeated entries {repeated}")
+    for entry in entries:
+        if least is not None and entry < least:
+            raise ConfigError(f"{key} must be >= {least}, got {entry}")
     return value
-
-
-def _at_least(key: str, values, low) -> None:
-    """Raise a :class:`ConfigError` naming ``key`` unless every value is >= ``low``."""
-    for value in values:
-        if value < low:
-            raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
 def _reject_unread(cfg: Dict[str, str], read: Dict[str, bool], kinds: str) -> None:
@@ -159,42 +194,17 @@ def _reject_unread(cfg: Dict[str, str], read: Dict[str, bool], kinds: str) -> No
             raise ConfigError(f"{key} is not read when {kinds}")
 
 
-def _entries(key: str, values: list) -> list:
-    """``values``; a :class:`ConfigError` naming ``key`` if none or a repeat."""
-    if not values:
-        raise ConfigError(f"{key} is empty")
-    repeated = sorted({value for value in values if values.count(value) > 1})
-    if repeated:
-        raise ConfigError(f"{key}: repeated entries {repeated}")
-    return values
-
-
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> List[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not all(map(math.isfinite, values)):
-        raise ValueError("not finite")
-    return values
-
-
-def _str_list(text: str) -> List[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
-
-
 def _given(cfg: Dict[str, str], **fields) -> Tuple[dict, str]:
     """The keyword arguments the config sets, and the keys to name if the
     library rejects them: the mapped keys the config sets, else all of them.
 
-    ``fields`` maps a library parameter to its ``(config key, cast)``; a
-    key the config leaves out passes nothing, so the library's default is
-    the only default.  ``(config key, cast, default)`` always passes the
-    parameter, and a ``None`` default makes the key required.
+    ``fields`` maps a library parameter to its ``(config key,)``; a key
+    the config leaves out passes nothing, so the library's default is the
+    only default.  ``(config key, default)`` always passes the parameter,
+    and a ``None`` default makes the key required.
     """
-    kwargs = {name: _get(cfg, key, cast, *default)
-              for name, (key, cast, *default) in fields.items()
+    kwargs = {name: _get(cfg, key, *default)
+              for name, (key, *default) in fields.items()
               if key in cfg or default}
     keys = [key for key, *_ in fields.values()]
     return kwargs, ", ".join([key for key in keys if key in cfg] or keys)
@@ -202,12 +212,9 @@ def _given(cfg: Dict[str, str], **fields) -> Tuple[dict, str]:
 
 def build_objective_from_config(cfg: Dict[str, str]):
     kwargs, keys = _given(
-        cfg, kind=("objective.kind", str, "quadratic"), d=("objective.d", int, None),
-        mu=("objective.mu", float), L=("objective.L", float),
-        seed=("objective.seed", int))
+        cfg, kind=("objective.kind", "quadratic"), d=("objective.d", None),
+        mu=("objective.mu",), L=("objective.L",), seed=("objective.seed",))
     kind = kwargs["kind"]
-    if "seed" in kwargs:
-        _at_least("objective.seed", [kwargs["seed"]], 0)
     # an unknown kind reads every key here; build_objective rejects it
     _reject_unread(cfg, dict.fromkeys(("objective.mu", "objective.L", "objective.seed"),
                                       kind != "rosenbrock"),
@@ -220,17 +227,15 @@ def build_run_config(cfg: Dict[str, str], n: Optional[int] = None) -> RunConfig:
     """The :class:`RunConfig` of the ``optimizer.*`` keys; ``n`` is the
     batch size when ``optimizer.N`` is not set (None makes it required)."""
     step, step_keys = _given(
-        cfg, kind=("optimizer.step", str), eta0=("optimizer.eta0", float),
-        shrink=("optimizer.shrink", float), max_tries=("optimizer.max_tries", int))
+        cfg, kind=("optimizer.step",), eta0=("optimizer.eta0",),
+        shrink=("optimizer.shrink",), max_tries=("optimizer.max_tries",))
     alpha, alpha_keys = _given(
-        cfg, kind=("optimizer.alpha", str), alpha0=("optimizer.alpha0", float),
-        gamma=("optimizer.gamma", float), c=("optimizer.alpha_c", float))
+        cfg, kind=("optimizer.alpha",), alpha0=("optimizer.alpha0",),
+        gamma=("optimizer.gamma",), c=("optimizer.alpha_c",))
     kwargs, keys = _given(
-        cfg, scheme=("optimizer.scheme", str), seed=("optimizer.seed", int),
-        delta=("optimizer.delta", float), eps_target=("optimizer.eps", float),
-        n=("optimizer.N", int, n), iterations=("optimizer.T", int, None))
-    if "seed" in kwargs:
-        _at_least("optimizer.seed", [kwargs["seed"]], 0)
+        cfg, scheme=("optimizer.scheme",), seed=("optimizer.seed",),
+        delta=("optimizer.delta",), eps_target=("optimizer.eps",),
+        n=("optimizer.N", n), iterations=("optimizer.T", None))
     with _config_errors(step_keys):
         step = StepPolicy(**step)
     with _config_errors(alpha_keys):
@@ -287,24 +292,21 @@ def _verify_reports(cfg: Dict[str, str]) -> List[Tuple[EventCheckReport, int]]:
     its own stream.  The pass and the appendix checks run concurrently,
     so their wall ms overlap; every report is the same as in a serial run.
     """
-    events_text = _get(cfg, "verify.events", str, "all")
-    names = _entries("verify.events", list(ALL_CHECKS) if events_text == "all"
-                     else _str_list(events_text))
+    names = _get(cfg, "verify.events", ["all"])
+    if names == ["all"]:
+        names = list(ALL_CHECKS)
     unknown = [e for e in names if e not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"verify.events: unknown checks {unknown}")
 
-    trials = _get(cfg, "verify.trials", int, 10_000)
-    trials_appendix = _get(cfg, "verify.trials_appendix", int, 100_000)
-    n = _get(cfg, "verify.n", int, 32)
-    delta = _get(cfg, "verify.delta", float, 0.1)
-    alpha_scale = _get(cfg, "verify.alpha_scale", float, 1.0)
-    seed = _get(cfg, "verify.seed", int, 7)
-    d = _get(cfg, "verify.d", int, 100)
+    trials = _get(cfg, "verify.trials", 10_000)
+    trials_appendix = _get(cfg, "verify.trials_appendix", 100_000)
+    n = _get(cfg, "verify.n", 32)
+    delta = _get(cfg, "verify.delta", 0.1)
+    alpha_scale = _get(cfg, "verify.alpha_scale", 1.0)
+    seed = _get(cfg, "verify.seed", 7)
+    d = _get(cfg, "verify.d", 100)
 
-    _at_least("verify.trials", [trials], MIN_TRIALS)
-    _at_least("verify.trials_appendix", [trials_appendix], MIN_TRIALS)
-    _at_least("verify.seed", [seed], 0)
     if alpha_scale <= 0:
         raise ConfigError(f"verify.alpha_scale must be positive, got {alpha_scale!r}")
     with _config_errors("verify.n"):
@@ -389,27 +391,19 @@ def _bench_grid(cfg: Dict[str, str]) -> ExperimentGrid:
         if key in cfg:
             raise ConfigError(f"bench does not read {key}; set {instead}")
     # bench.ns, when set, is every cell's batch size, so optimizer.N is optional
-    ns = (_entries("bench.ns", _get(cfg, "bench.ns", _int_list))
-          if "bench.ns" in cfg else [])
+    ns = _get(cfg, "bench.ns", [])
     with _config_errors("bench.ns"):
         for n in ns:
             check_sample_size(n)
     template = build_run_config(cfg, n=ns[0] if ns else None)
     ns = ns or [template.n]
-    dims = _entries("bench.dims", _get(cfg, "bench.dims", _int_list))
-    kappas = _get(cfg, "bench.kappas", _float_list, [10.0])
-    # the cell id writes kappa with %g, so two kappas alike there repeat
-    _entries("bench.kappas", [f"{kappa:g}" for kappa in kappas])
-    schemes = _entries("bench.schemes",
-                       _get(cfg, "bench.schemes", _str_list, [template.scheme]))
-    seeds = _entries("bench.seeds", _get(cfg, "bench.seeds", _int_list))
-    mu = _get(cfg, "bench.mu", float, 1.0)
-    cell_kwargs, _ = _given(cfg, objective_seed=("bench.objective_seed", int))
-    grid_kwargs, eps_keys = _given(cfg, eps_rel=("bench.eps_rel", float))
-    _at_least("bench.dims", dims, 1)
-    _at_least("bench.kappas", kappas, 1)
-    _at_least("bench.seeds", seeds, 0)
-    _at_least("bench.objective_seed", cell_kwargs.values(), 0)
+    dims = _get(cfg, "bench.dims")
+    kappas = _get(cfg, "bench.kappas", [10.0])
+    schemes = _get(cfg, "bench.schemes", [template.scheme])
+    seeds = _get(cfg, "bench.seeds")
+    mu = _get(cfg, "bench.mu", 1.0)
+    cell_kwargs, _ = _given(cfg, objective_seed=("bench.objective_seed",))
+    grid_kwargs, eps_keys = _given(cfg, eps_rel=("bench.eps_rel",))
     if mu <= 0:
         raise ConfigError(f"bench.mu must be positive, got {mu!r}")
     with _config_errors("bench.schemes"):
@@ -433,14 +427,17 @@ def cmd_ablate(args) -> int:
     cfg = _read_config(args)
     obj = build_objective_from_config(cfg)
     base = build_run_config(cfg)
-    seeds = _get(cfg, "ablate.seeds", _int_list, [base.seed])
+    seeds = _get(cfg, "ablate.seeds", [base.seed])
     # every run takes its seed from ablate.seeds, which defaults to optimizer.seed
     _reject_unread(cfg, {"optimizer.seed": "ablate.seeds" not in cfg},
                    "ablate.seeds is set")
-    _at_least("ablate.seeds", _entries("ablate.seeds", seeds), 0)
-    eps_rel = _get(cfg, "ablate.eps_rel", float, ExperimentGrid.eps_rel)
+    eps_rel = _get(cfg, "ablate.eps_rel", ExperimentGrid.eps_rel)
     if not (0.0 < eps_rel < 1.0):
         raise ConfigError(f"ablate.eps_rel must lie in (0, 1), got {eps_rel!r}")
+    # each run stops once its gap falls to optimizer.eps times the initial gap
+    if base.eps_target is not None and base.eps_target > eps_rel:
+        raise ConfigError(f"optimizer.eps must be <= ablate.eps_rel ({eps_rel!r}), "
+                          f"got {base.eps_target!r}: each run stops at optimizer.eps")
     os.makedirs(args.out, exist_ok=True)
     results = {"full": [], "positive_only": []}
 

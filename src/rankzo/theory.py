@@ -494,8 +494,9 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
 
     return [EventCheckReport(
         event_id=e, trials=trials, theoretical_bound=bounds[e], failures=failures[e],
+        # E2 does not use the gradient, so its params leave grad_norm out
         params={"n": n, "d": d, "delta": delta, "alpha": alpha,
-                "grad_norm": float("nan") if e == "E2" else gn}) for e in ids]
+                **({} if e == "E2" else {"grad_norm": gn})}) for e in ids]
 
 
 def check_event(event_id: str, setup: EventSetup, trials: int,

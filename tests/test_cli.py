@@ -717,6 +717,29 @@ class TestAblate:
         assert "ablate.eps_rel must lie in (0, 1), got 5.0" in capsys.readouterr().err
         assert not out.exists()
 
+    # each run stops once its gap falls to optimizer.eps times the initial
+    # gap, so a larger optimizer.eps would leave ablate.eps_rel unreached
+    @pytest.mark.parametrize("text,named", [
+        (with_values(ABLATE_SMALL, {"optimizer.eps": "0.05"}), "(0.01), got 0.05"),
+        (with_values(without(ABLATE_SMALL, "ablate.eps_rel"), {"optimizer.eps": "1e-3"}),
+         "(0.0001), got 0.001"),
+    ], ids=["eps_rel_set", "eps_rel_default"])
+    def test_early_stop_above_eps_rel_exit2(self, tmp_path, capsys, text, named):
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 2
+        assert (f"config error: optimizer.eps must be <= ablate.eps_rel {named}: "
+                "each run stops at optimizer.eps\n") == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_early_stop_at_eps_rel_reaches_it(self, tmp_path):
+        text = with_values(ABLATE_SMALL, {"optimizer.eps": "1e-2"})
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        reached = strict_json(out / "ablate_summary.json")["queries_to_target"]
+        assert all(q is not None for qs in reached.values() for q in qs), reached
+
     def test_empty_seeds_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, with_values(ABLATE_SMALL, {"ablate.seeds": ","}))
         out = tmp_path / "out"
@@ -911,6 +934,26 @@ class TestConfigErrors:
     def test_every_key_is_read_and_named(self, tmp_path, capsys, key):
         command, value, context = BAD_VALUE[key]
         self.exit2_naming(tmp_path, capsys, command, key, {**context, key: value})
+
+    @pytest.mark.parametrize("key", sorted(key for key, (_, least) in CONFIG_KEYS.items()
+                                           if least is not None))
+    def test_value_below_least_exit2(self, tmp_path, capsys, key):
+        cast, least = CONFIG_KEYS[key]
+        section = key.split(".", 1)[0]
+        command = "optimize" if section in ("objective", "optimizer") else section
+        parsed = cast(str(least))
+        value = (parsed[-1] if isinstance(parsed, list) else parsed) - 1
+        text = str(value)
+        if isinstance(parsed, list):
+            # the last entry of an otherwise valid list
+            valid = re.search(rf"^{re.escape(key)} = (.*)$", BASE_CONFIG[command], re.M)
+            text = f"{valid.group(1)},{value}"
+        cfg = write_config(tmp_path, with_values(BASE_CONFIG[command], {key: text}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {key} must be >= {least}, got {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,key,value", [
         ("ablate", "ablate.seeds", "1,1"),

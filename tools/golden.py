@@ -7,9 +7,11 @@ Usage::
 
 Runs the six demos and the ``rankzo`` CLI on fixed inputs, importing
 rankzo from the tree's own ``src/``, and writes every output file and
-stdout under ``OUT``.  Timing is stripped and nothing else: the
-``wall_ms`` entry of each summary, the ``wall_ms`` column of
-``results.csv`` and ``wall_ms=`` in ``rankzo verify`` stdout.  Two trees
+stdout under ``OUT``, and the stderr of each config in
+:data:`BAD_CONFIGS` under ``OUT/config_errors``.  Timing is stripped
+and nothing else: the ``wall_ms`` entry of each summary, the
+``wall_ms`` column of ``results.csv`` and ``wall_ms=`` in ``rankzo
+verify`` stdout.  Two trees
 that behave the same therefore write byte-identical directories.
 
 ``--against REV`` exports the git revision ``REV`` (for example
@@ -88,6 +90,25 @@ verify.trials = 1000
 verify.alpha_scale = 0.5
 """
 
+#: a config with one fault per family of config error: the subcommand
+#: given it and the config text; each exits 2 with a message on stderr
+BAD_CONFIGS = {
+    "bad_cast": ("optimize", "objective.d = 8\noptimizer.N = sixteen\noptimizer.T = 5\n"),
+    "negative_seed": ("optimize", "objective.d = 8\noptimizer.N = 8\noptimizer.T = 5\n"
+                                  "optimizer.seed = -1\n"),
+    "dims_entry_below_one": ("bench", "bench.dims = 0,8\nbench.seeds = 1\n"
+                                      "optimizer.N = 8\noptimizer.T = 5\n"),
+    "empty_seeds": ("bench", "bench.dims = 8\nbench.seeds = ,\n"
+                             "optimizer.N = 8\noptimizer.T = 5\n"),
+    "repeated_seeds": ("bench", "bench.dims = 8\nbench.seeds = 1,1\n"
+                                "optimizer.N = 8\noptimizer.T = 5\n"),
+    "trials_below_minimum": ("verify", "verify.trials = 5\n"),
+    "missing_iterations": ("optimize", "objective.d = 8\noptimizer.N = 8\n"),
+    "unread_gamma": ("optimize", "objective.d = 8\noptimizer.N = 8\noptimizer.T = 5\n"
+                                 "optimizer.alpha = instrumented\noptimizer.gamma = 0.9\n"),
+    "unread_section": ("verify", "optimizer.N = 16\n"),
+}
+
 PREDICT = {
     "predict_sc": ["--d", "32", "--L", "10", "--mu", "1",
                    "--eps", "1e-6", "--alpha", "1e-4"],
@@ -95,12 +116,13 @@ PREDICT = {
 }
 
 
-def _run(tree: Path, argv) -> str:
-    """Run ``argv`` against ``tree``; return stdout plus the exit code."""
+def _run(tree: Path, argv, stream: str = "stdout") -> str:
+    """Run ``argv`` against ``tree``; return its ``stream`` ("stdout" or
+    "stderr") plus the exit code."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
-    return f"{done.stdout}exit={done.returncode}\n"
+    return f"{getattr(done, stream)}exit={done.returncode}\n"
 
 
 def _cli(tree: Path, out: Path, command: str, *argv: str) -> None:
@@ -155,6 +177,12 @@ def write_golden(tree: Path, out: Path) -> None:
          "--config", str(configs / "verify_reordered.cfg"))
     _cli(tree, out / "verify_below_bound", "verify",
          "--config", str(configs / "verify_below_bound.cfg"))
+    (out / "config_errors").mkdir()
+    for name, (command, text) in BAD_CONFIGS.items():
+        (configs / f"{name}.cfg").write_text(text)
+        (out / "config_errors" / f"{name}.txt").write_text(_run(
+            tree, ["-m", "rankzo", command, "--config", str(configs / f"{name}.cfg"),
+                   "--out", str(out / "config_errors" / name)], stream="stderr"))
     for name, flags in PREDICT.items():
         (out / f"{name}.txt").write_text(_run(tree, ["-m", "rankzo", "predict", *flags]))
     _strip_timing(out)
