@@ -36,7 +36,7 @@ from .sampling import check_sample_size, new_generator
 from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
                      EventSetup, ParameterError, c_d_delta, check_appendix_bounds,
                      check_event, check_events, event_precondition_errors, floors,
-                     instrumented_alpha, predict_complexity)
+                     instrumented_alpha, predict_complexity, usable_cpus)
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 
@@ -348,25 +348,28 @@ def _verify_reports(cfg: Dict[str, str]) -> List[Tuple[EventCheckReport, int]]:
 
 def _run_concurrently(units: list) -> List[tuple]:
     """``(fn(*args), wall ms)`` for each ``(fn, *args)`` in ``units``, in
-    order; the units run on up to one thread per usable CPU, and the
-    first unit that raised re-raises here once all have stopped."""
+    order.  ``units[0]`` runs on the calling thread and the rest on a pool
+    of up to one thread per other usable CPU, none with one unit or one
+    CPU; the first unit that raised re-raises here once all have stopped."""
     if not units:
         return []
-    # imported here, as in bench.run_grid, so importing rankzo.cli never loads it
-    from concurrent.futures import ThreadPoolExecutor
 
     def timed(fn, *args):
         started = time.perf_counter()
         result = fn(*args)
         return result, int(round((time.perf_counter() - started) * 1000))
 
-    # sched_getaffinity, the CPUs this process may use, is Linux-only
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(len(units), cpus)
+    first, rest = units[0], units[1:]
+    workers = min(len(rest), usable_cpus() - 1)
+    if workers < 1:
+        return [timed(*unit) for unit in units]
+    # imported here, as in bench.run_grid, so importing rankzo.cli never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(timed, *unit) for unit in units]
-    return [future.result() for future in futures]
+        futures = [pool.submit(timed, *unit) for unit in rest]
+        head = timed(*first)
+    return [head] + [future.result() for future in futures]
 
 
 def cmd_verify(args) -> int:

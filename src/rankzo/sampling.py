@@ -107,7 +107,9 @@ def rank_oracle(ledger: QueryLedger, x: np.ndarray, alpha: float,
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    fvals = ledger.values(alpha * u + np.asarray(x, dtype=float))
+    pts = alpha * u
+    pts += np.asarray(x, dtype=float)
+    fvals = ledger.values(pts)
     perm = fvals.argsort(kind="stable")
     # the sort puts -inf first and +inf, then nan, last: the two ends are
     # finite exactly when every value is

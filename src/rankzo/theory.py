@@ -26,7 +26,10 @@ Every checker is pure given its RNG stream, so trials can be sharded.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -82,7 +85,10 @@ MIN_TRIALS = 1000
 #: fits in a 1-2 MB L2 cache); every checker splits its trials into draws
 #: of at most this size, which leaves the stream, and so every report,
 #: unchanged.  The E1..E5 pass draws half of it at a time and holds about
-#: 2.5 budgets at once, an appendix check about one
+#: 2.5 budgets at once: two draw buffers and one probe buffer, allocated
+#: once per pass, and the batch objective's temporaries (the quadratic's
+#: ``z`` and ``z @ a``), each half a budget.  An appendix check holds
+#: about one
 _DRAW_BUDGET = 100_000
 
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
@@ -279,6 +285,14 @@ class EventCheckReport:
         return ";".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (Linux), else ``os.cpu_count()``, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunks(trials: int, per_trial: int):
     """Trial counts of successive draws of ``per_trial`` values per trial,
     each within :data:`_DRAW_BUDGET` and at least one trial."""
@@ -390,13 +404,18 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     Trials run in chunks of at most half of ``_DRAW_BUDGET`` Gaussian
     values (15 trials at n = 32, d = 100); each chunk makes one draw, one
     batch evaluation, one stable argsort and one ``u @ grad``, whatever
-    the requested events.  The draws run on one drawer thread, which
-    draws chunk k+1 while chunk k is evaluated, ranked and tested; they
+    the requested events.  With two or more usable CPUs the draws run on
+    one drawer thread, which draws chunk k+1 while chunk k is evaluated,
+    ranked and tested; with one they run on the calling thread.  They
     come off ``rng`` in order, and no draw is made past the last chunk,
     so the values and the stream's final state are those of one draw.
-    The pass holds about 2.5 budgets at once while the objective
-    evaluates (the directions, the probe points, the quadratic's ``z``
-    and ``z @ a``, and the next chunk's directions).  E2 bounds each
+    The pass allocates its chunk memory once, on the calling thread: two
+    draw buffers, which chunks fill in turn so that a draw never writes
+    the directions being tested, and one probe buffer, which
+    ``obj.batch_fn`` must not keep past its return.  With the batch
+    objective's temporaries (the quadratic's ``z`` and ``z @ a``) the
+    pass holds about 2.5 budgets at once, each of the five half a
+    budget.  E2 bounds each
     trial's spectral norm from above first (see :func:`_lmax`) and runs
     ``eigvalsh`` only where the bound does not decide the verdict.  The
     draws do not depend on which events are requested, so an event's
@@ -462,14 +481,28 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     from concurrent.futures import ThreadPoolExecutor
 
     sizes = list(_chunks(trials, 2 * n * d))    # draws of half the budget
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        pending = drawer.submit(rng.standard_normal, (sizes[0], n, d))
-        for k, following in enumerate(sizes[1:] + [0]):
-            u = pending.result()
-            if following:   # drawn while this chunk is evaluated and tested
-                pending = drawer.submit(rng.standard_normal, (following, n, d))
+    # allocated once, on this thread; chunk k is drawn into bufs[k % 2], so
+    # a draw never overwrites the directions still being tested
+    bufs = np.empty((2, sizes[0], n, d))
+    pts_buf = np.empty((sizes[0], n, d))
+
+    def fill(k):
+        return rng.standard_normal(out=bufs[k % 2][:sizes[k]])
+
+    # with one usable CPU a drawer thread has nothing to overlap with, so
+    # each chunk is drawn here when it is needed
+    with (ThreadPoolExecutor(max_workers=1) if usable_cpus() > 1
+          else nullcontext()) as drawer:
+        def ahead(k):   # a callable that returns chunk k's directions
+            return partial(fill, k) if drawer is None else drawer.submit(fill, k).result
+
+        pending = ahead(0)
+        for k in range(len(sizes)):
+            u = pending()
+            if k + 1 < len(sizes):   # drawn while this chunk is evaluated and tested
+                pending = ahead(k + 1)
             m = len(u)
-            pts = alpha * u
+            pts = np.multiply(u, alpha, out=pts_buf[:m])
             pts += x
             fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
             if not np.isfinite(fv).all():  # a nan would be ranked and fail no test

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,54 @@ class TestVerify:
         assert capsys.readouterr().err == "error: spectral draw failed\n"
         assert threading.active_count() == threads
         assert not out.exists()
+
+
+class TestRunConcurrently:
+    """``cli._run_concurrently`` runs its first unit on the calling thread
+    and the others on a pool of one thread per other usable CPU."""
+
+    @staticmethod
+    def with_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+    def test_first_unit_on_calling_thread(self, monkeypatch):
+        self.with_cpus(monkeypatch, 3)
+        results = cli._run_concurrently([(threading.get_ident,)] * 4)
+        idents = [ident for ident, _ in results]
+        assert idents[0] == threading.get_ident()
+        assert threading.get_ident() not in idents[1:]
+
+    @pytest.mark.parametrize("units, cpus", [(1, 4), (3, 1)],
+                             ids=["one_unit", "one_cpu"])
+    def test_no_thread_started(self, monkeypatch, units, cpus):
+        self.with_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+
+        def where():
+            return threading.get_ident(), threading.active_count()
+
+        results = cli._run_concurrently([(where,)] * units)
+        assert [r for r, _ in results] == [(threading.get_ident(), before)] * units
+
+    def test_first_unit_raises_after_pool_finishes(self, monkeypatch):
+        self.with_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        done = []
+        error = RuntimeError("first unit failed")
+
+        def fail():
+            raise error
+
+        def slow(i):
+            time.sleep(0.05)
+            done.append(i)
+
+        with pytest.raises(RuntimeError) as exc:
+            cli._run_concurrently([(fail,), (slow, 1), (slow, 2), (slow, 3)])
+        assert exc.value is error
+        assert sorted(done) == [1, 2, 3]
+        assert threading.active_count() == before
 
 
 BENCH_SMALL = """

@@ -564,9 +564,9 @@ class TestDrawMemory:
         assert peak <= 1.25 * theory._DRAW_BUDGET * 8, peak
 
     def test_event_pass_peak(self):
-        # the directions, the probe points, the quadratic's z and z @ a,
-        # and the next chunk's directions in flight, each half a budget:
-        # about 2.5 budgets; full-budget draws would hold about 5
+        # two draw buffers, one probe buffer, and the quadratic's z and
+        # z @ a, each half a budget: about 2.5 budgets; full-budget draws
+        # would hold about 5
         setup = quadratic_setup(n=32, d=100)
         tracemalloc.start()
         try:
@@ -591,11 +591,18 @@ def raising_on_call(obj, call=None, error=None):
     return dataclasses.replace(obj, batch_fn=batch_fn), seen
 
 
+def with_cpus(monkeypatch, cpus):
+    """Make :func:`theory.usable_cpus` report ``cpus``."""
+    monkeypatch.setattr(theory.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
 class TestDrawerThread:
     """The pass's drawer thread is gone once ``check_events`` returns or
     raises."""
 
-    def test_joined_after_return(self):
+    def test_joined_after_return(self, monkeypatch):
+        with_cpus(monkeypatch, 2)
         setup = quadratic_setup()
         obj, seen = raising_on_call(setup.obj)
         before = threading.active_count()
@@ -615,6 +622,49 @@ class TestDrawerThread:
         assert exc.value is error
         assert len(seen) == 3
         assert threading.active_count() == before
+
+
+    def test_no_drawer_on_one_cpu(self, monkeypatch):
+        setup = quadratic_setup()
+        reference = check_events(EVENT_IDS, setup, 1000, new_generator(1))
+        with_cpus(monkeypatch, 1)
+        obj, seen = raising_on_call(setup.obj)
+        before = threading.active_count()
+        reports = check_events(EVENT_IDS, dataclasses.replace(setup, obj=obj), 1000,
+                               new_generator(1))
+        assert len(seen) == 7 and max(seen) == before
+        assert [r.failures for r in reports] == [r.failures for r in reference]
+
+
+class TestDrawBuffers:
+    """The pass's draw and probe buffers are reused, never while a chunk
+    still reads them: every chunk's probes are those of one draw, and the
+    reports those of one chunk."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 37])
+    def test_probes_match_one_draw(self, monkeypatch, cpus, chunk):
+        n, d, trials = 8, 5, 1000
+        setup = quadratic_setup(n=n, d=d)
+        one_chunk = check_events(EVENT_IDS, setup, trials, new_generator(5))
+        with_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", chunk * 2 * n * d)
+        seen = []
+
+        def batch_fn(points):
+            seen.append(points.copy())   # the buffer is overwritten later
+            return setup.obj.batch_fn(points)
+
+        reports = check_events(EVENT_IDS, dataclasses.replace(
+            setup, obj=dataclasses.replace(setup.obj, batch_fn=batch_fn)),
+            trials, new_generator(5))
+        assert [r.failures for r in reports] == [r.failures for r in one_chunk]
+        u = new_generator(5).standard_normal((trials, n, d))
+        expected = (setup.alpha * u + setup.x).reshape(trials * n, d)
+        starts = range(0, trials, chunk)
+        assert [len(p) for p in seen] == [n * min(chunk, trials - s) for s in starts]
+        for start, points in zip(starts, seen):
+            np.testing.assert_array_equal(points, expected[start * n:start * n + len(points)])
 
 
 def poisoned(obj, bad_probes, value):

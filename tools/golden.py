@@ -90,6 +90,13 @@ verify.trials = 1000
 verify.alpha_scale = 0.5
 """
 
+#: appendix checks alone, so the calling thread runs one of them, not the
+#: E1..E5 pass
+VERIFY_APPENDIX_ONLY = """\
+verify.events = chi2,spectral,gauss_max
+verify.trials_appendix = 1000
+"""
+
 #: a config with one fault per family of config error: the subcommand
 #: given it and the config text; each exits 2 with a message on stderr
 BAD_CONFIGS = {
@@ -158,7 +165,8 @@ def write_golden(tree: Path, out: Path) -> None:
                        ("rosenbrock_blom.cfg", ROSENBROCK_BLOM),
                        ("diverging.cfg", DIVERGING),
                        ("verify_reordered.cfg", VERIFY_REORDERED),
-                       ("verify_below_bound.cfg", VERIFY_BELOW_BOUND)):
+                       ("verify_below_bound.cfg", VERIFY_BELOW_BOUND),
+                       ("verify_appendix_only.cfg", VERIFY_APPENDIX_ONLY)):
         (configs / name).write_text(text)
 
     _cli(tree, out / "optimize_quadratic", "optimize",
@@ -177,6 +185,8 @@ def write_golden(tree: Path, out: Path) -> None:
          "--config", str(configs / "verify_reordered.cfg"))
     _cli(tree, out / "verify_below_bound", "verify",
          "--config", str(configs / "verify_below_bound.cfg"))
+    _cli(tree, out / "verify_appendix_only", "verify",
+         "--config", str(configs / "verify_appendix_only.cfg"))
     (out / "config_errors").mkdir()
     for name, (command, text) in BAD_CONFIGS.items():
         (configs / f"{name}.cfg").write_text(text)
