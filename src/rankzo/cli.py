@@ -36,7 +36,7 @@ from .sampling import check_sample_size, new_generator
 from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
                      EventSetup, ParameterError, c_d_delta, check_appendix_bounds,
                      check_event, check_events, event_precondition_errors, floors,
-                     instrumented_alpha, predict_complexity, usable_cpus)
+                     instrumented_alpha, predict_complexity)
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 
@@ -359,8 +359,11 @@ def _run_concurrently(units: list) -> List[tuple]:
         result = fn(*args)
         return result, int(round((time.perf_counter() - started) * 1000))
 
+    # sched_getaffinity, the CPUs this process may use, is Linux-only
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     first, rest = units[0], units[1:]
-    workers = min(len(rest), usable_cpus() - 1)
+    workers = min(len(rest), cpus - 1)
     if workers < 1:
         return [timed(*unit) for unit in units]
     # imported here, as in bench.run_grid, so importing rankzo.cli never loads it

@@ -107,9 +107,7 @@ def rank_oracle(ledger: QueryLedger, x: np.ndarray, alpha: float,
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    pts = alpha * u
-    pts += np.asarray(x, dtype=float)
-    fvals = ledger.values(pts)
+    fvals = ledger.values(alpha * u + np.asarray(x, dtype=float))
     perm = fvals.argsort(kind="stable")
     # the sort puts -inf first and +inf, then nan, last: the two ends are
     # finite exactly when every value is

@@ -26,10 +26,7 @@ Every checker is pure given its RNG stream, so trials can be sharded.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -285,14 +282,6 @@ class EventCheckReport:
         return ";".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one (Linux), else ``os.cpu_count()``, else 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _chunks(trials: int, per_trial: int):
     """Trial counts of successive draws of ``per_trial`` values per trial,
     each within :data:`_DRAW_BUDGET` and at least one trial."""
@@ -404,9 +393,8 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     Trials run in chunks of at most half of ``_DRAW_BUDGET`` Gaussian
     values (15 trials at n = 32, d = 100); each chunk makes one draw, one
     batch evaluation, one stable argsort and one ``u @ grad``, whatever
-    the requested events.  With two or more usable CPUs the draws run on
-    one drawer thread, which draws chunk k+1 while chunk k is evaluated,
-    ranked and tested; with one they run on the calling thread.  They
+    the requested events.  The draws run on one drawer thread, which
+    draws chunk k+1 while chunk k is evaluated, ranked and tested; they
     come off ``rng`` in order, and no draw is made past the last chunk,
     so the values and the stream's final state are those of one draw.
     The pass allocates its chunk memory once, on the calling thread: two
@@ -489,18 +477,12 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     def fill(k):
         return rng.standard_normal(out=bufs[k % 2][:sizes[k]])
 
-    # with one usable CPU a drawer thread has nothing to overlap with, so
-    # each chunk is drawn here when it is needed
-    with (ThreadPoolExecutor(max_workers=1) if usable_cpus() > 1
-          else nullcontext()) as drawer:
-        def ahead(k):   # a callable that returns chunk k's directions
-            return partial(fill, k) if drawer is None else drawer.submit(fill, k).result
-
-        pending = ahead(0)
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        pending = drawer.submit(fill, 0)
         for k in range(len(sizes)):
-            u = pending()
+            u = pending.result()
             if k + 1 < len(sizes):   # drawn while this chunk is evaluated and tested
-                pending = ahead(k + 1)
+                pending = drawer.submit(fill, k + 1)
             m = len(u)
             pts = np.multiply(u, alpha, out=pts_buf[:m])
             pts += x

@@ -591,18 +591,11 @@ def raising_on_call(obj, call=None, error=None):
     return dataclasses.replace(obj, batch_fn=batch_fn), seen
 
 
-def with_cpus(monkeypatch, cpus):
-    """Make :func:`theory.usable_cpus` report ``cpus``."""
-    monkeypatch.setattr(theory.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-
-
 class TestDrawerThread:
     """The pass's drawer thread is gone once ``check_events`` returns or
     raises."""
 
-    def test_joined_after_return(self, monkeypatch):
-        with_cpus(monkeypatch, 2)
+    def test_joined_after_return(self):
         setup = quadratic_setup()
         obj, seen = raising_on_call(setup.obj)
         before = threading.active_count()
@@ -624,30 +617,16 @@ class TestDrawerThread:
         assert threading.active_count() == before
 
 
-    def test_no_drawer_on_one_cpu(self, monkeypatch):
-        setup = quadratic_setup()
-        reference = check_events(EVENT_IDS, setup, 1000, new_generator(1))
-        with_cpus(monkeypatch, 1)
-        obj, seen = raising_on_call(setup.obj)
-        before = threading.active_count()
-        reports = check_events(EVENT_IDS, dataclasses.replace(setup, obj=obj), 1000,
-                               new_generator(1))
-        assert len(seen) == 7 and max(seen) == before
-        assert [r.failures for r in reports] == [r.failures for r in reference]
-
-
 class TestDrawBuffers:
     """The pass's draw and probe buffers are reused, never while a chunk
     still reads them: every chunk's probes are those of one draw, and the
     reports those of one chunk."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 37])
-    def test_probes_match_one_draw(self, monkeypatch, cpus, chunk):
+    def test_probes_match_one_draw(self, monkeypatch, chunk):
         n, d, trials = 8, 5, 1000
         setup = quadratic_setup(n=n, d=d)
         one_chunk = check_events(EVENT_IDS, setup, trials, new_generator(5))
-        with_cpus(monkeypatch, cpus)
         monkeypatch.setattr(theory, "_DRAW_BUDGET", chunk * 2 * n * d)
         seen = []
 
