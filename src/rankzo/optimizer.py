@@ -19,6 +19,9 @@ Two regimes are supported:
   The search is warm-started: each iteration's first trial step is
   ``min(eta0, eta_prev / shrink)``, one shrink above the step the
   previous iteration accepted, and ``eta0`` again after a rejected move.
+  Each point is queried once: the search compares against the value the
+  previous iteration's accepted candidate returned, so only a run's
+  first search queries f(x).  This assumes a deterministic objective.
 
 Runs are deterministic given the config seed (Philox streams), and with
 a fixed or backtracking step the iterate sequence is invariant under any
@@ -274,36 +277,46 @@ def instrumented_step_size(f_x: float, grad: np.ndarray, u_sel: np.ndarray,
     return float(lo)
 
 
-def practical_step(ledger: QueryLedger, x: np.ndarray, direction: np.ndarray,
-                   policy: StepPolicy, eta_first: float):
+def practical_step(ledger: QueryLedger, x: np.ndarray, f_x: Optional[float],
+                   direction: np.ndarray, policy: StepPolicy, eta_first: float):
     """Rank-only update along ``direction``.
 
-    ``fixed``: unconditional step of eta0; no evaluation, no extra queries.
-    ``backtracking``: each try queries f(x) and then f(x + eta*direction)
-    through ``ledger``, starting at ``eta_first`` and shrinking eta until
-    the first improvement, whose candidate point is returned as it was
-    evaluated; if none of the ``max_tries`` tries improves, the move is
-    rejected and x is returned unchanged (eta reported as 0).  f(x) is
-    evaluated again at every try, so the comparison never rests on a
-    value held over from the driver or from an earlier try.  :func:`run`
-    warm-starts each search at ``min(eta0, eta_prev / shrink)``, where
-    ``eta_prev`` is the step the previous iteration accepted, and at
-    ``eta0`` after a rejected move.
+    ``fixed``: unconditional step of eta0; no evaluation, no queries, and
+    the new point's value is unknown (``None``).
+    ``backtracking``: ``f_x`` is the value the ledger returned for ``x``,
+    or ``None`` when none is known, in which case f(x) is queried once
+    first.  Each try then makes one query, f(x + eta*direction), through
+    ``ledger``, starting at ``eta_first`` and shrinking eta until the
+    first value below f(x); that candidate and its value are returned as
+    they were evaluated.  If none of the ``max_tries`` tries improves,
+    the move is rejected: x and f(x) are returned unchanged (eta
+    reported as 0).  Reusing f(x) assumes ``fn`` returns the same value
+    for the same point; under noise a held value that won a comparison
+    is biased low.  :func:`run` passes the value its previous search
+    returned and warm-starts each search at
+    ``min(eta0, eta_prev / shrink)``, where ``eta_prev`` is the step the
+    previous iteration accepted, and at ``eta0`` after a rejected move.
 
-    Returns ``(x_new, eta_used, extra_queries)``.
+    Returns ``((x_new, f_new), eta_used, queries)``, ``queries`` being
+    the number of queries this call made.
     """
     if policy.kind == "instrumented":
         raise ValueError("practical_step does not handle the instrumented policy")
     if policy.kind == "fixed":
-        return x + policy.eta0 * direction, policy.eta0, 0
+        return (x + policy.eta0 * direction, None), policy.eta0, 0
+    queries = 0
+    if f_x is None:
+        f_x = ledger.value(x)
+        queries = 1
     eta = eta_first
-    for tries in range(1, policy.max_tries + 1):
-        f_ref = ledger.value(x)
+    for _ in range(policy.max_tries):
         x_cand = x + eta * direction
-        if ledger.value(x_cand) < f_ref:
-            return x_cand, eta, 2 * tries
+        f_cand = ledger.value(x_cand)
+        queries += 1
+        if f_cand < f_x:
+            return (x_cand, f_cand), eta, queries
         eta *= policy.shrink
-    return x, 0.0, 2 * policy.max_tries
+    return (x, f_x), 0.0, queries
 
 
 def run(obj: Objective, cfg: RunConfig) -> RunTrace:
@@ -353,13 +366,15 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         step = cfg.step
         eta0, shrink = step.eta0, step.shrink
         eta_first = eta0
+        f_held = None  # the ledger's value of x, once a search has returned it
 
         def update(x, f_x, g, alpha, rng, ledger):
-            nonlocal eta_first
+            nonlocal eta_first, f_held
             u = sample_directions(rng, n, d)
             perm, _ = rank_oracle(ledger, x, alpha, u)
             direction = descent_direction(u.take(perm[sel], axis=0), w_sel)
-            x_new, eta, _extra = practical_step(ledger, x, direction, step, eta_first)
+            (x_new, f_held), eta, _queries = practical_step(
+                ledger, x, f_held, direction, step, eta_first)
             # warm start: one step above the last accepted one, capped at eta0
             eta_first = min(eta0, eta / shrink) if eta > 0 else eta0
             return x_new, alpha, eta

@@ -150,57 +150,64 @@ class TestInstrumentedAlpha:
 
 class TestPracticalStep:
     def test_backtracking_hand_simulation(self):
-        # f = x^2/2 at x=1 along d=-1: eta=10 overshoots (f=40.5),
-        # eta=1 lands at the optimum; each comparison charges 2
+        # f = x^2/2 at x=1 along d=-1: f(x) is queried once, then eta=10
+        # overshoots (f=40.5) and eta=1 lands at the optimum; 3 queries
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
         ledger = QueryLedger(obj)
         policy = StepPolicy("backtracking", eta0=10.0, shrink=0.1, max_tries=3)
-        x_new, eta, extra = practical_step(ledger, np.array([1.0]),
-                                           np.array([-1.0]), policy, 10.0)
+        (x_new, f_new), eta, queries = practical_step(
+            ledger, np.array([1.0]), None, np.array([-1.0]), policy, 10.0)
         assert x_new == pytest.approx(np.array([0.0]))
+        assert f_new == 0.5 * float(x_new[0] ** 2)
         assert eta == pytest.approx(1.0)
-        assert extra == 4
-        assert ledger.total_queries == 4
+        assert queries == 3
+        assert ledger.total_queries == 3
 
     def test_backtracking_warm_start_hand_simulation(self):
         # same search started at eta_first=0.5: x + 0.5*d = 0.5 improves
         # on the first comparison, so eta0=10 is never tried (a cold start
-        # rejects 10 and accepts 1 at 4 queries)
+        # rejects 10 and accepts 1 at 3 queries); a held f(x) = 0.5 saves
+        # the query of f(x)
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
-        ledger = QueryLedger(obj)
         policy = StepPolicy("backtracking", eta0=10.0, shrink=0.1, max_tries=3)
-        x_new, eta, extra = practical_step(ledger, np.array([1.0]),
-                                           np.array([-1.0]), policy, 0.5)
-        assert x_new == pytest.approx(np.array([0.5]))
-        assert eta == 0.5
-        assert extra == 2
-        assert ledger.total_queries == 2
+        for f_x, expected in ((None, 2), (0.5, 1)):
+            ledger = QueryLedger(obj)
+            (x_new, f_new), eta, queries = practical_step(
+                ledger, np.array([1.0]), f_x, np.array([-1.0]), policy, 0.5)
+            assert x_new == pytest.approx(np.array([0.5]))
+            assert f_new == 0.125
+            assert eta == 0.5
+            assert queries == expected
+            assert ledger.total_queries == expected
 
     def test_fixed_policy_no_extra_queries(self):
         obj = Objective(dim=1, fn=lambda x: float(x[0]))
         ledger = QueryLedger(obj)
-        x_new, eta, extra = practical_step(ledger, np.array([2.0]),
-                                           np.array([1.5]),
-                                           StepPolicy("fixed", eta0=0.5), 0.5)
-        assert extra == 0 and ledger.total_queries == 0
+        (x_new, f_new), eta, queries = practical_step(
+            ledger, np.array([2.0]), None, np.array([1.5]),
+            StepPolicy("fixed", eta0=0.5), 0.5)
+        assert queries == 0 and ledger.total_queries == 0
         assert x_new == pytest.approx(np.array([2.75]))
+        assert f_new is None
         assert eta == 0.5
 
     def test_rejected_move_keeps_x(self):
-        # ascent direction: no eta improves, so the move is rejected
+        # ascent direction: no eta improves, so the move is rejected after
+        # one f(x) and 4 tries; x and its value come back unchanged
         obj = Objective(dim=1, fn=lambda x: 0.5 * float(x[0] ** 2))
         ledger = QueryLedger(obj)
         policy = StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=4)
-        x_new, eta, extra = practical_step(ledger, np.array([1.0]),
-                                           np.array([1.0]), policy, 1.0)
+        (x_new, f_new), eta, queries = practical_step(
+            ledger, np.array([1.0]), None, np.array([1.0]), policy, 1.0)
         assert x_new == pytest.approx(np.array([1.0]))
+        assert f_new == 0.5
         assert eta == 0.0
-        assert extra == 8
+        assert queries == 5
 
     def test_instrumented_policy_rejected(self):
         obj = Objective(dim=1, fn=lambda x: float(x[0]))
         with pytest.raises(ValueError):
-            practical_step(QueryLedger(obj), np.zeros(1), np.ones(1),
+            practical_step(QueryLedger(obj), np.zeros(1), None, np.ones(1),
                            StepPolicy(), 1.0)
 
 
@@ -521,8 +528,8 @@ class TestWarmStartLineSearch:
 
     def test_fewer_tries_in_criterion_2_setting(self):
         # d=16, seeds 100-109, to 1e-4 of the initial gap: tries per row
-        # are the row's queries beyond its N oracle probes, over 2; a cold
-        # start at eta0 averages about 4.4
+        # are the row's queries beyond its N oracle probes, less row 0's
+        # one query of f(x_0); a cold start at eta0 averages about 4.4
         obj = make_quadratic(16, 1.0, 10.0, seed=7)
         tries = []
         for seed in range(100, 110):
@@ -532,17 +539,20 @@ class TestWarmStartLineSearch:
                             alpha=AlphaPolicy("fixed", alpha0=1e-3), eps_target=1e-4)
             trace = run(obj, cfg)
             per_row = np.diff(trace.queries_cum, prepend=0) - cfg.n
-            tries.extend(per_row / 2)
+            per_row[0] -= 1
+            tries.extend(per_row)
         assert np.mean(tries) <= 3.0
 
 
 def counting_objective(obj):
-    """``obj`` with ``fn`` calls and ``batch_fn`` rows counted."""
-    counts = {"evals": 0}
+    """``obj`` with ``fn`` calls and ``batch_fn`` rows counted: ``evals``
+    counts both, ``fn`` the ``fn`` calls alone."""
+    counts = {"evals": 0, "fn": 0}
     fn, batch_fn = obj.fn, obj.batch_fn
 
     def counted_fn(x):
         counts["evals"] += 1
+        counts["fn"] += 1
         return fn(x)
 
     def counted_batch(points):
@@ -557,7 +567,11 @@ def reference_run(obj, cfg, value_zo=False):
     out as one plain loop with the first implementation's formulas: the
     norm from ``np.linalg.norm``, probes ``x[None, :] + alpha * u``, the
     step-size terms under ``np.errstate`` and one ``evaluate`` pair per
-    line-search try.  Returns the trace rows, the final f and the query count.
+    line-search try.  f(x) is evaluated afresh at every try but charged
+    once per run, on iteration 0, as :func:`run` queries it only there and
+    holds the accepted candidate's value after: ``==`` against this
+    reference shows the held value changes no iterate, f or eta.  Returns
+    the trace rows, the final f and the query count.
     """
     n, d, L = cfg.n, obj.dim, obj.L
     rng = new_generator(cfg.seed)
@@ -614,8 +628,9 @@ def reference_run(obj, cfg, value_zo=False):
                 x = x + eta * direction
             else:
                 eta = eta_first
+                queries += t == 0
                 for _ in range(step.max_tries):
-                    queries += 2
+                    queries += 1
                     if evaluate(obj, x + eta * direction) < evaluate(obj, x):
                         x = x + eta * direction
                         break
@@ -699,10 +714,43 @@ class TestQueryLedgerAudit:
         assert trace.total_queries == 2 * len(trace)
         assert counts["evals"] - trace.total_queries == len(trace) + 1 + stopped_early
 
-    # fn calls 2, 3 are iteration 0's first try, 7, 8 iteration 1's second
-    @pytest.mark.parametrize("k", [2, 3, 7, 8], ids=["first_try_ref", "first_try_cand",
-                                                    "second_try_ref", "second_try_cand"])
-    def test_failed_run_counts_what_returned(self, k):
+    def test_backtracking_queries_each_point_once(self):
+        """A backtracking run queries f(x) once, on its first row, and
+        holds the accepted candidate's value after: its charged ``fn``
+        calls are its tries plus one, and a row after a rejected move
+        (eta = 0) charges its N probes and its tries, no f(x).  Tries are
+        read off eta: a search starts at min(eta0, eta_prev / shrink), or
+        at eta0 after a rejection, and halves eta until it accepts, or
+        rejects after max_tries (with shrink 0.5 every eta is a power of 2,
+        so log2 is exact)."""
+        obj, counts = counting_objective(make_quadratic(8, 1.0, 10.0, seed=7))
+        step = StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=8)
+        cfg = RunConfig(n=16, iterations=60, seed=3, step=step,
+                        alpha=AlphaPolicy("fixed", alpha0=1e-1))
+        trace = run(obj, cfg)
+        tries, eta_first = [], step.eta0
+        for eta in trace.eta:
+            tries.append(round(math.log2(eta_first / eta)) + 1 if eta > 0
+                         else step.max_tries)
+            eta_first = min(step.eta0, eta / step.shrink) if eta > 0 else step.eta0
+        # uncharged: the driver's f(x_t) of each row and the final f
+        assert counts["fn"] - (len(trace) + 1) == sum(tries) + 1
+        assert counts["evals"] - counts["fn"] == cfg.n * len(trace)
+        # row 0 also queries f(x_0); every later row, those after a rejected
+        # move included, charges its N probes and its tries only
+        per_row = np.diff(trace.queries_cum, prepend=0)
+        first = np.arange(len(trace)) == 0
+        np.testing.assert_array_equal(per_row, cfg.n + np.array(tries) + first)
+        # the run has rows after a rejected move that accept and that reject
+        after_rejected = np.flatnonzero(np.array(trace.eta[:-1]) == 0.0) + 1
+        assert {trace.eta[t] > 0 for t in after_rejected} == {True, False}
+
+    # fn call 1 is the driver's f(x_0), 2 the run's one charged f(x) and 3
+    # iteration 0's first (accepted) candidate; 4 is the driver's f(x_1),
+    # and 5, 6 are iteration 1's first (rejected) and second candidates
+    @pytest.mark.parametrize("k,rows", [(2, 0), (3, 0), (6, 1)],
+                             ids=["first_try_ref", "first_try_cand", "second_try_cand"])
+    def test_failed_run_counts_what_returned(self, k, rows):
         """Under backtracking, an ``fn`` that raises on its k-th call ends
         the run in an :class:`OptimizationError` whose ``total_queries``
         counts the charged evaluations that returned, not the failed one."""
@@ -725,6 +773,7 @@ class TestQueryLedgerAudit:
         with pytest.raises(OptimizationError, match="fn failed") as exc:
             run(replace(base, fn=fn, batch_fn=batch_fn), cfg)
         trace = exc.value.trace
+        assert len(trace) == rows
         # the failing call was a line-search query: its iteration's f(x_t) returned
         assert math.isfinite(trace.final_f)
         returned = calls["rows"] + calls["fn"] - 1

@@ -78,4 +78,11 @@ def test_each_subcommand_is_traced(tmp_path, tracer_module, command, config, run
         assert tracer.calls["sampling.rank_oracle"] > 0
         assert tracer.count["sampling.queries_charged"] > 0
     assert {span: tracer.calls[span] for span in SPANS[command]} == SPANS[command]
+    if command == "bench":
+        # optimizer.practical_step returns three values, the third the
+        # number of queries it made: all that is charged beyond the rank
+        # oracle's batch rows
+        assert (tracer.count["optimizer.line_search_queries"]
+                == tracer.count["sampling.queries_charged"]
+                - tracer.count["objective.batch_rows"])
 
