@@ -4,8 +4,9 @@ A grid is a list of quadratic cells (d, mu, L and a run configuration)
 crossed with a seed list; every cell/seed pair produces one
 :class:`ResultRow` with :func:`queries_to_target`, the final gap, and the
 fitted log-gap decay slope.  Cells are independent, so the grid can run
-on a process pool; rows are sorted before writing so the CSV is
-order-independent.
+on a process pool; rows are sorted before writing, and carry no timing,
+so the CSV is a function of the grid alone.  Each run's wall time goes
+into the summary.
 
 Objectives come from this module's ``make_quadratic`` and
 ``make_rosenbrock_like``, looked up at call time; they hold the defaults.
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 RESULT_COLUMNS = ("config_id", "seed", "scheme", "N", "d", "kappa", "policy",
-                  "queries_to_target", "final_gap", "slope", "wall_ms")
+                  "queries_to_target", "final_gap", "slope")
 
 
 def build_objective(kind: str, d: int, **params) -> Objective:
@@ -102,7 +103,6 @@ class ResultRow:
     queries_to_target: Optional[int]
     final_gap: float
     slope: float
-    wall_ms: int
 
 
 def queries_to_target(trace: RunTrace, eps_rel: float) -> Optional[int]:
@@ -136,8 +136,9 @@ def fit_log_gap_slope(trace: RunTrace) -> float:
 
 
 def _run_cell(args):
-    """One cell x seed run: its :class:`ResultRow`, or the message of the
-    exception it raised (a string, so it crosses a process pool)."""
+    """One cell x seed run: its :class:`ResultRow` and wall time in ms, or
+    the message of the exception it raised (a string, so it crosses a
+    process pool)."""
     cell, seed, eps_rel = args
     try:
         cfg = replace(cell.config, seed=seed, eps_target=eps_rel)
@@ -147,8 +148,7 @@ def _run_cell(args):
             d=cell.d, kappa=cell.L / cell.mu, policy=cfg.step.kind,
             queries_to_target=queries_to_target(trace, eps_rel),
             final_gap=trace.final_gap, slope=fit_log_gap_slope(trace),
-            wall_ms=trace.wall_ms,
-        )
+        ), trace.wall_ms
     except Exception as exc:  # grid keeps going; failure lands in summary
         return str(exc)
 
@@ -159,8 +159,11 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
 
     Individual cell failures are recorded in the summary and do not stop
     the grid.  Rows come back sorted by (config_id, seed) so output files
-    do not depend on scheduling order.  When ``out_dir`` is given,
-    ``results.csv`` and ``summary.json`` are written there.
+    do not depend on scheduling order.  The summary's ``wall_ms`` maps
+    ``"<config_id>/seed=<seed>"``, the name an ``errors`` entry starts
+    with, to that run's wall time; a run that raised has no entry.  When
+    ``out_dir`` is given, ``results.csv`` and ``summary.json`` are
+    written there.
     """
     tasks = [(cell, seed, grid.eps_rel)
              for cell in grid.cells for seed in grid.seeds]
@@ -173,13 +176,16 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
         outcomes = map(_run_cell, tasks)
     rows: List[ResultRow] = []
     errors: List[str] = []
+    wall_ms: Dict[str, int] = {}
     for (cell, seed, _), outcome in zip(tasks, outcomes):
+        name = f"{cell.config_id}/seed={seed}"
         if isinstance(outcome, str):
-            errors.append(f"{cell.config_id}/seed={seed}: {outcome}")
+            errors.append(f"{name}: {outcome}")
         else:
-            rows.append(outcome)
+            row, wall_ms[name] = outcome
+            rows.append(row)
     rows.sort(key=lambda r: (r.config_id, r.seed))
-    summary = _summarize(grid, rows, errors)
+    summary = _summarize(grid, rows, errors, wall_ms)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, "results.csv"), RESULT_COLUMNS,
@@ -195,7 +201,7 @@ def median_or_none(values) -> Optional[float]:
 
 
 def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
-               errors: List[str]) -> Dict:
+               errors: List[str], wall_ms: Dict[str, int]) -> Dict:
     per_cell = {}
     for cell in grid.cells:
         cell_rows = [r for r in rows if r.config_id == cell.config_id]
@@ -212,7 +218,8 @@ def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
             "median_slope": float(np.median([r.slope for r in cell_rows])),
             "predicted": {"t": pred.t, "q": pred.q, "n": pred.n},
         }
-    return {"eps_rel": grid.eps_rel, "cells": per_cell, "errors": errors}
+    return {"eps_rel": grid.eps_rel, "cells": per_cell, "errors": errors,
+            "wall_ms": wall_ms}
 
 
 def _finite_or_null(value):

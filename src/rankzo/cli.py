@@ -43,19 +43,11 @@ __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
 REPORT_COLUMNS = ("event_id", "params", "trials", "empirical", "bound", "pass")
 
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> List[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not all(map(math.isfinite, values)):
-        raise ValueError("not finite")
-    return values
-
-
-def _str_list(text: str) -> List[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _list_of(cast):
+    """The cast of a comma list: ``cast`` of each non-empty token.  int and
+    float read the blanks around a token themselves, and string lists
+    cast with ``str.strip``, so an error quotes the token as written."""
+    return lambda text: [cast(tok) for tok in text.split(",") if tok.strip()]
 
 
 #: every key a config file may set, exactly the keys the subcommands read:
@@ -72,15 +64,15 @@ CONFIG_KEYS = {
     "optimizer.alpha0": (float, None), "optimizer.gamma": (float, None),
     "optimizer.alpha_c": (float, None), "optimizer.seed": (int, 0),
     "optimizer.delta": (float, None), "optimizer.eps": (float, None),
-    "verify.events": (_str_list, None), "verify.trials": (int, MIN_TRIALS),
+    "verify.events": (_list_of(str.strip), None), "verify.trials": (int, MIN_TRIALS),
     "verify.trials_appendix": (int, MIN_TRIALS), "verify.n": (int, None),
     "verify.d": (int, None), "verify.delta": (float, None),
     "verify.alpha_scale": (float, None), "verify.seed": (int, 0),
-    "bench.dims": (_int_list, 1), "bench.kappas": (_float_list, 1),
-    "bench.ns": (_int_list, None), "bench.schemes": (_str_list, None),
-    "bench.seeds": (_int_list, 0), "bench.eps_rel": (float, None),
+    "bench.dims": (_list_of(int), 1), "bench.kappas": (_list_of(float), 1),
+    "bench.ns": (_list_of(int), None), "bench.schemes": (_list_of(str.strip), None),
+    "bench.seeds": (_list_of(int), 0), "bench.eps_rel": (float, None),
     "bench.mu": (float, None), "bench.objective_seed": (int, 0),
-    "ablate.seeds": (_int_list, 0), "ablate.eps_rel": (float, None),
+    "ablate.seeds": (_list_of(int), 0), "ablate.eps_rel": (float, None),
 }
 
 #: the config sections each subcommand reads; a key from any other
@@ -167,11 +159,11 @@ def _get(cfg: Dict[str, str], key: str, default=None):
     cast, least = CONFIG_KEYS[key]
     try:
         value = cast(cfg[key])
-        if isinstance(value, float) and not math.isfinite(value):
+        entries = value if isinstance(value, list) else [value]
+        if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
             raise ValueError("not finite")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from None
-    entries = value if isinstance(value, list) else [value]
     if not entries:
         raise ConfigError(f"{key} is empty")
     # float entries repeat when they print alike with %g, as bench's cell

@@ -17,7 +17,7 @@ side channel for theory validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -63,7 +63,7 @@ class QueryLedger:
     (f(x_t), the gradient, the final f) read ``obj`` directly."""
 
     obj: Objective
-    _total: int = 0
+    _total: int = field(default=0, init=False)
 
     @property
     def total_queries(self) -> int:

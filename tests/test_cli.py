@@ -542,9 +542,9 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "results.csv").read_text().splitlines() == [
             "config_id,seed,scheme,N,d,kappa,policy,queries_to_target,final_gap,"
-            "slope,wall_ms"]
+            "slope"]
         summary = strict_json(out / "summary.json")
-        assert summary["cells"] == {}
+        assert summary["cells"] == {} and summary["wall_ms"] == {}
         assert summary["errors"] == [
             f"d8_k10_N8_uniform/seed={seed}: iteration 1 failed: "
             "non-finite objective value inf" for seed in (1, 2)]
@@ -1011,6 +1011,21 @@ class TestConfigErrors:
     def test_repeated_entry_exit2(self, tmp_path, capsys, command, key, value):
         self.exit2_naming(tmp_path, capsys, command, key, {key: value})
 
+    # one finiteness rule for a float and for each entry of a float list,
+    # and a cast error quotes the token as written
+    @pytest.mark.parametrize("command,key,value,reason", [
+        ("optimize", "optimizer.eps", "inf", "not finite"),
+        ("bench", "bench.kappas", "1,inf", "not finite"),
+        ("bench", "bench.kappas", "nan", "not finite"),
+        ("bench", "bench.dims", "8, x", "invalid literal for int() with base 10: ' x'"),
+        ("bench", "bench.kappas", "1, ten", "could not convert string to float: ' ten'"),
+    ])
+    def test_bad_value_message(self, tmp_path, capsys, command, key, value, reason):
+        cfg = write_config(tmp_path, with_values(BASE_CONFIG[command], {key: value}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: bad value for {key!r}: {value!r} ({reason})\n"
+
     def test_library_error_names_only_keys_set(self, tmp_path, capsys):
         # StepPolicy rejects the kind; eta0 is left to its default
         cfg = write_config(tmp_path, with_values(QUAD_CONFIG, {"optimizer.step": "foo"}))
@@ -1152,3 +1167,57 @@ class TestDispatch:
             unshown = [a.option_strings for a in actions
                        if not shown & set(a.option_strings)]
             assert unshown == [], (command, unshown)
+
+
+# fixed steps of 1e152: on kappa = 1e6 f(x_1) overflows and both runs
+# raise; on kappa = 1 the runs return, far from any target
+BENCH_HALF_FAILING = with_values(BENCH_SMALL, {
+    "bench.kappas": "1,1e6", "optimizer.T": "3", "optimizer.step": "fixed",
+    "optimizer.eta0": "1e152"})
+
+
+def output_files(out):
+    """Every file under ``out`` by relative path: its bytes, or for a
+    summary its JSON without the top-level ``wall_ms``."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        content = path.read_bytes()
+        if path.name.endswith("summary.json"):
+            content = strict_json(path)
+            content.pop("wall_ms", None)
+        files[str(path.relative_to(out))] = content
+    return files
+
+
+class TestReruns:
+    """A config reproduces every file its subcommand writes, byte for
+    byte; the one timing is a summary's top-level ``wall_ms``."""
+
+    @pytest.mark.parametrize("command,text,flags", [
+        ("optimize", QUAD_CONFIG, [[]] * 2),
+        ("ablate", ABLATE_SMALL, [[]] * 2),
+        ("bench", BENCH_HALF_FAILING, [["--jobs", "1"], ["--jobs", "2"]] * 2),
+        ("verify", VERIFY_SMALL, [[]] * 2),
+    ], ids=["optimize", "ablate", "bench", "verify"])
+    def test_outputs_repeat_but_for_wall_ms(self, tmp_path, command, text, flags):
+        cfg = write_config(tmp_path, text)
+        runs = []
+        for i, extra in enumerate(flags):
+            out = tmp_path / f"out{i}"
+            assert main([command, "--config", cfg, "--out", str(out), *extra]) == 0
+            runs.append(output_files(out))
+        assert runs[0] and all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bench_times_each_run_that_returned(self, tmp_path, jobs):
+        cfg = write_config(tmp_path, BENCH_HALF_FAILING)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        returned = {"{}/seed={}".format(*row.split(",")[:2]) for row in rows}
+        summary = strict_json(out / "summary.json")
+        raised = {error.split(": ", 1)[0] for error in summary["errors"]}
+        assert returned == {f"d8_k1_N8_uniform/seed={s}" for s in (1, 2)}
+        assert raised == {f"d8_k1e+06_N8_uniform/seed={s}" for s in (1, 2)}
+        assert set(summary["wall_ms"]) == returned
+        assert all(type(ms) is int and ms >= 0 for ms in summary["wall_ms"].values())

@@ -199,6 +199,14 @@ class TestQueryLedger:
             ledger.charge(n)
         assert ledger.total_queries == 36
 
+    def test_starts_at_zero_queries(self):
+        # the total is the ledger's own; no caller can start it elsewhere
+        assert QueryLedger(linear_1d()).total_queries == 0
+        with pytest.raises(TypeError):
+            QueryLedger(linear_1d(), 5)
+        with pytest.raises(TypeError):
+            QueryLedger(linear_1d(), _total=5)
+
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             QueryLedger(linear_1d()).charge(-1)

@@ -439,6 +439,37 @@ class TestNegativeControls:
         r = check_appendix_bounds("spectral", {"tau": -6.0}, 1000, new_generator(3))
         assert r.empirical_failure_rate == 1.0 and not r.passed
 
+    @staticmethod
+    def passes_then_fails(monkeypatch, name, factor, check):
+        """``check()`` passes, then fails once ``theory.<name>`` returns
+        ``factor`` times its value; both runs draw the same stream."""
+        assert check().passed
+        helper = getattr(theory, name)
+        monkeypatch.setattr(theory, name, lambda *a: factor * helper(*a))
+        report = check()
+        assert report.passed is False, report
+        return report
+
+    def test_e3_fails_with_halved_gaussian_max(self, monkeypatch):
+        self.passes_then_fails(monkeypatch, "_gauss_max", 0.5, lambda: check_events(
+            ("E3",), quadratic_setup(), 2000, new_generator(5))[0])
+
+    def test_gauss_max_fails_with_halved_threshold(self, monkeypatch):
+        self.passes_then_fails(monkeypatch, "_gauss_max", 0.5, lambda: check_appendix_bounds(
+            "gauss_max", None, 2000, new_generator(5)))
+
+    @pytest.mark.parametrize("which,params", [
+        ("chernoff", {"n": 64, "p": 0.2, "r": 0.25}),
+        ("order_low1", {"n": 8}),
+        ("order_low2", {"n": 8}),
+    ])
+    def test_chernoff_bounds_fail_with_inflated_divergence(self, monkeypatch,
+                                                          which, params):
+        # 50x the divergence shrinks exp(-n D) far below the failure rate
+        r = self.passes_then_fails(monkeypatch, "kl_bernoulli", 50.0, lambda: (
+            check_appendix_bounds(which, params, 2000, new_generator(5))))
+        assert r.theoretical_bound < 1e-10 < r.empirical_failure_rate
+
 
 def gram_stack(k, seed):
     """40 Gram matrices A A^T of k x (k + 3) Gaussian A, then a rank-1

@@ -9,10 +9,9 @@ Runs the six demos and the ``rankzo`` CLI on fixed inputs, importing
 rankzo from the tree's own ``src/``, and writes every output file and
 stdout under ``OUT``, and the stderr of each config in
 :data:`BAD_CONFIGS` under ``OUT/config_errors``.  Timing is stripped
-and nothing else: the ``wall_ms`` entry of each summary, the
-``wall_ms`` column of ``results.csv`` and ``wall_ms=`` in ``rankzo
-verify`` stdout.  Two trees
-that behave the same therefore write byte-identical directories.
+and nothing else: the ``wall_ms`` entry of each summary and
+``wall_ms=`` in ``rankzo verify`` stdout.  Two trees that behave the
+same therefore write byte-identical directories.
 
 ``--against REV`` exports the git revision ``REV`` (for example
 ``HEAD~1``) with ``git archive`` into a temporary directory, writes the
@@ -144,10 +143,6 @@ def _strip_timing(out: Path) -> None:
         data = json.loads(path.read_text())
         data.pop("wall_ms", None)
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    for path in out.rglob("results.csv"):
-        rows = [line.split(",") for line in path.read_text().splitlines()]
-        keep = [i for i, name in enumerate(rows[0]) if name != "wall_ms"]
-        path.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
 
 
 def write_golden(tree: Path, out: Path) -> None:
