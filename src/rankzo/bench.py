@@ -197,7 +197,21 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1,
 def median_or_none(values) -> Optional[float]:
     """Median of the values that are not None; None when there are none."""
     vals = [v for v in values if v is not None]
-    return float(np.median(vals)) if vals else None
+    return _median(vals) if vals else None
+
+
+def _median(values) -> float:
+    """``float(np.median(values))``, bit for bit, for a non-empty list of
+    numbers: nan if any is nan, else the middle value or the mean of the
+    two, summed from 0.0 as ``np.mean`` does (so -0.0 comes out 0.0).
+    ``np.median`` would load ``numpy.ma`` to check for nan."""
+    s = np.sort(np.asarray(values, dtype=float))
+    h = len(s) // 2
+    if math.isnan(s[-1]):  # the sort puts nan last
+        return float(s[-1])
+    if len(s) % 2:
+        return 0.0 + float(s[h])
+    return (0.0 + float(s[h - 1]) + float(s[h])) / 2
 
 
 def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
@@ -214,8 +228,8 @@ def _summarize(grid: ExperimentGrid, rows: List[ResultRow],
                 [r.queries_to_target for r in cell_rows]),
             "reached": sum(r.queries_to_target is not None for r in cell_rows),
             "runs": len(cell_rows),
-            "median_final_gap": float(np.median([r.final_gap for r in cell_rows])),
-            "median_slope": float(np.median([r.slope for r in cell_rows])),
+            "median_final_gap": _median([r.final_gap for r in cell_rows]),
+            "median_slope": _median([r.slope for r in cell_rows]),
             "predicted": {"t": pred.t, "q": pred.q, "n": pred.n},
         }
     return {"eps_rel": grid.eps_rel, "cells": per_cell, "errors": errors,

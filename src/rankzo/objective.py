@@ -201,7 +201,7 @@ def make_quadratic(d: int, mu: float = 1.0, L: float = 10.0, seed: int = 7) -> O
         za = z.dot(a)
         za *= z
         values = 0.5 * np.add.reduce(za, axis=1)
-        if not math.isfinite(values.sum()):  # one test while all are finite
+        if not math.isfinite(np.add.reduce(values)):  # one test while all are finite
             values[~np.isfinite(values)] = np.inf
         return values
 

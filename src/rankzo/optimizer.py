@@ -38,9 +38,9 @@ from typing import List, Optional
 import numpy as np
 
 from .objective import Objective
-from .sampling import (QueryLedger, check_sample_size, new_generator,
+from .sampling import (DrawAhead, QueryLedger, check_sample_size, new_generator,
                        rank_oracle, sample_directions, selected_ranks)
-from .theory import c_N_d_delta, c_d_delta, instrumented_alpha
+from .theory import c_N_d_delta, c_d_delta, draw_blocks, instrumented_alpha
 from .weights import check_scheme, weights_by_name
 
 __all__ = [
@@ -330,6 +330,14 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     alpha the iteration records a null step instead, which is what
     produces the alpha-floor plateau.  A run that fails part-way raises
     :class:`OptimizationError` with its partial trace (see :func:`_drive`).
+
+    After x0, every direction batch, regime retries included, comes from
+    a :class:`~rankzo.sampling.DrawAhead` over the run's generator: one
+    drawer thread draws the directions a block ahead (at most half of
+    ``theory._DRAW_BUDGET`` values a block, 24 samples at n = 16,
+    d = 128) while the loop ranks and steps, and is joined when the run
+    returns or raises.  The directions do not depend on the block size.
+    ``bench --jobs N`` runs one such drawer per run in each worker.
     """
     if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented step needs an objective with grad and L")
@@ -345,13 +353,13 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         c_nd = c_N_d_delta(n, d, cfg.delta, cfg.positive_only)
         retries = MAX_REGIME_RETRIES if cfg.alpha.kind != "fixed" else 1
 
-        def update(x, f_x, g, alpha, rng, ledger):
+        def update(x, f_x, g, alpha, directions, ledger):
             # every regime violation halves alpha and resamples; after the
             # last one the step is null, at the alpha that sample used
             for attempt in range(retries):
                 if attempt:
                     alpha *= 0.5
-                u = sample_directions(rng, n, d)
+                u = sample_directions(directions, n, d)
                 perm, fvals = rank_oracle(ledger, x, alpha, u)
                 idx = perm[sel]
                 u_sel = u.take(idx, axis=0)
@@ -368,9 +376,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         eta_first = eta0
         f_held = None  # the ledger's value of x, once a search has returned it
 
-        def update(x, f_x, g, alpha, rng, ledger):
+        def update(x, f_x, g, alpha, directions, ledger):
             nonlocal eta_first, f_held
-            u = sample_directions(rng, n, d)
+            u = sample_directions(directions, n, d)
             perm, _ = rank_oracle(ledger, x, alpha, u)
             direction = descent_direction(u.take(perm[sel], axis=0), w_sel)
             (x_new, f_held), eta, _queries = practical_step(
@@ -379,7 +387,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             eta_first = min(eta0, eta / shrink) if eta > 0 else eta0
             return x_new, alpha, eta
 
-    return _drive(obj, cfg, cfg.scheme, update)
+    return _drive(obj, cfg, cfg.scheme, update, (n, d))
 
 
 def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
@@ -402,17 +410,22 @@ def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
     return _drive(obj, cfg, "value_zo", update)
 
 
-def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
+def _drive(obj: Objective, cfg: RunConfig, scheme: str, update,
+           sample_shape: Optional[tuple] = None) -> RunTrace:
     """The iteration loop shared by :func:`run` and :func:`baseline_value_zo`.
 
     Per iteration: f(x_t) from ``obj.fn``; the early stop;
     ``obj.grad(x_t)`` and its norm when the objective has a gradient;
-    alpha; then ``update(x, f_x, g, alpha, rng, ledger)``, which returns
-    ``(x_new, alpha_used, eta)`` and makes every query through the run's
-    :class:`~rankzo.sampling.QueryLedger`.  After the last iteration, or
-    an early stop, one more ``obj.fn`` call gives the final f.  These
-    diagnostics are uncharged, and the driver calls ``obj.fn`` directly:
-    the iterate's shape is checked once, on the start point.
+    alpha; then ``update(x, f_x, g, alpha, source, ledger)``, which
+    returns ``(x_new, alpha_used, eta)`` and makes every query through
+    the run's :class:`~rankzo.sampling.QueryLedger`.  ``source`` is the
+    run's generator, or, given ``sample_shape``, a
+    :class:`~rankzo.sampling.DrawAhead` of samples of that shape over
+    it, started once x0 is drawn and closed when the loop ends.  After
+    the last iteration, or an early stop, one more ``obj.fn`` call gives
+    the final f.  These diagnostics are uncharged, and the driver calls
+    ``obj.fn`` directly: the iterate's shape is checked once, on the
+    start point.
 
     A failed run has one exit: every ``ValueError`` or ``ArithmeticError``
     the loop meets (a non-finite f(x_t) or final f, a stationary point
@@ -444,6 +457,8 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
             L, c_d, c = obj.L, c_d_delta(d, cfg.delta), cfg.alpha.c
         g = gap_target = None
         gap = gnorm = f_x = math.nan
+        source = (rng if sample_shape is None else
+                  DrawAhead(rng, sample_shape, draw_blocks(math.prod(sample_shape))))
 
         try:
             for t in range(cfg.iterations):
@@ -470,7 +485,7 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
                     alpha = alpha0 * gamma**t
                 else:
                     alpha = alpha0
-                x, alpha_used, eta = update(x, f_x, g, alpha, rng, ledger)
+                x, alpha_used, eta = update(x, f_x, g, alpha, source, ledger)
                 trace.record(t, f_x, gap, gnorm, alpha_used, eta, ledger.total_queries)
                 if iterates is not None:
                     iterates.append(x.copy())
@@ -483,6 +498,9 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update) -> RunTrace:
             raise OptimizationError(
                 f"iteration {len(trace)} failed: {exc}",
                 _finalize(trace, x, f_x, obj, ledger, started, iterates)) from exc
+        finally:
+            if source is not rng:
+                source.close()
         return _finalize(trace, x, f_x, obj, ledger, started, iterates)
 
 

@@ -6,6 +6,11 @@ reproducible bit for bit across platforms.  ``n`` must be a positive
 multiple of 4 (:func:`check_sample_size`) because the selected index set
 splits into a best quartile and a worst quartile.
 
+:class:`DrawAhead` draws a stream's samples a block ahead on one drawer
+thread: a run's directions, and the E1..E5 pass's trial batches.  The
+values come off the generator in the same order whatever the block
+sizes, so no output depends on them.
+
 The rank oracle evaluates the ``n`` probe points ``x + alpha * u_i``
 through the run's :class:`QueryLedger`, the one place queries are
 charged, and returns the stable ascending permutation of the values
@@ -16,15 +21,18 @@ side channel for theory validation.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from .objective import Objective, evaluate, evaluate_batch
 
 __all__ = [
+    "DrawAhead",
     "QueryLedger",
     "NonFiniteValueError",
     "check_sample_size",
@@ -83,6 +91,114 @@ class QueryLedger:
         if n < 0:
             raise ValueError("cannot charge a negative query count")
         self._total += int(n)
+
+
+class DrawAhead:
+    """Standard normal samples of ``shape``, drawn from ``rng`` a block
+    ahead on one drawer thread.
+
+    ``sizes`` gives the sample count of each block in turn, a finite
+    sequence or an open-ended iterable such as ``itertools.repeat(b)``;
+    none may exceed the first.  The constructor, on the calling thread,
+    allocates two buffers of the first block's size once, and starts the
+    drawer, which fills blocks into them in turn: block k+1 while the
+    caller consumes block k, and never block k+2 before the caller has
+    moved on to block k+1.  The values come off ``rng`` in order, so
+    they are those of one draw whatever the sizes; no draw is made past
+    the last block, but an open-ended stream leaves ``rng`` up to two
+    blocks past what the caller used.  Nothing else may draw from
+    ``rng`` until :meth:`close`.
+
+    Consume it one way only: iterating gives whole blocks, each a view
+    of shape ``(m,) + shape`` that stays intact until the next block is
+    asked for; :meth:`standard_normal` gives one sample at a time, the
+    one ``Generator`` method :func:`sample_directions` calls.  An error
+    the drawer meets re-raises in the caller, at the block it was
+    drawing.  :meth:`close` (or leaving a ``with`` block) stops and
+    joins the drawer.
+    """
+
+    def __init__(self, rng: np.random.Generator, shape: Tuple[int, ...],
+                 sizes: Iterable[int]):
+        sizes = iter(sizes)
+        first = next(sizes, None)
+        if first is None:
+            raise ValueError("no block sizes given")
+        self._shape = tuple(shape)
+        self._bufs = np.empty((2, first) + self._shape)
+        self._free = threading.Semaphore(2)   # buffers the drawer may fill
+        self._ready = threading.Semaphore(0)  # blocks, or the end, handed over
+        self._blocks = [None, None]           # block k is in slot k % 2
+        self._end = None                      # blocks drawn, once the drawer stops
+        self._error = None
+        self._stop = False
+        self._k = 0                           # blocks handed to the caller
+        self._block = self._bufs[0][:0]       # the block standard_normal reads
+        self._i = 0
+        self._drawer = threading.Thread(
+            target=self._draw, args=(rng, itertools.chain((first,), sizes)),
+            name="rankzo-draw-ahead", daemon=True)
+        self._drawer.start()
+
+    def _draw(self, rng, sizes) -> None:
+        drawn = 0
+        try:
+            for m in sizes:
+                self._free.acquire()
+                if self._stop:
+                    return
+                if not 0 < m <= len(self._bufs[0]):
+                    raise ValueError(f"block {drawn} holds {m} samples, not 1 to "
+                                     f"the first block's {len(self._bufs[0])}")
+                slot = drawn % 2
+                self._blocks[slot] = rng.standard_normal(out=self._bufs[slot][:m])
+                self._ready.release()
+                drawn += 1
+        except Exception as exc:
+            self._error = exc
+        self._end = drawn
+        self._ready.release()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        k = self._k
+        if k:  # the caller is done with block k-1: its buffer takes block k+1
+            self._free.release()
+        self._ready.acquire()
+        if k == self._end:
+            self._ready.release()  # every later call ends here too
+            if self._error is not None:
+                raise self._error
+            raise StopIteration
+        self._k = k + 1
+        return self._blocks[k % 2]
+
+    def standard_normal(self, size: Tuple[int, ...]) -> np.ndarray:
+        """The next sample, a view that stays intact until the next call;
+        ``size`` must be the stream's sample shape."""
+        if size != self._shape:
+            raise ValueError(f"this stream draws samples of shape {self._shape}, "
+                             f"not {size}")
+        i = self._i
+        if i == len(self._block):
+            self._block = next(self)
+            i = 0
+        self._i = i + 1
+        return self._block[i]
+
+    def close(self) -> None:
+        """Stop the drawer after the block it is drawing, and join it."""
+        self._stop = True
+        self._free.release()
+        self._drawer.join()
+
+    def __enter__(self) -> "DrawAhead":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

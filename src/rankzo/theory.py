@@ -25,6 +25,7 @@ Every checker is pure given its RNG stream, so trials can be sharded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -32,7 +33,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .objective import Objective, evaluate, evaluate_batch
-from .sampling import NonFiniteValueError, check_sample_size, selected_ranks
+from .sampling import (DrawAhead, NonFiniteValueError, check_sample_size,
+                       selected_ranks)
 
 __all__ = [
     "P_TAIL_EXACT",
@@ -53,6 +55,7 @@ __all__ = [
     "check_events",
     "check_event",
     "check_appendix_bounds",
+    "draw_blocks",
     "EVENT_IDS",
     "APPENDIX_IDS",
 ]
@@ -85,7 +88,9 @@ MIN_TRIALS = 1000
 #: 2.5 budgets at once: two draw buffers and one probe buffer, allocated
 #: once per pass, and the batch objective's temporaries (the quadratic's
 #: ``z`` and ``z @ a``), each half a budget.  An appendix check holds
-#: about one
+#: about one.  :func:`~rankzo.optimizer.run` draws its directions in
+#: blocks of half of it too (24 samples at n = 16, d = 128), into two
+#: buffers: one budget per run
 _DRAW_BUDGET = 100_000
 
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
@@ -290,6 +295,16 @@ def _chunks(trials: int, per_trial: int):
         yield min(step, trials - start)
 
 
+def draw_blocks(values_per_sample: int, samples: Optional[int] = None):
+    """Sample counts of successive :class:`~rankzo.sampling.DrawAhead`
+    blocks, ``samples`` in all, or endless when None: at most half of
+    :data:`_DRAW_BUDGET` values each, as a stream holds two, and at least
+    one sample."""
+    if samples is None:
+        return itertools.repeat(max(1, _DRAW_BUDGET // (2 * values_per_sample)))
+    return _chunks(samples, 2 * values_per_sample)
+
+
 def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -393,19 +408,21 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     Trials run in chunks of at most half of ``_DRAW_BUDGET`` Gaussian
     values (15 trials at n = 32, d = 100); each chunk makes one draw, one
     batch evaluation, one stable argsort and one ``u @ grad``, whatever
-    the requested events.  The draws run on one drawer thread, which
-    draws chunk k+1 while chunk k is evaluated, ranked and tested; they
-    come off ``rng`` in order, and no draw is made past the last chunk,
-    so the values and the stream's final state are those of one draw.
-    The pass allocates its chunk memory once, on the calling thread: two
-    draw buffers, which chunks fill in turn so that a draw never writes
-    the directions being tested, and one probe buffer, which
-    ``obj.batch_fn`` must not keep past its return.  With the batch
-    objective's temporaries (the quadratic's ``z`` and ``z @ a``) the
-    pass holds about 2.5 budgets at once, each of the five half a
-    budget.  E2 bounds each
-    trial's spectral norm from above first (see :func:`_lmax`) and runs
-    ``eigvalsh`` only where the bound does not decide the verdict.  The
+    the requested events.  The draws come from a
+    :class:`~rankzo.sampling.DrawAhead` over the chunk sizes, the one
+    draw-ahead path :func:`~rankzo.optimizer.run` also uses: its drawer
+    thread draws chunk k+1 while chunk k is evaluated, ranked and tested;
+    the values come off ``rng`` in order, and no draw is made past the
+    last chunk, so the values and the stream's final state are those of
+    one draw.  The pass allocates its chunk memory once, on the calling
+    thread: the stream's two draw buffers, which chunks fill in turn so
+    that a draw never writes the directions being tested, and one probe
+    buffer, which ``obj.batch_fn`` must not keep past its return.  With
+    the batch objective's temporaries (the quadratic's ``z`` and
+    ``z @ a``) the pass holds about 2.5 budgets at once, each of the five
+    half a budget.  E2 bounds each trial's spectral norm from above
+    first (see :func:`_lmax`) and runs ``eigvalsh`` only where the bound
+    does not decide the verdict.  The
     draws do not depend on which events are requested, so an event's
     report for a given ``rng`` state is the same alone or in company.
     Each estimate is unbiased; estimates of different events are
@@ -464,25 +481,10 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
         "E5": event_bound_E45(n),
     }
 
-    # imported here, as in cli._run_concurrently, so importing rankzo.theory
-    # never loads it
-    from concurrent.futures import ThreadPoolExecutor
-
-    sizes = list(_chunks(trials, 2 * n * d))    # draws of half the budget
-    # allocated once, on this thread; chunk k is drawn into bufs[k % 2], so
-    # a draw never overwrites the directions still being tested
-    bufs = np.empty((2, sizes[0], n, d))
-    pts_buf = np.empty((sizes[0], n, d))
-
-    def fill(k):
-        return rng.standard_normal(out=bufs[k % 2][:sizes[k]])
-
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        pending = drawer.submit(fill, 0)
-        for k in range(len(sizes)):
-            u = pending.result()
-            if k + 1 < len(sizes):   # drawn while this chunk is evaluated and tested
-                pending = drawer.submit(fill, k + 1)
+    sizes = list(draw_blocks(n * d, trials))
+    pts_buf = np.empty((sizes[0], n, d))        # allocated once, on this thread
+    with DrawAhead(rng, (n, d), sizes) as chunks:
+        for k, u in enumerate(chunks):
             m = len(u)
             pts = np.multiply(u, alpha, out=pts_buf[:m])
             pts += x

@@ -1,14 +1,17 @@
 """Baselines, ablation plumbing, query-counting, and the grid runner."""
 
 import json
+import math
+import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rankzo.bench import (ExperimentGrid, GridCell, build_objective,
-                          fit_log_gap_slope, queries_to_target, run_grid,
-                          write_json)
+from rankzo.bench import (ExperimentGrid, GridCell, _median, build_objective,
+                          fit_log_gap_slope, median_or_none, queries_to_target,
+                          run_grid, write_json)
 from rankzo.objective import Objective, make_quadratic, make_rosenbrock_like
 from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               RunTrace, StepPolicy, baseline_value_zo, run)
@@ -172,6 +175,44 @@ class TestFitSlope:
     def test_nan_without_positive_gaps(self):
         trace = RunTrace()
         assert np.isnan(fit_log_gap_slope(trace))
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+class TestMedian:
+    """``bench._median`` is ``float(np.median(values))`` bit for bit."""
+
+    @pytest.mark.parametrize("values", [
+        [3], [2, 1], [5, 1, 4], [7, 2, 9, 4], [1.5, math.nan, 0.5], [-0.0],
+        [-0.0, -0.0], [math.inf, -math.inf], [0.1, 0.2], [1e308, 1e308],
+    ])
+    def test_edge_cases(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = float(np.median(values))
+        assert _same_float(_median(values), expected)
+
+    def test_random_lists(self):
+        rng = random.Random(5)
+        specials = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+        for _ in range(2000):
+            m = rng.randint(1, 12)
+            if rng.random() < 0.3:
+                values = [rng.randint(-1000, 10**6) for _ in range(m)]
+            else:
+                values = [rng.choice(specials) if rng.random() < 0.1
+                          else rng.gauss(0.0, 10.0) for _ in range(m)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = float(np.median(values))
+            assert _same_float(_median(values), expected), values
+
+    def test_median_or_none_skips_none(self):
+        assert median_or_none([None, 4, None, 1]) == 2.5
+        assert median_or_none([None]) is None
 
 
 def tiny_grid(seeds=(1, 2, 3)):

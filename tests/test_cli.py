@@ -164,7 +164,9 @@ class TestOptimize:
     def test_success_and_outputs(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_CONFIG)
         out = tmp_path / "out"
+        threads = threading.active_count()
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        assert threading.active_count() == threads  # the run's drawer is joined
         lines = (out / "trace.csv").read_text().splitlines()
         assert len(lines) == 26  # header + T rows
         summary = json.loads((out / "summary.json").read_text())
@@ -523,7 +525,9 @@ class TestBench:
     def test_outputs(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_SMALL)
         out = tmp_path / "out"
+        threads = threading.active_count()
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        assert threading.active_count() == threads  # each run's drawer is joined
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 1 cell x 2 seeds
         summary = strict_json(out / "summary.json")

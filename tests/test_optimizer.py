@@ -1,13 +1,14 @@
 """Descent direction, step-size rules, the driver loop, and traces."""
 
 import math
+import threading
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rankzo import optimizer
+from rankzo import optimizer, theory
 from rankzo.objective import (MonotoneTransform, Objective, evaluate,
                               evaluate_batch, make_quadratic,
                               wrap_monotone)
@@ -642,18 +643,22 @@ def reference_run(obj, cfg, value_zo=False):
     return rows, evaluate(obj, x), queries
 
 
+BIT_IDENTITY_RUNS = [
+    RunConfig(n=8, iterations=200, seed=0),
+    RunConfig(n=16, iterations=150, seed=2, scheme="log",
+              step=StepPolicy("fixed", eta0=0.02), alpha=AlphaPolicy("fixed", alpha0=1e-3)),
+    RunConfig(n=16, iterations=400, seed=5, scheme="blom", eps_target=1e-3,
+              step=StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=30),
+              alpha=AlphaPolicy("geometric", alpha0=1e-2, gamma=0.99)),
+]
+BIT_IDENTITY_IDS = ["instrumented", "fixed", "backtracking_early_stop"]
+
+
 class TestBitIdentity:
     """The driver against :func:`reference_run`, compared with ``==``: a
     faster hot path must not move one bit of the trace."""
 
-    @pytest.mark.parametrize("cfg", [
-        RunConfig(n=8, iterations=200, seed=0),
-        RunConfig(n=16, iterations=150, seed=2, scheme="log",
-                  step=StepPolicy("fixed", eta0=0.02), alpha=AlphaPolicy("fixed", alpha0=1e-3)),
-        RunConfig(n=16, iterations=400, seed=5, scheme="blom", eps_target=1e-3,
-                  step=StepPolicy("backtracking", eta0=1.0, shrink=0.5, max_tries=30),
-                  alpha=AlphaPolicy("geometric", alpha0=1e-2, gamma=0.99)),
-    ], ids=["instrumented", "fixed", "backtracking_early_stop"])
+    @pytest.mark.parametrize("cfg", BIT_IDENTITY_RUNS, ids=BIT_IDENTITY_IDS)
     def test_run_matches_reference(self, cfg):
         obj = make_quadratic(8, 1.0, 10.0, seed=7)
         trace = run(obj, cfg)
@@ -663,6 +668,15 @@ class TestBitIdentity:
             assert (per_row > cfg.n).sum() >= 1  # at least one regime retry
         if cfg.eps_target is not None:
             assert len(trace) < cfg.iterations
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("cfg", BIT_IDENTITY_RUNS, ids=BIT_IDENTITY_IDS)
+    def test_block_size_changes_nothing(self, monkeypatch, cfg, block):
+        """A run draws its directions in blocks of half the draw budget;
+        blocks of 1, 3 or 7 samples give the same trace."""
+        obj = make_quadratic(8, 1.0, 10.0, seed=7)
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", block * 2 * cfg.n * obj.dim)
+        self.assert_same(run(obj, cfg), *reference_run(obj, cfg))
 
     def test_value_baseline_matches_reference(self):
         obj = make_quadratic(8, 1.0, 10.0, seed=7)
@@ -676,6 +690,38 @@ class TestBitIdentity:
             assert getattr(trace, name) == list(column), name
         assert trace.final_f == final_f
         assert trace.total_queries == queries
+
+
+class TestDrawerThread:
+    """A run's drawer thread is joined whether the run returns, stops
+    early or raises."""
+
+    @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "early_stop"])
+    def test_joined_after_return(self, eps_target):
+        obj = make_quadratic(8, 1.0, 10.0, seed=7)
+        before = threading.active_count()
+        trace = run(obj, RunConfig(n=8, iterations=50, seed=1, eps_target=eps_target))
+        assert (len(trace) < 50) == (eps_target is not None)
+        assert threading.active_count() == before
+
+    def test_joined_after_run_raises(self):
+        obj = make_quadratic(6, 1.0, 10.0, seed=3)
+        inner, calls, seen = obj.fn, [], []
+
+        def failing(x):
+            calls.append(1)
+            seen.append(threading.active_count())
+            if len(calls) >= 4:
+                raise ValueError("fn oracle unavailable")
+            return inner(x)
+
+        before = threading.active_count()
+        with pytest.raises(OptimizationError):
+            run(replace(obj, fn=failing), RunConfig(
+                n=8, iterations=10, seed=1, step=StepPolicy("fixed", eta0=0.02),
+                alpha=AlphaPolicy("fixed", alpha0=1e-3)))
+        assert seen == [before + 1] * 4  # the drawer ran beside the loop
+        assert threading.active_count() == before
 
 
 class TestQueryLedgerAudit:

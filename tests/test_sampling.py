@@ -1,7 +1,11 @@
 """Direction sampling, the rank oracle, and the query ledger."""
 
 import ast
+import itertools
 import math
+import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -11,7 +15,7 @@ import pytest
 from rankzo.objective import (MonotoneTransform, Objective, evaluate_batch,
                               make_quadratic, wrap_monotone)
 from rankzo.optimizer import RunConfig
-from rankzo.sampling import (NonFiniteValueError, QueryLedger,
+from rankzo.sampling import (DrawAhead, NonFiniteValueError, QueryLedger,
                              check_sample_size, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
 from rankzo.theory import c_N_d_delta, event_bound_E45
@@ -56,6 +60,112 @@ class TestSampleDirections:
         b1 = sample_directions(rng, 8, 3)
         b2 = sample_directions(rng, 8, 3)
         assert not np.array_equal(b1, b2)
+
+
+class TestDrawAhead:
+    """A :class:`DrawAhead` hands out the values of one draw, in blocks or
+    one sample at a time, whatever the block sizes, and its drawer thread
+    is gone once it is closed."""
+
+    @pytest.mark.parametrize("sizes", [[5, 5, 3], [13], [4, 1, 4, 4]])
+    def test_blocks_are_one_draw(self, sizes):
+        rng = new_generator(3)
+        seen = []
+        with DrawAhead(rng, (4, 2), sizes) as blocks:
+            for block in blocks:
+                time.sleep(0.005)  # the drawer fills the next block meanwhile
+                seen.append(block.copy())
+        assert [len(b) for b in seen] == sizes
+        one = new_generator(3)
+        np.testing.assert_array_equal(np.concatenate(seen), one.standard_normal((13, 4, 2)))
+        # no draw past the last block
+        assert rng.random() == one.random()
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_samples_are_one_draw(self, block):
+        one = new_generator(9)
+        with DrawAhead(new_generator(9), (8, 3), itertools.repeat(block)) as stream:
+            for _ in range(20):
+                np.testing.assert_array_equal(sample_directions(stream, 8, 3),
+                                              sample_directions(one, 8, 3))
+
+    def test_wrong_sample_shape_rejected(self):
+        with DrawAhead(new_generator(1), (8, 3), [4]) as stream:
+            with pytest.raises(ValueError, match=r"shape \(8, 3\), not \(8, 4\)"):
+                stream.standard_normal((8, 4))
+
+    def test_block_above_the_first_rejected(self):
+        with DrawAhead(new_generator(1), (2,), [2, 3]) as blocks:
+            assert len(next(blocks)) == 2
+            with pytest.raises(ValueError, match="block 1 holds 3 samples"):
+                next(blocks)
+
+    def test_drawer_error_raises_in_the_caller(self):
+        error = RuntimeError("generator broke")
+
+        class Failing:
+            calls = 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls == 2:
+                    raise error
+                out[...] = 1.0
+                return out
+
+        before = threading.active_count()
+        with DrawAhead(Failing(), (2,), itertools.repeat(3)) as blocks:
+            assert next(blocks).tolist() == [[1.0, 1.0]] * 3
+            with pytest.raises(RuntimeError) as exc:
+                next(blocks)
+            assert exc.value is error
+            with pytest.raises(RuntimeError):  # and on every later call
+                next(blocks)
+        assert threading.active_count() == before
+
+    def test_blocks_stay_intact_under_stress(self):
+        """Four streams at once, with a 1 µs thread switch interval: every
+        block holds its share of one draw from when it is handed over
+        until the next block is asked for."""
+        def consume(seed, errors):
+            try:
+                one = new_generator(seed).standard_normal((600, 3))
+                seen = 0
+                with DrawAhead(new_generator(seed), (3,), [3, 1, 2] * 100) as blocks:
+                    for block in blocks:
+                        first = block.copy()
+                        time.sleep(0)   # let the drawer run ahead
+                        if not (np.array_equal(first, one[seen:seen + len(block)])
+                                and np.array_equal(block, first)):
+                            errors.append(seed)
+                        seen += len(block)
+                if seen != 600:
+                    errors.append(seed)
+            except Exception as exc:  # reported through ``errors``
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = []
+            threads = [threading.Thread(target=consume, args=(seed, errors))
+                       for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_closed_part_way(self):
+        before = threading.active_count()
+        stream = DrawAhead(new_generator(1), (4,), itertools.repeat(2))
+        next(stream)
+        assert threading.active_count() == before + 1
+        stream.close()
+        assert threading.active_count() == before
 
 
 class TestRankOracle:

@@ -33,6 +33,28 @@ def test_import_loads_no_scipy_or_multiprocessing():
     assert out.strip() == "[]"
 
 
+def test_bench_loads_no_numpy_ma_or_thread_pool(tmp_path):
+    """A serial ``rankzo bench`` takes medians without ``np.median``, which
+    loads ``numpy.ma``, and runs its drawer threads on plain ``threading``."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("bench.dims = 8\nbench.seeds = 1,2\nbench.eps_rel = 1e-2\n"
+                   "optimizer.N = 8\noptimizer.T = 100\n"
+                   "optimizer.step = backtracking\noptimizer.alpha = fixed\n")
+    args = ["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from rankzo.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures.thread') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
 def test_p_tail_exact_value():
     assert P_TAIL_EXACT == 0.02275013194817921
 

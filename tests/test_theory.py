@@ -568,6 +568,21 @@ class TestDrawBudget:
         # and the stream is left where one draw leaves it
         assert rng.random() == default_rng.random()
 
+    # 1000 trials in chunks of 7 or 3 end on a chunk of 6 or 1
+    @pytest.mark.parametrize("trials_per_draw", [7, 3])
+    def test_events_short_last_chunk(self, monkeypatch, trials_per_draw):
+        key, expected = FROZEN_FAILURES[0]
+        n, delta, recorded_l, trials, seed = key
+        setup = recorded_l_setup(n, delta, recorded_l)
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", 2 * trials_per_draw * n * 20)
+        rng = new_generator(seed)
+        reports = check_events(EVENT_IDS, setup, trials, rng)
+        assert tuple(r.failures for r in reports) == expected
+        # the stream is left where one draw of every trial's values leaves it
+        one = new_generator(seed)
+        one.standard_normal(trials * n * 20)
+        assert rng.random() == one.random()
+
     @pytest.mark.parametrize("which", theory.APPENDIX_IDS)
     def test_appendix(self, monkeypatch, which):
         params, per_trial = APPENDIX_DRAWS[which]
