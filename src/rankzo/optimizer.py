@@ -333,11 +333,12 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     After x0, every direction batch, regime retries included, comes from
     a :class:`~rankzo.sampling.DrawAhead` over the run's generator: one
-    drawer thread draws the directions a block ahead (at most half of
-    ``theory._DRAW_BUDGET`` values a block, 24 samples at n = 16,
-    d = 128) while the loop ranks and steps, and is joined when the run
-    returns or raises.  The directions do not depend on the block size.
-    ``bench --jobs N`` runs one such drawer per run in each worker.
+    drawer thread draws the directions a block ahead (blocks of 8
+    samples, doubling up to half of ``theory._DRAW_BUDGET`` values:
+    24 samples at n = 16, d = 128) while the loop ranks and steps, and
+    is joined when the run returns or raises.  The directions do not
+    depend on the block sizes.  ``bench --jobs N`` runs one such drawer
+    per run in each worker.
     """
     if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
         raise ValueError("instrumented step needs an objective with grad and L")
@@ -348,10 +349,13 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     sel = selected_ranks(n)[:k] - 1
     w_sel = weights_by_name(cfg.scheme, n)[:k]
 
+    # samples an iteration draws at most: one per regime retry
+    retries = (MAX_REGIME_RETRIES if cfg.step.kind == "instrumented"
+               and cfg.alpha.kind != "fixed" else 1)
+
     if cfg.step.kind == "instrumented":
         L = obj.L
         c_nd = c_N_d_delta(n, d, cfg.delta, cfg.positive_only)
-        retries = MAX_REGIME_RETRIES if cfg.alpha.kind != "fixed" else 1
 
         def update(x, f_x, g, alpha, directions, ledger):
             # every regime violation halves alpha and resamples; after the
@@ -387,7 +391,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             eta_first = min(eta0, eta / shrink) if eta > 0 else eta0
             return x_new, alpha, eta
 
-    return _drive(obj, cfg, cfg.scheme, update, (n, d))
+    return _drive(obj, cfg, cfg.scheme, update, (n, d), retries)
 
 
 def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
@@ -402,26 +406,28 @@ def baseline_value_zo(obj: Objective, cfg: RunConfig) -> RunTrace:
         raise ValueError("value-based baseline needs a known smoothness L")
     eta = 1.0 / (4.0 * (obj.dim + 4) * obj.L)
 
-    def update(x, f_x, g, alpha, rng, ledger):
-        u = rng.standard_normal(len(x))
+    def update(x, f_x, g, alpha, directions, ledger):
+        u = directions.standard_normal((len(x),))
         g_hat = (ledger.value(x + alpha * u) - ledger.value(x)) / alpha * u
         return x - eta * g_hat, alpha, eta
 
-    return _drive(obj, cfg, "value_zo", update)
+    return _drive(obj, cfg, "value_zo", update, (obj.dim,), 1)
 
 
 def _drive(obj: Objective, cfg: RunConfig, scheme: str, update,
-           sample_shape: Optional[tuple] = None) -> RunTrace:
+           sample_shape: tuple, per_iteration: int) -> RunTrace:
     """The iteration loop shared by :func:`run` and :func:`baseline_value_zo`.
 
     Per iteration: f(x_t) from ``obj.fn``; the early stop;
     ``obj.grad(x_t)`` and its norm when the objective has a gradient;
-    alpha; then ``update(x, f_x, g, alpha, source, ledger)``, which
+    alpha; then ``update(x, f_x, g, alpha, directions, ledger)``, which
     returns ``(x_new, alpha_used, eta)`` and makes every query through
-    the run's :class:`~rankzo.sampling.QueryLedger`.  ``source`` is the
-    run's generator, or, given ``sample_shape``, a
-    :class:`~rankzo.sampling.DrawAhead` of samples of that shape over
-    it, started once x0 is drawn and closed when the loop ends.  After
+    the run's :class:`~rankzo.sampling.QueryLedger`.  ``directions`` is
+    a :class:`~rankzo.sampling.DrawAhead` over the run's generator,
+    started once x0 is drawn and closed when the loop ends: samples of
+    ``sample_shape``, at most ``per_iteration`` an iteration, so the
+    stream ends where the longest run would, in the blocks of
+    :func:`~rankzo.theory.draw_blocks`.  After
     the last iteration, or an early stop, one more ``obj.fn`` call gives
     the final f.  These diagnostics are uncharged, and the driver calls
     ``obj.fn`` directly: the iterate's shape is checked once, on the
@@ -457,8 +463,8 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update,
             L, c_d, c = obj.L, c_d_delta(d, cfg.delta), cfg.alpha.c
         g = gap_target = None
         gap = gnorm = f_x = math.nan
-        source = (rng if sample_shape is None else
-                  DrawAhead(rng, sample_shape, draw_blocks(math.prod(sample_shape))))
+        directions = DrawAhead(rng, sample_shape, draw_blocks(
+            math.prod(sample_shape), cfg.iterations * per_iteration))
 
         try:
             for t in range(cfg.iterations):
@@ -485,7 +491,7 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update,
                     alpha = alpha0 * gamma**t
                 else:
                     alpha = alpha0
-                x, alpha_used, eta = update(x, f_x, g, alpha, source, ledger)
+                x, alpha_used, eta = update(x, f_x, g, alpha, directions, ledger)
                 trace.record(t, f_x, gap, gnorm, alpha_used, eta, ledger.total_queries)
                 if iterates is not None:
                     iterates.append(x.copy())
@@ -499,8 +505,7 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update,
                 f"iteration {len(trace)} failed: {exc}",
                 _finalize(trace, x, f_x, obj, ledger, started, iterates)) from exc
         finally:
-            if source is not rng:
-                source.close()
+            directions.close()
         return _finalize(trace, x, f_x, obj, ledger, started, iterates)
 
 

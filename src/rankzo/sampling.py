@@ -21,11 +21,10 @@ side channel for theory validation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -97,17 +96,16 @@ class DrawAhead:
     """Standard normal samples of ``shape``, drawn from ``rng`` a block
     ahead on one drawer thread.
 
-    ``sizes`` gives the sample count of each block in turn, a finite
-    sequence or an open-ended iterable such as ``itertools.repeat(b)``;
-    none may exceed the first.  The constructor, on the calling thread,
-    allocates two buffers of the first block's size once, and starts the
-    drawer, which fills blocks into them in turn: block k+1 while the
-    caller consumes block k, and never block k+2 before the caller has
-    moved on to block k+1.  The values come off ``rng`` in order, so
-    they are those of one draw whatever the sizes; no draw is made past
-    the last block, but an open-ended stream leaves ``rng`` up to two
-    blocks past what the caller used.  Nothing else may draw from
-    ``rng`` until :meth:`close`.
+    ``sizes`` lists the sample count of each block in turn, each at
+    least one.  The constructor, on the calling thread, allocates two
+    buffers of the largest block's size once, and starts the drawer,
+    which fills blocks into them in turn: block k+1 while the caller
+    consumes block k, and never block k+2 before the caller has moved on
+    to block k+1.  The values come off ``rng`` in order, so they are
+    those of one draw whatever the sizes, and no draw is made past the
+    last block.  A caller that stops early leaves ``rng`` up to two
+    blocks past what it used.  Nothing else may draw from ``rng`` until
+    :meth:`close`.
 
     Consume it one way only: iterating gives whole blocks, each a view
     of shape ``(m,) + shape`` that stays intact until the next block is
@@ -119,13 +117,11 @@ class DrawAhead:
     """
 
     def __init__(self, rng: np.random.Generator, shape: Tuple[int, ...],
-                 sizes: Iterable[int]):
-        sizes = iter(sizes)
-        first = next(sizes, None)
-        if first is None:
-            raise ValueError("no block sizes given")
+                 sizes: Sequence[int]):
+        if min(sizes, default=1) < 1:
+            raise ValueError("every block must hold at least one sample")
         self._shape = tuple(shape)
-        self._bufs = np.empty((2, first) + self._shape)
+        self._bufs = np.empty((2, max(sizes, default=0)) + self._shape)
         self._free = threading.Semaphore(2)   # buffers the drawer may fill
         self._ready = threading.Semaphore(0)  # blocks, or the end, handed over
         self._blocks = [None, None]           # block k is in slot k % 2
@@ -135,9 +131,8 @@ class DrawAhead:
         self._k = 0                           # blocks handed to the caller
         self._block = self._bufs[0][:0]       # the block standard_normal reads
         self._i = 0
-        self._drawer = threading.Thread(
-            target=self._draw, args=(rng, itertools.chain((first,), sizes)),
-            name="rankzo-draw-ahead", daemon=True)
+        self._drawer = threading.Thread(target=self._draw, args=(rng, sizes),
+                                        name="rankzo-draw-ahead", daemon=True)
         self._drawer.start()
 
     def _draw(self, rng, sizes) -> None:
@@ -147,9 +142,6 @@ class DrawAhead:
                 self._free.acquire()
                 if self._stop:
                     return
-                if not 0 < m <= len(self._bufs[0]):
-                    raise ValueError(f"block {drawn} holds {m} samples, not 1 to "
-                                     f"the first block's {len(self._bufs[0])}")
                 slot = drawn % 2
                 self._blocks[slot] = rng.standard_normal(out=self._bufs[slot][:m])
                 self._ready.release()
@@ -204,7 +196,10 @@ class DrawAhead:
 def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Draw an ``n x d`` standard normal batch, advancing ``rng``.
 
-    Same generator state in, same batch out (bitwise).
+    Same generator state in, same batch out (bitwise).  ``rng`` may also
+    be a :class:`DrawAhead` of ``(n, d)`` samples, as in
+    :func:`~rankzo.optimizer.run`; the batch is then a view into its
+    buffers, valid only until the next sample is drawn.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")

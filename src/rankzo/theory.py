@@ -25,7 +25,6 @@ Every checker is pure given its RNG stream, so trials can be sharded.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -89,9 +88,15 @@ MIN_TRIALS = 1000
 #: once per pass, and the batch objective's temporaries (the quadratic's
 #: ``z`` and ``z @ a``), each half a budget.  An appendix check holds
 #: about one.  :func:`~rankzo.optimizer.run` draws its directions in
-#: blocks of half of it too (24 samples at n = 16, d = 128), into two
-#: buffers: one budget per run
+#: blocks of at most half of it too, into two buffers
 _DRAW_BUDGET = 100_000
+
+#: samples the first block of a run's direction stream holds at most
+#: (see :func:`draw_blocks`).  Nothing overlaps the first block's draw,
+#: and a run that stops early leaves unused the rest of its block and the
+#: block drawn ahead, so the stream starts small and doubles its blocks
+#: up to the budget
+_FIRST_BLOCK = 8
 
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
 APPENDIX_IDS = ("chernoff", "gauss_max", "chi2", "spectral",
@@ -295,14 +300,19 @@ def _chunks(trials: int, per_trial: int):
         yield min(step, trials - start)
 
 
-def draw_blocks(values_per_sample: int, samples: Optional[int] = None):
-    """Sample counts of successive :class:`~rankzo.sampling.DrawAhead`
-    blocks, ``samples`` in all, or endless when None: at most half of
-    :data:`_DRAW_BUDGET` values each, as a stream holds two, and at least
-    one sample."""
-    if samples is None:
-        return itertools.repeat(max(1, _DRAW_BUDGET // (2 * values_per_sample)))
-    return _chunks(samples, 2 * values_per_sample)
+def draw_blocks(values_per_sample: int, samples: int) -> List[int]:
+    """Sample counts of the :class:`~rankzo.sampling.DrawAhead` blocks of
+    a run's direction stream, ``samples`` in all.  The first holds at
+    most :data:`_FIRST_BLOCK` samples and each later one twice the one
+    before, up to half of :data:`_DRAW_BUDGET` values, as a stream holds
+    two; a block holds at least one sample."""
+    most = max(1, _DRAW_BUDGET // (2 * values_per_sample))
+    sizes, size = [], min(_FIRST_BLOCK, most)
+    while samples > 0:
+        sizes.append(min(size, samples))
+        samples -= size
+        size = min(2 * size, most)
+    return sizes
 
 
 def _check_delta(delta: float) -> None:
@@ -481,7 +491,7 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
         "E5": event_bound_E45(n),
     }
 
-    sizes = list(draw_blocks(n * d, trials))
+    sizes = list(_chunks(trials, 2 * n * d))    # draws of half the budget
     pts_buf = np.empty((sizes[0], n, d))        # allocated once, on this thread
     with DrawAhead(rng, (n, d), sizes) as chunks:
         for k, u in enumerate(chunks):

@@ -16,7 +16,7 @@ from rankzo.optimizer import (AlphaPolicy, OptimizationError, RunConfig,
                               StepPolicy, StepRegimeError, baseline_value_zo,
                               descent_direction, instrumented_step_size,
                               practical_step, run)
-from rankzo.sampling import (QueryLedger, new_generator, rank_oracle,
+from rankzo.sampling import (DrawAhead, QueryLedger, new_generator, rank_oracle,
                              sample_directions, selected_ranks)
 from rankzo.theory import c_N_d_delta, c_d_delta, instrumented_alpha
 from rankzo.weights import weights_by_name
@@ -669,14 +669,27 @@ class TestBitIdentity:
         if cfg.eps_target is not None:
             assert len(trace) < cfg.iterations
 
-    @pytest.mark.parametrize("block", [1, 3, 7])
+    # blocks of 1, 3 or 7 samples, and blocks doubling from 1 up to 7
+    BLOCKS = [(8, 1), (8, 3), (8, 7), (1, 7)]
+
+    @pytest.mark.parametrize("first,most", BLOCKS)
     @pytest.mark.parametrize("cfg", BIT_IDENTITY_RUNS, ids=BIT_IDENTITY_IDS)
-    def test_block_size_changes_nothing(self, monkeypatch, cfg, block):
-        """A run draws its directions in blocks of half the draw budget;
-        blocks of 1, 3 or 7 samples give the same trace."""
+    def test_block_size_changes_nothing(self, monkeypatch, cfg, first, most):
+        """A run draws its directions in the blocks of
+        ``theory.draw_blocks``; other block sizes give the same trace."""
         obj = make_quadratic(8, 1.0, 10.0, seed=7)
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", block * 2 * cfg.n * obj.dim)
+        monkeypatch.setattr(theory, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", most * 2 * cfg.n * obj.dim)
         self.assert_same(run(obj, cfg), *reference_run(obj, cfg))
+
+    @pytest.mark.parametrize("first,most", BLOCKS)
+    def test_value_baseline_block_size_changes_nothing(self, monkeypatch, first, most):
+        obj = make_quadratic(8, 1.0, 10.0, seed=7)
+        cfg = RunConfig(n=8, iterations=300, seed=4)
+        monkeypatch.setattr(theory, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(theory, "_DRAW_BUDGET", most * 2 * obj.dim)
+        self.assert_same(baseline_value_zo(obj, cfg),
+                         *reference_run(obj, cfg, value_zo=True))
 
     def test_value_baseline_matches_reference(self):
         obj = make_quadratic(8, 1.0, 10.0, seed=7)
@@ -694,7 +707,29 @@ class TestBitIdentity:
 
 class TestDrawerThread:
     """A run's drawer thread is joined whether the run returns, stops
-    early or raises."""
+    early or raises, and draws no further than its longest run could
+    use."""
+
+    @pytest.mark.parametrize("cfg,per_iteration", [
+        (BIT_IDENTITY_RUNS[0], optimizer.MAX_REGIME_RETRIES),
+        (BIT_IDENTITY_RUNS[1], 1),
+        (BIT_IDENTITY_RUNS[2], 1),
+    ], ids=BIT_IDENTITY_IDS)
+    def test_stream_is_bounded(self, monkeypatch, cfg, per_iteration):
+        made = []
+
+        def recording(rng, shape, sizes):
+            sizes = list(sizes)
+            made.append((shape, sizes))
+            return DrawAhead(rng, shape, sizes)
+
+        monkeypatch.setattr(optimizer, "DrawAhead", recording)
+        run(make_quadratic(8, 1.0, 10.0, seed=7), cfg)
+        baseline_value_zo(make_quadratic(8, 1.0, 10.0, seed=7), cfg)
+        (shape, sizes), (baseline_shape, baseline_sizes) = made
+        assert shape == (cfg.n, 8) and baseline_shape == (8,)
+        assert sizes == theory.draw_blocks(cfg.n * 8, cfg.iterations * per_iteration)
+        assert baseline_sizes == theory.draw_blocks(8, cfg.iterations)
 
     @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "early_stop"])
     def test_joined_after_return(self, eps_target):
@@ -718,7 +753,7 @@ class TestDrawerThread:
         before = threading.active_count()
         with pytest.raises(OptimizationError):
             run(replace(obj, fn=failing), RunConfig(
-                n=8, iterations=10, seed=1, step=StepPolicy("fixed", eta0=0.02),
+                n=8, iterations=100, seed=1, step=StepPolicy("fixed", eta0=0.02),
                 alpha=AlphaPolicy("fixed", alpha0=1e-3)))
         assert seen == [before + 1] * 4  # the drawer ran beside the loop
         assert threading.active_count() == before

@@ -1,7 +1,6 @@
 """Direction sampling, the rank oracle, and the query ledger."""
 
 import ast
-import itertools
 import math
 import sys
 import threading
@@ -67,7 +66,7 @@ class TestDrawAhead:
     one sample at a time, whatever the block sizes, and its drawer thread
     is gone once it is closed."""
 
-    @pytest.mark.parametrize("sizes", [[5, 5, 3], [13], [4, 1, 4, 4]])
+    @pytest.mark.parametrize("sizes", [[5, 5, 3], [13], [4, 1, 4, 4], [1, 2, 4, 6]])
     def test_blocks_are_one_draw(self, sizes):
         rng = new_generator(3)
         seen = []
@@ -84,21 +83,27 @@ class TestDrawAhead:
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_samples_are_one_draw(self, block):
         one = new_generator(9)
-        with DrawAhead(new_generator(9), (8, 3), itertools.repeat(block)) as stream:
+        with DrawAhead(new_generator(9), (8, 3), [block] * 20) as stream:
             for _ in range(20):
                 np.testing.assert_array_equal(sample_directions(stream, 8, 3),
                                               sample_directions(one, 8, 3))
+
+    def test_no_blocks(self):
+        rng = new_generator(4)
+        before = threading.active_count()
+        with DrawAhead(rng, (2,), []) as blocks:
+            assert list(blocks) == []
+        assert threading.active_count() == before
+        assert rng.random() == new_generator(4).random()  # nothing drawn
 
     def test_wrong_sample_shape_rejected(self):
         with DrawAhead(new_generator(1), (8, 3), [4]) as stream:
             with pytest.raises(ValueError, match=r"shape \(8, 3\), not \(8, 4\)"):
                 stream.standard_normal((8, 4))
 
-    def test_block_above_the_first_rejected(self):
-        with DrawAhead(new_generator(1), (2,), [2, 3]) as blocks:
-            assert len(next(blocks)) == 2
-            with pytest.raises(ValueError, match="block 1 holds 3 samples"):
-                next(blocks)
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="every block must hold at least one sample"):
+            DrawAhead(new_generator(1), (2,), [2, 0, 3])
 
     def test_drawer_error_raises_in_the_caller(self):
         error = RuntimeError("generator broke")
@@ -114,7 +119,7 @@ class TestDrawAhead:
                 return out
 
         before = threading.active_count()
-        with DrawAhead(Failing(), (2,), itertools.repeat(3)) as blocks:
+        with DrawAhead(Failing(), (2,), [3] * 4) as blocks:
             assert next(blocks).tolist() == [[1.0, 1.0]] * 3
             with pytest.raises(RuntimeError) as exc:
                 next(blocks)
@@ -161,7 +166,7 @@ class TestDrawAhead:
 
     def test_closed_part_way(self):
         before = threading.active_count()
-        stream = DrawAhead(new_generator(1), (4,), itertools.repeat(2))
+        stream = DrawAhead(new_generator(1), (4,), [2] * 4)
         next(stream)
         assert threading.active_count() == before + 1
         stream.close()

@@ -568,6 +568,17 @@ class TestDrawBudget:
         # and the stream is left where one draw leaves it
         assert rng.random() == default_rng.random()
 
+    @pytest.mark.parametrize("values,samples,expected", [
+        (100, 100, [8, 16, 32, 44]),        # doubling, the last block short
+        (1_000, 200, [8, 16, 32, 50, 50, 44]),  # up to half the budget
+        (10_000, 12, [5, 5, 2]),            # the budget caps the first block
+        (100, 3, [3]),
+        (100, 0, []),
+        (10**6, 2, [1, 1]),                 # at least one sample a block
+    ])
+    def test_draw_blocks(self, values, samples, expected):
+        assert theory.draw_blocks(values, samples) == expected
+
     # 1000 trials in chunks of 7 or 3 end on a chunk of 6 or 1
     @pytest.mark.parametrize("trials_per_draw", [7, 3])
     def test_events_short_last_chunk(self, monkeypatch, trials_per_draw):
