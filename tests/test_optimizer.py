@@ -719,7 +719,6 @@ class TestDrawerThread:
         made = []
 
         def recording(rng, shape, sizes):
-            sizes = list(sizes)
             made.append((shape, sizes))
             return DrawAhead(rng, shape, sizes)
 
