@@ -38,9 +38,10 @@ from typing import List, Optional
 import numpy as np
 
 from .objective import Objective
-from .sampling import (DrawAhead, QueryLedger, check_sample_size, new_generator,
-                       rank_oracle, sample_directions, selected_ranks)
-from .theory import c_N_d_delta, c_d_delta, draw_blocks, instrumented_alpha
+from .sampling import (DrawAhead, QueryLedger, check_sample_size, draw_blocks,
+                       new_generator, rank_oracle, sample_directions,
+                       selected_ranks)
+from .theory import c_N_d_delta, c_d_delta, instrumented_alpha
 from .weights import check_scheme, weights_by_name
 
 __all__ = [
@@ -98,6 +99,8 @@ class StepPolicy:
             raise ValueError(f"unknown step policy {self.kind!r}")
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
+        if not math.isfinite(self.eta0):
+            raise ValueError(f"eta0 must be finite, got {self.eta0}")
         if not (0.0 < self.shrink < 1.0):
             raise ValueError("shrink must lie in (0, 1)")
         if self.max_tries < 1:
@@ -123,6 +126,8 @@ class AlphaPolicy:
             raise ValueError(f"unknown alpha policy {self.kind!r}")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
+        if not math.isfinite(self.alpha0):
+            raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
         if self.kind == "geometric" and not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
         if not (0.0 < self.c <= 1.0):
@@ -333,11 +338,10 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     After x0, every direction batch, regime retries included, comes from
     a :class:`~rankzo.sampling.DrawAhead` over the run's generator: one
-    drawer thread draws the directions a block ahead (blocks of 8
-    samples, doubling up to half of ``theory._DRAW_BUDGET`` values:
-    24 samples at n = 16, d = 128) while the loop ranks and steps, and
-    is joined when the run returns or raises.  The directions do not
-    depend on the block sizes.  ``bench --jobs N`` runs one such drawer
+    drawer thread draws the directions a block ahead, in the blocks of
+    :func:`~rankzo.sampling.draw_blocks`, while the loop ranks and
+    steps, and is joined when the run returns or raises.  The directions
+    do not depend on the block sizes.  ``bench --jobs N`` runs one such drawer
     per run in each worker.
     """
     if cfg.step.kind == "instrumented" and (obj.grad is None or obj.L is None):
@@ -427,7 +431,7 @@ def _drive(obj: Objective, cfg: RunConfig, scheme: str, update,
     started once x0 is drawn and closed when the loop ends: samples of
     ``sample_shape``, at most ``per_iteration`` an iteration, so the
     stream ends where the longest run would, in the blocks of
-    :func:`~rankzo.theory.draw_blocks`.  After
+    :func:`~rankzo.sampling.draw_blocks`.  After
     the last iteration, or an early stop, one more ``obj.fn`` call gives
     the final f.  These diagnostics are uncharged, and the driver calls
     ``obj.fn`` directly: the iterate's shape is checked once, on the

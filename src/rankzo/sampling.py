@@ -9,7 +9,7 @@ splits into a best quartile and a worst quartile.
 :class:`DrawAhead` draws a stream's samples a block ahead on one drawer
 thread: a run's directions, and the E1..E5 pass's trial batches.  The
 values come off the generator in the same order whatever the block
-sizes, so no output depends on them.
+sizes, so no output depends on them; :func:`draw_blocks` sets them.
 
 The rank oracle evaluates the ``n`` probe points ``x + alpha * u_i``
 through the run's :class:`QueryLedger`, the one place queries are
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .objective import Objective, evaluate, evaluate_batch
 
 __all__ = [
     "DrawAhead",
+    "draw_blocks",
     "QueryLedger",
     "NonFiniteValueError",
     "check_sample_size",
@@ -90,6 +91,38 @@ class QueryLedger:
         if n < 0:
             raise ValueError("cannot charge a negative query count")
         self._total += int(n)
+
+
+#: most float64 values one block of a draw holds (400 KB)
+_BLOCK_VALUES = 50_000
+#: most samples the first block of a draw holds
+_FIRST_BLOCK = 8
+
+
+def draw_blocks(values_per_sample: int, samples: int) -> List[int]:
+    """Sample counts of the blocks that draw ``samples`` samples of
+    ``values_per_sample`` values each; the one layout of every draw: a
+    run's directions and the E1..E5 pass's trials, each through a
+    :class:`DrawAhead`, and each appendix check's trials.
+
+    The first block holds at most :data:`_FIRST_BLOCK` samples, as
+    nothing overlaps its draw and a stream that stops early wastes the
+    rest of its block and the one drawn ahead; each later one twice the
+    one before, up to :data:`_BLOCK_VALUES` values (24 samples at
+    n = 16, d = 128; 15 trials of the pass at n = 32, d = 100), so a
+    block fits in a 1-2 MB L2 cache; a block holds at least one sample.
+    A DrawAhead holds two blocks, an appendix check about one, and the
+    E1..E5 pass about five: two draw buffers, one probe buffer, and the
+    quadratic's ``z`` and ``z @ a``.  The values come off each generator
+    in order, so no output depends on this layout.
+    """
+    most = max(1, _BLOCK_VALUES // values_per_sample)
+    sizes, size = [], min(_FIRST_BLOCK, most)
+    while samples > 0:
+        sizes.append(min(size, samples))
+        samples -= size
+        size = min(2 * size, most)
+    return sizes
 
 
 class DrawAhead:

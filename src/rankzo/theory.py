@@ -33,7 +33,7 @@ import numpy as np
 
 from .objective import Objective, evaluate, evaluate_batch
 from .sampling import (DrawAhead, NonFiniteValueError, check_sample_size,
-                       selected_ranks)
+                       draw_blocks, selected_ranks)
 
 __all__ = [
     "P_TAIL_EXACT",
@@ -54,7 +54,6 @@ __all__ = [
     "check_events",
     "check_event",
     "check_appendix_bounds",
-    "draw_blocks",
     "EVENT_IDS",
     "APPENDIX_IDS",
 ]
@@ -79,24 +78,6 @@ P_TAIL_EXACT = 1.0 - _normal_cdf(2.0)
 
 #: fewest Monte-Carlo trials either checker accepts
 MIN_TRIALS = 1000
-
-#: most float64 values one Monte-Carlo draw may hold (800 KB, so a draw
-#: fits in a 1-2 MB L2 cache); every checker splits its trials into draws
-#: of at most this size, which leaves the stream, and so every report,
-#: unchanged.  The E1..E5 pass draws half of it at a time and holds about
-#: 2.5 budgets at once: two draw buffers and one probe buffer, allocated
-#: once per pass, and the batch objective's temporaries (the quadratic's
-#: ``z`` and ``z @ a``), each half a budget.  An appendix check holds
-#: about one.  :func:`~rankzo.optimizer.run` draws its directions in
-#: blocks of at most half of it too, into two buffers
-_DRAW_BUDGET = 100_000
-
-#: samples the first block of a run's direction stream holds at most
-#: (see :func:`draw_blocks`).  Nothing overlaps the first block's draw,
-#: and a run that stops early leaves unused the rest of its block and the
-#: block drawn ahead, so the stream starts small and doubles its blocks
-#: up to the budget
-_FIRST_BLOCK = 8
 
 EVENT_IDS = ("E1", "E2", "E3", "E4", "E5")
 APPENDIX_IDS = ("chernoff", "gauss_max", "chi2", "spectral",
@@ -292,29 +273,6 @@ class EventCheckReport:
         return ";".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
 
 
-def _chunks(trials: int, per_trial: int):
-    """Trial counts of successive draws of ``per_trial`` values per trial,
-    each within :data:`_DRAW_BUDGET` and at least one trial."""
-    step = max(1, _DRAW_BUDGET // per_trial)
-    for start in range(0, trials, step):
-        yield min(step, trials - start)
-
-
-def draw_blocks(values_per_sample: int, samples: int) -> List[int]:
-    """Sample counts of the :class:`~rankzo.sampling.DrawAhead` blocks of
-    a run's direction stream, ``samples`` in all.  The first holds at
-    most :data:`_FIRST_BLOCK` samples and each later one twice the one
-    before, up to half of :data:`_DRAW_BUDGET` values, as a stream holds
-    two; a block holds at least one sample."""
-    most = max(1, _DRAW_BUDGET // (2 * values_per_sample))
-    sizes, size = [], min(_FIRST_BLOCK, most)
-    while samples > 0:
-        sizes.append(min(size, samples))
-        samples -= size
-        size = min(2 * size, most)
-    return sizes
-
-
 def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -415,25 +373,21 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
       ``<grad, u_(n/4)> >= -2||grad|| - 2 C_d L alpha``
       (bound exp(-n D(1/4 || 1-Phi(2)))).
 
-    Trials run in chunks of at most half of ``_DRAW_BUDGET`` Gaussian
-    values (15 trials at n = 32, d = 100); each chunk makes one draw, one
-    batch evaluation, one stable argsort and one ``u @ grad``, whatever
-    the requested events.  The draws come from a
-    :class:`~rankzo.sampling.DrawAhead` over the chunk sizes, the one
-    draw-ahead path :func:`~rankzo.optimizer.run` also uses: its drawer
-    thread draws chunk k+1 while chunk k is evaluated, ranked and tested;
-    the values come off ``rng`` in order, and no draw is made past the
-    last chunk, so the values and the stream's final state are those of
-    one draw.  The pass allocates its chunk memory once, on the calling
-    thread: the stream's two draw buffers, which chunks fill in turn so
+    Trials run in the blocks of :func:`~rankzo.sampling.draw_blocks`;
+    each block makes one draw, one batch evaluation, one stable argsort
+    and one ``u @ grad``, whatever the requested events.  The draws come
+    from a :class:`~rankzo.sampling.DrawAhead` over the block sizes, the
+    one draw-ahead path :func:`~rankzo.optimizer.run` also uses: its
+    drawer thread draws block k+1 while block k is evaluated, ranked and
+    tested, so the values and the stream's final state are those of one
+    draw.  The pass allocates its block memory once, on the calling
+    thread: the stream's two draw buffers, which blocks fill in turn so
     that a draw never writes the directions being tested, and one probe
-    buffer, which ``obj.batch_fn`` must not keep past its return.  With
-    the batch objective's temporaries (the quadratic's ``z`` and
-    ``z @ a``) the pass holds about 2.5 budgets at once, each of the five
-    half a budget.  E2 bounds each trial's spectral norm from above
-    first (see :func:`_lmax`) and runs ``eigvalsh`` only where the bound
-    does not decide the verdict.  The
-    draws do not depend on which events are requested, so an event's
+    buffer, which ``obj.batch_fn`` must not keep past its return.  E2
+    bounds each trial's spectral norm from above first (see
+    :func:`_lmax`) and runs ``eigvalsh`` only where the bound does not
+    decide the verdict.  The draws do not depend on which events are
+    requested, so an event's
     report for a given ``rng`` state is the same alone or in company.
     Each estimate is unbiased; estimates of different events are
     correlated, and each passes or fails on its own.  One report comes
@@ -491,17 +445,19 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
         "E5": event_bound_E45(n),
     }
 
-    sizes = list(_chunks(trials, 2 * n * d))    # draws of half the budget
-    pts_buf = np.empty((sizes[0], n, d))        # allocated once, on this thread
-    with DrawAhead(rng, (n, d), sizes) as chunks:
-        for k, u in enumerate(chunks):
+    sizes = draw_blocks(n * d, trials)
+    pts_buf = np.empty((max(sizes), n, d))     # allocated once, on this thread
+    done = 0                                   # trials before this block
+    with DrawAhead(rng, (n, d), sizes) as blocks:
+        for u in blocks:
             m = len(u)
             pts = np.multiply(u, alpha, out=pts_buf[:m])
             pts += x
             fv = evaluate_batch(obj, pts.reshape(m * n, d)).reshape(m, n)
             if not np.isfinite(fv).all():  # a nan would be ranked and fail no test
                 bad = int(np.flatnonzero(~np.isfinite(fv))[0])
-                raise NonFiniteValueError(k * sizes[0] * n + bad, float(fv.flat[bad]))
+                raise NonFiniteValueError(done * n + bad, float(fv.flat[bad]))
+            done += m
             perm = np.argsort(fv, axis=1, kind="stable")
             sel_idx = perm[:, sel]
             if g is not None:
@@ -561,15 +517,15 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
       (n/4)-th smallest is >= tau, valid for Phi(tau) > 1/4; default
       tau=0, n=64.
 
-    The trials run in draws of at most ``_DRAW_BUDGET`` values, as in
-    :func:`check_events` (``spectral`` counts the d x n/2 values of the
-    matrix it stands for).
+    The trials run in the blocks of :func:`~rankzo.sampling.draw_blocks`
+    (``spectral`` counts the 4 k^2 values a trial holds at once).
 
-    A size that is not an integer at least its least value raises
+    A size that is not a finite integer at least its least value raises
     :class:`ParameterError` naming it, before anything is drawn:
     ``n >= 1`` for chernoff and gauss_max,
     ``n >= 4`` for order_low1/2, ``d >= 1`` for chi2, and ``n >= 2``,
-    ``d >= 1`` for spectral.
+    ``d >= 1`` for spectral; so does a nan or infinite ``tau`` for
+    spectral.
     """
     if which not in APPENDIX_IDS:
         raise ValueError(f"unknown appendix check {which!r}")
@@ -579,13 +535,13 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
 
     def size(name, default, least):
         value = p.setdefault(name, default)
-        if value != int(value) or value < least:
+        if not (math.isfinite(value) and value == int(value) and value >= least):
             raise ParameterError(
                 name, f"{which}: {name} must be an integer >= {least}, got {value}")
         return int(value)
 
     # each branch sets the values one trial draws and ``fails(m)``, the
-    # failures among m fresh trials; the trials run in budgeted draws
+    # failures among m fresh trials; the trials run in blocks
     if which == "chernoff":
         n = size("n", 64, 1)
         prob = float(p.setdefault("p", P_TAIL_EXACT))
@@ -625,17 +581,18 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         n = size("n", 16, 2)      # at least one column
         d = size("d", 100, 1)
         tau = float(p.setdefault("tau", 2.0))
+        if not math.isfinite(tau):
+            raise ParameterError("tau", f"spectral: tau must be finite, got {tau}")
         cols = n // 2
         thr = math.sqrt(cols) + math.sqrt(d) + tau
-        # budgeted as the d x cols matrix a trial stands for, which keeps
-        # the working set (the factor, its Gram matrix, |G| and eigvalsh's
-        # copy, k^2 values each) far inside the budget
-        per_trial = d * cols
         # one stream per variate family: both samplers reject, so
         # interleaving them would make the values depend on the draw size
         chi_rng, normal_rng = rng.spawn(2)
         # s_max(A) = s_max(A^T): factor the smaller Gram matrix
         k = min(d, cols)
+        # a trial holds the factor, its Gram matrix, |G| and eigvalsh's
+        # copy, k^2 values each
+        per_trial = 4 * k * k
         diag = np.arange(k)
         dof = max(d, cols) - diag
         low_r, low_c = np.tril_indices(k, -1)
@@ -679,7 +636,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
 
         bound = math.exp(-n * kl_bernoulli(q, prob))
 
-    failures = sum(int(fails(m)) for m in _chunks(trials, per_trial))
+    failures = sum(int(fails(m)) for m in draw_blocks(per_trial, trials))
     return EventCheckReport(event_id=which, trials=trials, theoretical_bound=bound,
                             failures=failures, params=p)
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankzo import optimizer, theory
+from rankzo import optimizer, sampling
 from rankzo.objective import (MonotoneTransform, Objective, evaluate,
                               evaluate_batch, make_quadratic,
                               wrap_monotone)
@@ -676,18 +676,18 @@ class TestBitIdentity:
     @pytest.mark.parametrize("cfg", BIT_IDENTITY_RUNS, ids=BIT_IDENTITY_IDS)
     def test_block_size_changes_nothing(self, monkeypatch, cfg, first, most):
         """A run draws its directions in the blocks of
-        ``theory.draw_blocks``; other block sizes give the same trace."""
+        ``sampling.draw_blocks``; other block sizes give the same trace."""
         obj = make_quadratic(8, 1.0, 10.0, seed=7)
-        monkeypatch.setattr(theory, "_FIRST_BLOCK", first)
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", most * 2 * cfg.n * obj.dim)
+        monkeypatch.setattr(sampling, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", most * cfg.n * obj.dim)
         self.assert_same(run(obj, cfg), *reference_run(obj, cfg))
 
     @pytest.mark.parametrize("first,most", BLOCKS)
     def test_value_baseline_block_size_changes_nothing(self, monkeypatch, first, most):
         obj = make_quadratic(8, 1.0, 10.0, seed=7)
         cfg = RunConfig(n=8, iterations=300, seed=4)
-        monkeypatch.setattr(theory, "_FIRST_BLOCK", first)
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", most * 2 * obj.dim)
+        monkeypatch.setattr(sampling, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", most * obj.dim)
         self.assert_same(baseline_value_zo(obj, cfg),
                          *reference_run(obj, cfg, value_zo=True))
 
@@ -727,8 +727,8 @@ class TestDrawerThread:
         baseline_value_zo(make_quadratic(8, 1.0, 10.0, seed=7), cfg)
         (shape, sizes), (baseline_shape, baseline_sizes) = made
         assert shape == (cfg.n, 8) and baseline_shape == (8,)
-        assert sizes == theory.draw_blocks(cfg.n * 8, cfg.iterations * per_iteration)
-        assert baseline_sizes == theory.draw_blocks(8, cfg.iterations)
+        assert sizes == sampling.draw_blocks(cfg.n * 8, cfg.iterations * per_iteration)
+        assert baseline_sizes == sampling.draw_blocks(8, cfg.iterations)
 
     @pytest.mark.parametrize("eps_target", [None, 0.5], ids=["full", "early_stop"])
     def test_joined_after_return(self, eps_target):
@@ -868,10 +868,15 @@ class TestValidation:
     @pytest.mark.parametrize("build,message", [
         (lambda: StepPolicy("newton"), "unknown step policy 'newton'"),
         (lambda: StepPolicy("fixed", eta0=0.0), "eta0 must be positive"),
+        (lambda: StepPolicy("backtracking", eta0=math.inf), "eta0 must be finite, got inf"),
+        (lambda: StepPolicy("fixed", eta0=math.nan), "eta0 must be finite, got nan"),
         (lambda: StepPolicy("backtracking", shrink=1.0), "shrink must lie in (0, 1)"),
         (lambda: StepPolicy("backtracking", max_tries=0), "max_tries must be >= 1"),
         (lambda: AlphaPolicy("adaptive"), "unknown alpha policy 'adaptive'"),
         (lambda: AlphaPolicy("fixed", alpha0=-1e-3), "alpha0 must be positive"),
+        (lambda: AlphaPolicy("fixed", alpha0=math.inf), "alpha0 must be finite, got inf"),
+        (lambda: AlphaPolicy("geometric", alpha0=math.nan),
+         "alpha0 must be finite, got nan"),
         (lambda: AlphaPolicy("geometric", gamma=1.0), "gamma must lie in (0, 1)"),
         (lambda: AlphaPolicy(c=0.0), "c must lie in (0, 1]"),
         (lambda: RunConfig(n=8, iterations=-1), "iterations must be nonnegative"),
@@ -884,7 +889,8 @@ class TestValidation:
          "eps_target must lie in (0, 1), got 0.0"),
         (lambda: RunConfig(n=8, iterations=5, eps_target=-1.0),
          "eps_target must lie in (0, 1), got -1.0"),
-    ], ids=["step_kind", "eta0", "shrink", "max_tries", "alpha_kind", "alpha0",
+    ], ids=["step_kind", "eta0", "eta0_inf", "eta0_nan", "shrink", "max_tries",
+            "alpha_kind", "alpha0", "alpha0_inf", "alpha0_nan",
             "gamma", "c", "iterations", "delta", "scheme", "eps_above_1",
             "eps_zero", "eps_negative"])
     def test_config_rejected(self, build, message):

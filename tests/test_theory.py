@@ -7,6 +7,7 @@ closed forms (independent of the implementation path under test).
 import dataclasses
 import functools
 import math
+import re
 import threading
 import tracemalloc
 import warnings
@@ -14,9 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rankzo import theory
+from rankzo import optimizer, sampling, theory
 from rankzo.objective import Objective, make_quadratic
-from rankzo.sampling import NonFiniteValueError, new_generator
+from rankzo.optimizer import RunConfig, run
+from rankzo.sampling import DrawAhead, NonFiniteValueError, draw_blocks, new_generator
 from rankzo.theory import (EVENT_IDS, P_TAIL_EXACT, EventSetup, c_N_d_delta,
                            c_d_delta, check_appendix_bounds, check_event,
                            check_events, event_bound_E45,
@@ -536,12 +538,12 @@ def _event_rows(reports):
 
 
 # per check: parameters at which it sees failures, and the values one trial
-# counts against the draw budget (spectral: the d x n/2 matrix it stands for)
+# counts against a block (spectral: the 4 k^2 values it holds, k = n/2 = 8)
 APPENDIX_DRAWS = {
     "chernoff": ({"n": 32, "p": 0.1, "r": 0.25}, 1),
     "gauss_max": (None, 32),
     "chi2": ({"d": 1, "delta": 0.9}, 1),
-    "spectral": ({"tau": 0.0}, 100 * 8),
+    "spectral": ({"tau": 0.0}, 4 * 8 * 8),
     "order_low1": ({"n": 8}, 8),
     "order_low2": ({"n": 8}, 8),
 }
@@ -559,8 +561,7 @@ class TestDrawBudget:
         setup = recorded_l_setup(n, delta, recorded_l)
         default_rng = new_generator(seed)
         default = check_events(EVENT_IDS, setup, trials, default_rng)
-        # the pass draws half the budget at a time
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", 2 * trials_per_draw * n * 20)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", trials_per_draw * n * 20)
         rng = new_generator(seed)
         chunked = check_events(EVENT_IDS, setup, trials, rng)
         assert _event_rows(chunked) == _event_rows(default)
@@ -570,14 +571,14 @@ class TestDrawBudget:
 
     @pytest.mark.parametrize("values,samples,expected", [
         (100, 100, [8, 16, 32, 44]),        # doubling, the last block short
-        (1_000, 200, [8, 16, 32, 50, 50, 44]),  # up to half the budget
-        (10_000, 12, [5, 5, 2]),            # the budget caps the first block
+        (1_000, 200, [8, 16, 32, 50, 50, 44]),  # up to a block's values
+        (10_000, 12, [5, 5, 2]),            # a block's values cap the first
         (100, 3, [3]),
         (100, 0, []),
         (10**6, 2, [1, 1]),                 # at least one sample a block
     ])
     def test_draw_blocks(self, values, samples, expected):
-        assert theory.draw_blocks(values, samples) == expected
+        assert draw_blocks(values, samples) == expected
 
     # 1000 trials in chunks of 7 or 3 end on a chunk of 6 or 1
     @pytest.mark.parametrize("trials_per_draw", [7, 3])
@@ -585,7 +586,8 @@ class TestDrawBudget:
         key, expected = FROZEN_FAILURES[0]
         n, delta, recorded_l, trials, seed = key
         setup = recorded_l_setup(n, delta, recorded_l)
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", 2 * trials_per_draw * n * 20)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", trials_per_draw * n * 20)
+        assert draw_blocks(n * 20, trials)[-1] == trials % trials_per_draw
         rng = new_generator(seed)
         reports = check_events(EVENT_IDS, setup, trials, rng)
         assert tuple(r.failures for r in reports) == expected
@@ -600,11 +602,63 @@ class TestDrawBudget:
         default_rng = new_generator(17)
         default = check_appendix_bounds(which, params, 1000, default_rng)
         assert default.failures > 0
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", 37 * per_trial)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", 37 * per_trial)
         rng = new_generator(17)
         assert check_appendix_bounds(which, params, 1000, rng) == default
         # and the stream is left where one draw leaves it
         assert rng.random() == default_rng.random()
+
+    def test_one_layout_for_every_draw(self, monkeypatch):
+        """``sampling.draw_blocks`` lays out a run's directions, the E1..E5
+        pass and the appendix checks: its two constants change all three
+        layouts, and no trace or report."""
+        obj = make_quadratic(8, 1.0, 10.0, seed=7)
+        cfg = RunConfig(n=8, iterations=200, seed=0)
+        setup = quadratic_setup(n=16, d=20)
+        need = {"run": (8 * 8, cfg.iterations * optimizer.MAX_REGIME_RETRIES),
+                "pass": (16 * 20, 1000), "gauss_max": (32, 5000)}
+
+        class Recording:
+            """A generator that records the shape of each normal draw."""
+
+            def __init__(self, seed):
+                self.rng, self.shapes = new_generator(seed), []
+
+            def standard_normal(self, size):
+                self.shapes.append(size)
+                return self.rng.standard_normal(size)
+
+        def draws():
+            made, rows = [], []
+
+            def recording(rng, shape, sizes):
+                made.append(list(sizes))
+                return DrawAhead(rng, shape, sizes)
+
+            def batch_fn(points):
+                rows.append(len(points))
+                return setup.obj.batch_fn(points)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "DrawAhead", recording)
+                trace = run(obj, cfg)
+            reports = check_events(EVENT_IDS, dataclasses.replace(
+                setup, obj=dataclasses.replace(setup.obj, batch_fn=batch_fn)),
+                1000, new_generator(5))
+            rng = Recording(17)
+            report = check_appendix_bounds("gauss_max", None, 5000, rng)
+            layouts = {"run": made[0], "pass": [r // 16 for r in rows],
+                       "gauss_max": [shape[0] for shape in rng.shapes]}
+            assert layouts == {k: draw_blocks(*v) for k, v in need.items()}
+            return layouts, (trace.t, trace.f, trace.alpha, trace.eta,
+                             trace.queries_cum, trace.final_f), reports, report
+
+        default = draws()
+        monkeypatch.setattr(sampling, "_FIRST_BLOCK", 3)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", 7 * 320)
+        patched = draws()
+        assert all(patched[0][k] != default[0][k] for k in need)
+        assert patched[1:] == default[1:]
 
 
 class TestDrawMemory:
@@ -618,12 +672,12 @@ class TestDrawMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * theory._DRAW_BUDGET * 8, peak
+        assert peak <= 1.5 * sampling._BLOCK_VALUES * 8, peak
 
     def test_event_pass_peak(self):
         # two draw buffers, one probe buffer, and the quadratic's z and
-        # z @ a, each half a budget: about 2.5 budgets; full-budget draws
-        # would hold about 5
+        # z @ a, each a block: about 5 blocks; blocks of twice the size
+        # would hold about 10
         setup = quadratic_setup(n=32, d=100)
         tracemalloc.start()
         try:
@@ -631,7 +685,7 @@ class TestDrawMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * theory._DRAW_BUDGET * 8, peak
+        assert peak <= 6.0 * sampling._BLOCK_VALUES * 8, peak
 
 
 def raising_on_call(obj, call=None, error=None):
@@ -658,7 +712,8 @@ class TestDrawerThread:
         before = threading.active_count()
         check_events(EVENT_IDS, dataclasses.replace(setup, obj=obj), 1000,
                      new_generator(1))
-        assert len(seen) == 7 and max(seen) == before + 1
+        assert len(seen) == len(draw_blocks(16 * 20, 1000))
+        assert max(seen) == before + 1
         assert threading.active_count() == before
 
     def test_joined_after_objective_raises(self):
@@ -684,7 +739,7 @@ class TestDrawBuffers:
         n, d, trials = 8, 5, 1000
         setup = quadratic_setup(n=n, d=d)
         one_chunk = check_events(EVENT_IDS, setup, trials, new_generator(5))
-        monkeypatch.setattr(theory, "_DRAW_BUDGET", chunk * 2 * n * d)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", chunk * n * d)
         seen = []
 
         def batch_fn(points):
@@ -697,8 +752,9 @@ class TestDrawBuffers:
         assert [r.failures for r in reports] == [r.failures for r in one_chunk]
         u = new_generator(5).standard_normal((trials, n, d))
         expected = (setup.alpha * u + setup.x).reshape(trials * n, d)
-        starts = range(0, trials, chunk)
-        assert [len(p) for p in seen] == [n * min(chunk, trials - s) for s in starts]
+        sizes = draw_blocks(n * d, trials)
+        starts = np.cumsum([0] + sizes[:-1])
+        assert [len(p) for p in seen] == [n * m for m in sizes]
         for start, points in zip(starts, seen):
             np.testing.assert_array_equal(points, expected[start * n:start * n + len(points)])
 
@@ -741,9 +797,15 @@ class TestNonFiniteValues:
                          new_generator(1))
         assert str(exc.value) == f"non-finite objective value {value!r} at the state x"
 
-    # at n = 16, d = 20 a chunk is 156 trials, 2,496 probes
-    @pytest.mark.parametrize("probe", [0, 2495, 2496, 16 * 1000 - 1],
-                             ids=["first", "chunk_end", "second_chunk", "last"])
+    # at n = 16, d = 20 the pass's blocks ramp up to 156 trials (2,496
+    # probes); the last three probes below sit at the ends of the first two
+    BLOCKS = draw_blocks(16 * 20, 1000)
+
+    @pytest.mark.parametrize("probe", [
+        0, 2495, 2496, 16 * 1000 - 1,
+        16 * BLOCKS[0] - 1, 16 * BLOCKS[0], 16 * (BLOCKS[0] + BLOCKS[1]) - 1,
+    ], ids=["first", "chunk_end", "second_chunk", "last",
+            "first_block_end", "second_block_start", "second_block_end"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("events", [EVENT_IDS, ("E2",), ("E1",)],
@@ -855,6 +917,19 @@ class TestCheckAppendixBounds:
 
     @pytest.mark.parametrize("which,params,trials,message", [
         ("chi2", None, 999, "need at least 1000 trials, got 999"),
+        ("chernoff", {"n": math.nan}, 1000,
+         "chernoff: n must be an integer >= 1, got nan"),
+        ("gauss_max", {"n": math.inf}, 1000,
+         "gauss_max: n must be an integer >= 1, got inf"),
+        ("chi2", {"d": math.nan}, 1000, "chi2: d must be an integer >= 1, got nan"),
+        ("spectral", {"n": math.inf}, 1000,
+         "spectral: n must be an integer >= 2, got inf"),
+        ("spectral", {"d": -math.inf}, 1000,
+         "spectral: d must be an integer >= 1, got -inf"),
+        ("spectral", {"tau": math.inf}, 1000, "spectral: tau must be finite, got inf"),
+        ("spectral", {"tau": math.nan}, 1000, "spectral: tau must be finite, got nan"),
+        ("order_low1", {"n": math.inf}, 1000,
+         "order_low1: n must be an integer >= 4, got inf"),
         ("chernoff", {"p": 0.3, "r": 0.25}, 1000,
          "chernoff check needs 0 < p < r < 1"),
         ("chernoff", {"p": 0.1, "r": 1.0}, 1000,
@@ -875,7 +950,10 @@ class TestCheckAppendixBounds:
          "order_low1: n must be an integer >= 4, got 3"),
         ("order_low2", {"n": 2}, 1000,
          "order_low2: n must be an integer >= 4, got 2"),
-    ], ids=["trials", "p_above_r", "r_one", "chernoff_n", "gauss_max_n",
+    ], ids=["trials", "chernoff_n_nan", "gauss_max_n_inf", "chi2_d_nan",
+            "spectral_n_inf", "spectral_d_-inf", "spectral_tau_inf",
+            "spectral_tau_nan", "order_low1_n_inf",
+            "p_above_r", "r_one", "chernoff_n", "gauss_max_n",
             "chi2_d", "chi2_d_fraction", "spectral_n", "spectral_d_zero",
             "spectral_d_negative", "order_low1_n", "order_low2_n"])
     def test_bad_inputs_rejected(self, which, params, trials, message):
@@ -883,5 +961,8 @@ class TestCheckAppendixBounds:
         with pytest.raises(ValueError) as exc:
             check_appendix_bounds(which, params, trials, rng)
         assert str(exc.value) == message
+        # a "check: name must ..." message comes from a ParameterError naming it
+        named = re.match(rf"{which}: (\w+) must", message)
+        assert getattr(exc.value, "param", None) == (named and named.group(1))
         # rejected before anything is drawn
         assert rng.random() == new_generator(0).random()
