@@ -281,8 +281,9 @@ def _verify_reports(cfg: Dict[str, str]) -> List[Tuple[EventCheckReport, int]]:
     The requested events E1..E5 run as one shared Monte-Carlo pass on
     the first check's stream (seed + 101); the pass's wall ms goes to the
     first of them and the others get 0.  Each appendix check draws from
-    its own stream.  The pass and the appendix checks run concurrently,
-    so their wall ms overlap; every report is the same as in a serial run.
+    its own stream.  The pass runs on the calling thread and the
+    appendix checks, in turn, on one worker thread, so their wall ms
+    overlap; every report is the same as in a serial run.
     """
     names = _get(cfg, "verify.events", ["all"])
     if names == ["all"]:
@@ -340,30 +341,20 @@ def _verify_reports(cfg: Dict[str, str]) -> List[Tuple[EventCheckReport, int]]:
 
 def _run_concurrently(units: list) -> List[tuple]:
     """``(fn(*args), wall ms)`` for each ``(fn, *args)`` in ``units``, in
-    order.  ``units[0]`` runs on the calling thread and the rest on a pool
-    of up to one thread per other usable CPU, none with one unit or one
-    CPU; the first unit that raised re-raises here once all have stopped."""
-    if not units:
-        return []
-
+    order.  ``units[0]`` runs on the calling thread and the rest, one after
+    another, on one worker thread, which a single unit never starts; the
+    first unit that raised re-raises here once both threads have stopped."""
     def timed(fn, *args):
         started = time.perf_counter()
         result = fn(*args)
         return result, int(round((time.perf_counter() - started) * 1000))
 
-    # sched_getaffinity, the CPUs this process may use, is Linux-only
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    first, rest = units[0], units[1:]
-    workers = min(len(rest), cpus - 1)
-    if workers < 1:
-        return [timed(*unit) for unit in units]
     # imported here, as in bench.run_grid, so importing rankzo.cli never loads it
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(timed, *unit) for unit in rest]
-        head = timed(*first)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        futures = [pool.submit(timed, *unit) for unit in units[1:]]
+        head = timed(*units[0])
     return [head] + [future.result() for future in futures]
 
 

@@ -362,11 +362,14 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
     requested event's inequality on that one batch:
 
     * E1: every selected direction's Taylor remainder stays within
-      ``C_{d,delta} L alpha^2``  (bound n*delta/2);
+      ``C_{d,delta} L alpha^2``  (bound n*delta/2; 1.6 >= 1 at the
+      ``rankzo verify`` defaults, so E1 cannot fail there);
     * E2: the squared spectral norm of the selected-direction matrix
       stays within ``C_{N,d,delta}``  (bound delta);
     * E3: the largest selected |<grad, u>| stays within
-      ``sqrt(2 ln(2n/delta)) ||grad||``  (bound delta);
+      ``sqrt(2 ln(2n/delta)) ||grad||``  (bound delta; each <grad, u_i>
+      is N(0, ||grad||^2), so the union bound gives E3 for every objective
+      and state, and only a broken sampler can fail it);
     * E4/E5: the ranked quartile boundary direction does not cross the
       tau=2 order-statistic threshold beyond the remainder slack,
       ``<grad, u_(3n/4+1)> <= 2||grad|| + 2 C_d L alpha`` and the mirrored
@@ -525,7 +528,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
     ``n >= 1`` for chernoff and gauss_max,
     ``n >= 4`` for order_low1/2, ``d >= 1`` for chi2, and ``n >= 2``,
     ``d >= 1`` for spectral; so does a nan or infinite ``tau`` for
-    spectral.
+    spectral and order_low1/2.
     """
     if which not in APPENDIX_IDS:
         raise ValueError(f"unknown appendix check {which!r}")
@@ -539,6 +542,12 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
             raise ParameterError(
                 name, f"{which}: {name} must be an integer >= {least}, got {value}")
         return int(value)
+
+    def finite(name, default):
+        value = float(p.setdefault(name, default))
+        if not math.isfinite(value):
+            raise ParameterError(name, f"{which}: {name} must be finite, got {value}")
+        return value
 
     # each branch sets the values one trial draws and ``fails(m)``, the
     # failures among m fresh trials; the trials run in blocks
@@ -580,9 +589,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
     elif which == "spectral":
         n = size("n", 16, 2)      # at least one column
         d = size("d", 100, 1)
-        tau = float(p.setdefault("tau", 2.0))
-        if not math.isfinite(tau):
-            raise ParameterError("tau", f"spectral: tau must be finite, got {tau}")
+        tau = finite("tau", 2.0)
         cols = n // 2
         thr = math.sqrt(cols) + math.sqrt(d) + tau
         # one stream per variate family: both samplers reject, so
@@ -612,7 +619,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         bound = 2.0 * math.exp(-tau**2 / 2.0)
     else:  # order_low1 / order_low2
         n = size("n", 64, 4)      # at least one value per quartile
-        tau = float(p.setdefault("tau", 0.0))
+        tau = finite("tau", 0.0)
         m_rank = n // 4
         q = m_rank / n
         if which == "order_low1":

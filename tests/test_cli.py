@@ -424,18 +424,34 @@ class TestVerify:
         # the pass's time goes on its first event's line, E3
         assert lines[3].endswith(" wall_ms=0")
 
-    @pytest.mark.parametrize("cpu_count", [2, None])
-    def test_pool_without_sched_getaffinity(self, tmp_path, monkeypatch, cpu_count):
-        # sched_getaffinity is Linux-only; elsewhere the pool falls back to
-        # cpu_count, or to one thread when that is unknown
+    def test_one_worker_on_every_machine(self, tmp_path, monkeypatch):
+        # the schedule asks nothing of the machine: the pass runs on the
+        # calling thread and every appendix check on one other thread
+        def no_cpu_count(*args):
+            raise AssertionError("verify looked up the CPU count")
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", no_cpu_count, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", no_cpu_count)
+        threads = {}
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                threads.setdefault(name, []).append(threading.get_ident())
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "check_events", recorded("events", cli.check_events))
+        monkeypatch.setattr(cli, "check_appendix_bounds",
+                            recorded("appendix", cli.check_appendix_bounds))
         cfg = write_config(tmp_path, with_values(VERIFY_SMALL, {
             "verify.events": "all", "verify.trials_appendix": "1000"}))
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
-        assert ((tmp_path / "a" / "reports.csv").read_bytes()
-                == (tmp_path / "b" / "reports.csv").read_bytes())
+        before = threading.active_count()
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert threads["events"] == [threading.get_ident()]
+        assert len(threads["appendix"]) == len(APPENDIX_IDS)
+        assert len(set(threads["appendix"])) == 1
+        assert threads["appendix"][0] != threading.get_ident()
+        assert threading.active_count() == before
 
     def test_failing_check_exit3_and_stops_its_threads(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -459,24 +475,16 @@ class TestVerify:
 
 class TestRunConcurrently:
     """``cli._run_concurrently`` runs its first unit on the calling thread
-    and the others on a pool of one thread per other usable CPU."""
+    and the others, in order, on one worker thread."""
 
-    @staticmethod
-    def with_cpus(monkeypatch, cpus):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-
-    def test_first_unit_on_calling_thread(self, monkeypatch):
-        self.with_cpus(monkeypatch, 3)
+    def test_first_unit_on_calling_thread(self):
         results = cli._run_concurrently([(threading.get_ident,)] * 4)
         idents = [ident for ident, _ in results]
         assert idents[0] == threading.get_ident()
         assert threading.get_ident() not in idents[1:]
 
-    @pytest.mark.parametrize("units, cpus", [(1, 4), (3, 1)],
-                             ids=["one_unit", "one_cpu"])
-    def test_no_thread_started(self, monkeypatch, units, cpus):
-        self.with_cpus(monkeypatch, cpus)
+    @pytest.mark.parametrize("units", [1], ids=["one_unit"])
+    def test_no_thread_started(self, units):
         before = threading.active_count()
 
         def where():
@@ -485,8 +493,7 @@ class TestRunConcurrently:
         results = cli._run_concurrently([(where,)] * units)
         assert [r for r, _ in results] == [(threading.get_ident(), before)] * units
 
-    def test_first_unit_raises_after_pool_finishes(self, monkeypatch):
-        self.with_cpus(monkeypatch, 3)
+    def test_first_unit_raises_after_pool_finishes(self):
         before = threading.active_count()
         done = []
         error = RuntimeError("first unit failed")

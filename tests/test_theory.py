@@ -662,13 +662,16 @@ class TestDrawBudget:
 
 
 class TestDrawMemory:
-    """No check holds much more than one draw's worth of values at once."""
+    """No check holds much more than one draw's worth of values at once.
+    Each generator is made before tracing starts, so a first import of
+    ``numpy.random`` does not count towards the peak."""
 
     @pytest.mark.parametrize("which", theory.APPENDIX_IDS)
     def test_appendix_peak(self, which):
+        rng = new_generator(1)
         tracemalloc.start()
         try:
-            check_appendix_bounds(which, None, 100_000, new_generator(1))
+            check_appendix_bounds(which, None, 100_000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -679,9 +682,10 @@ class TestDrawMemory:
         # z @ a, each a block: about 5 blocks; blocks of twice the size
         # would hold about 10
         setup = quadratic_setup(n=32, d=100)
+        rng = new_generator(1)
         tracemalloc.start()
         try:
-            check_events(EVENT_IDS, setup, 1000, new_generator(1))
+            check_events(EVENT_IDS, setup, 1000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -930,6 +934,18 @@ class TestCheckAppendixBounds:
         ("spectral", {"tau": math.nan}, 1000, "spectral: tau must be finite, got nan"),
         ("order_low1", {"n": math.inf}, 1000,
          "order_low1: n must be an integer >= 4, got inf"),
+        ("order_low1", {"tau": math.nan}, 1000,
+         "order_low1: tau must be finite, got nan"),
+        ("order_low1", {"tau": math.inf}, 1000,
+         "order_low1: tau must be finite, got inf"),
+        ("order_low1", {"tau": -math.inf}, 1000,
+         "order_low1: tau must be finite, got -inf"),
+        ("order_low2", {"tau": math.nan}, 1000,
+         "order_low2: tau must be finite, got nan"),
+        ("order_low2", {"tau": math.inf}, 1000,
+         "order_low2: tau must be finite, got inf"),
+        ("order_low2", {"tau": -math.inf}, 1000,
+         "order_low2: tau must be finite, got -inf"),
         ("chernoff", {"p": 0.3, "r": 0.25}, 1000,
          "chernoff check needs 0 < p < r < 1"),
         ("chernoff", {"p": 0.1, "r": 1.0}, 1000,
@@ -952,7 +968,9 @@ class TestCheckAppendixBounds:
          "order_low2: n must be an integer >= 4, got 2"),
     ], ids=["trials", "chernoff_n_nan", "gauss_max_n_inf", "chi2_d_nan",
             "spectral_n_inf", "spectral_d_-inf", "spectral_tau_inf",
-            "spectral_tau_nan", "order_low1_n_inf",
+            "spectral_tau_nan", "order_low1_n_inf", "order_low1_tau_nan",
+            "order_low1_tau_inf", "order_low1_tau_-inf", "order_low2_tau_nan",
+            "order_low2_tau_inf", "order_low2_tau_-inf",
             "p_above_r", "r_one", "chernoff_n", "gauss_max_n",
             "chi2_d", "chi2_d_fraction", "spectral_n", "spectral_d_zero",
             "spectral_d_negative", "order_low1_n", "order_low2_n"])
