@@ -22,8 +22,7 @@ from .optimizer import (StepPolicy, AlphaPolicy, RunConfig, RunTrace,
 from .theory import (P_TAIL_EXACT, EventCheckReport, EventSetup, c_d_delta,
                      instrumented_alpha, c_N_d_delta, kl_bernoulli,
                      event_bound_E45, rho, floors, ComplexityPrediction,
-                     predict_complexity, check_events, check_event,
-                     check_appendix_bounds)
+                     predict_complexity, check_events, check_appendix_bounds)
 from .bench import (ExperimentGrid, GridCell, ResultRow, queries_to_target,
                     fit_log_gap_slope, run_grid, build_objective)
 

@@ -110,12 +110,16 @@ def queries_to_target(trace: RunTrace, eps_rel: float) -> Optional[int]:
 
     Row t records the gap at x_t before that iteration's queries, so the
     cost of reaching x_t is the cumulative count of row t-1 (0 for
-    t = 0); the final gap is checked last.  None when the target is never
-    reached, or without rows or a finite initial gap (no known optimum).
+    t = 0); the final gap is checked last.  A trace without rows never
+    moved x (an early stop at t = 0, or T = 0), so its initial gap is its
+    final gap: 0 queries when that meets the target.  None when the
+    target is never reached, or without a finite initial gap (no known
+    optimum).
     """
-    if not len(trace.t) or not math.isfinite(trace.fgap[0]):
+    initial = trace.fgap[0] if len(trace.t) else trace.final_gap
+    if not math.isfinite(initial):
         return None
-    eps = eps_rel * trace.fgap[0]
+    eps = eps_rel * initial
     for i, gap in enumerate(trace.fgap):
         if gap <= eps:
             return trace.queries_cum[i - 1] if i > 0 else 0

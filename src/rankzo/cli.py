@@ -31,17 +31,24 @@ from .bench import (ExperimentGrid, GridCell, build_objective, median_or_none,
 from .optimizer import (AlphaPolicy, OptimizationError, RunConfig, RunTrace,
                         StepPolicy, run, write_csv)
 from .sampling import check_sample_size, new_generator
-# check_event is not called here, but perfbench/tracer.py wraps
-# rankzo.cli.check_event, so the name stays importable from this module
 from .theory import (APPENDIX_IDS, EVENT_IDS, MIN_TRIALS, EventCheckReport,
                      EventSetup, ParameterError, c_d_delta, check_appendix_bounds,
-                     check_event, check_events, event_precondition_errors, floors,
+                     check_events, event_precondition_errors, floors,
                      instrumented_alpha, predict_complexity)
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_KEYS", "SECTIONS"]
 
 ALL_CHECKS = EVENT_IDS + APPENDIX_IDS
 REPORT_COLUMNS = ("event_id", "params", "trials", "empirical", "bound", "pass")
+
+
+# Nothing in rankzo calls check_event.  It exists only because
+# perfbench/tracer.py reads and patches rankzo.cli.check_event; ROADMAP
+# item 1 deletes it together with that patch.
+def check_event(event_id: str, setup: EventSetup, trials: int,
+                rng: np.random.Generator) -> EventCheckReport:
+    return check_events((event_id,), setup, trials, rng)[0]
+
 
 def _list_of(cast):
     """The cast of a comma list: ``cast`` of each non-empty token.  int and

@@ -52,7 +52,6 @@ __all__ = [
     "predict_complexity",
     "event_precondition_errors",
     "check_events",
-    "check_event",
     "check_appendix_bounds",
     "EVENT_IDS",
     "APPENDIX_IDS",
@@ -118,6 +117,13 @@ def _gauss_max(n: int, delta: float) -> float:
     # sqrt(2 ln(2n/delta)): the n values |<g, u_i>| / ||g|| all stay below
     # it with probability >= 1 - delta (Gaussian-max union bound)
     return math.sqrt(2.0 * math.log(2.0 * n / delta))
+
+
+def _chi2_threshold(d: int, delta: float) -> float:
+    # 2d + 3 ln(1/delta): ||u||^2 of u ~ N(0, I_d) stays below it with
+    # probability >= 1 - delta (the Laurent-Massart tail
+    # d + 2 sqrt(d x) + 2x at x = ln(1/delta), with 2 sqrt(d x) <= d + x)
+    return 2.0 * d + 3.0 * math.log(1.0 / delta)
 
 
 def _check_weight_ratio(weight_ratio: float) -> None:
@@ -485,12 +491,6 @@ def check_events(event_ids: Sequence[str], setup: EventSetup, trials: int,
                 **({} if e == "E2" else {"grad_norm": gn})}) for e in ids]
 
 
-def check_event(event_id: str, setup: EventSetup, trials: int,
-                rng: np.random.Generator) -> EventCheckReport:
-    """:func:`check_events` for the single event ``event_id``."""
-    return check_events((event_id,), setup, trials, rng)[0]
-
-
 def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
                           trials: int, rng: np.random.Generator) -> EventCheckReport:
     """Monte-Carlo check of one supporting probability bound.
@@ -519,6 +519,17 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
     * ``order_low2``: mirrored lower-quartile version, failure = the
       (n/4)-th smallest is >= tau, valid for Phi(tau) > 1/4; default
       tau=0, n=64.
+
+    At ``tau = 0`` the two order checks are the instrumented regime's
+    retry event.  :func:`~rankzo.optimizer.instrumented_step_size`
+    raises :class:`~rankzo.optimizer.StepRegimeError` exactly when fewer
+    than n/4 of the n probes lie strictly below f(x), or fewer than n/4
+    strictly above it.  As alpha -> 0 the sign of f(x + alpha u) - f(x)
+    is that of <g, u>, and <g, u> / ||g|| is a standard normal, so a
+    retry is ``order_low2`` (too few below) or ``order_low1`` (too few
+    above) at ``tau = 0`` with n = N.  Each side's rate is bounded by
+    exp(-n D(1/4 || 1/2)) (0.1233 at n = 16; exactly
+    P(Bin(16, 1/2) < 4) = 697/65536 = 0.0106).
 
     The trials run in the blocks of :func:`~rankzo.sampling.draw_blocks`
     (``spectral`` counts the 4 k^2 values a trial holds at once).
@@ -579,7 +590,7 @@ def check_appendix_bounds(which: str, params: Optional[Dict[str, float]],
         d = size("d", 100, 1)
         delta = float(p.setdefault("delta", 0.01))
         _check_delta(delta)
-        thr = 2.0 * d + 3.0 * math.log(1.0 / delta)
+        thr = _chi2_threshold(d, delta)
         per_trial = 1
 
         def fails(m):

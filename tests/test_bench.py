@@ -126,6 +126,27 @@ class TestQueriesToTarget:
         trace = synthetic_trace([0.0, 0.0])
         assert queries_to_target(trace, 0.5) == 0
 
+    @staticmethod
+    def backtracking_run(obj, x0, iterations, eps_target):
+        return run(obj, RunConfig(
+            n=8, iterations=iterations, seed=1, x0=x0, eps_target=eps_target,
+            step=StepPolicy("backtracking"), alpha=AlphaPolicy("fixed", alpha0=1e-3)))
+
+    @pytest.mark.parametrize("eps_target", [None, 1e-3])
+    def test_run_started_at_optimum(self, eps_target):
+        # with eps_target the early stop fires at t = 0 and records no
+        # row; the run reached its target with 0 queries either way
+        obj = make_quadratic(6, 1.0, 10.0, seed=2)
+        trace = self.backtracking_run(obj, obj.x_star.copy(), 50, eps_target)
+        assert (len(trace) == 0) == (eps_target is not None)
+        assert queries_to_target(trace, 1e-3) == 0
+
+    def test_run_without_iterations_never_reaches(self):
+        # T = 0 from a random start: no row, and x stays at its initial gap
+        trace = self.backtracking_run(make_quadratic(6, 1.0, 10.0, seed=2), None, 0, None)
+        assert len(trace) == 0 and trace.final_gap > 0
+        assert queries_to_target(trace, 1e-3) is None
+
     def test_never_reached(self):
         trace = synthetic_trace([10.0, 9.0, 8.0])
         trace.final_gap = 7.0
@@ -159,11 +180,10 @@ class TestQueriesToRelativeTarget:
                     for eps_rel in expected} == expected
 
     def test_none_without_optimum_or_rows(self):
-        # without a known optimum value every gap is nan
+        # without a known optimum value every gap is nan, the final one
+        # too; a trace without rows takes its initial gap from that
         assert queries_to_target(synthetic_trace([np.nan, np.nan]), 0.5) is None
-        empty = RunTrace()
-        empty.final_gap = 0.0
-        assert queries_to_target(empty, 0.5) is None
+        assert queries_to_target(RunTrace(), 0.5) is None
 
 
 class TestFitSlope:

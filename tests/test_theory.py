@@ -20,9 +20,8 @@ from rankzo.objective import Objective, make_quadratic
 from rankzo.optimizer import RunConfig, run
 from rankzo.sampling import DrawAhead, NonFiniteValueError, draw_blocks, new_generator
 from rankzo.theory import (EVENT_IDS, P_TAIL_EXACT, EventSetup, c_N_d_delta,
-                           c_d_delta, check_appendix_bounds, check_event,
-                           check_events, event_bound_E45,
-                           event_precondition_errors, floors,
+                           c_d_delta, check_appendix_bounds, check_events,
+                           event_bound_E45, event_precondition_errors, floors,
                            instrumented_alpha, kl_bernoulli, predict_complexity,
                            rho)
 
@@ -230,36 +229,38 @@ def quadratic_setup(n=16, d=20, delta=0.1, alpha_scale=1.0, seed=3):
 
 
 class TestCheckEvent:
+    """:func:`check_events` on one event at a time."""
+
     def test_preconditions(self):
         setup = quadratic_setup()
         with pytest.raises(ValueError):
-            check_event("E9", setup, 2000, new_generator(0))
+            check_events(("E9",), setup, 2000, new_generator(0))
         with pytest.raises(ValueError):
-            check_event("E1", setup, 999, new_generator(0))
+            check_events(("E1",), setup, 999, new_generator(0))
 
     def test_alpha_regime_enforced(self):
         setup = quadratic_setup(alpha_scale=10.0)
         for event in ("E1", "E4", "E5"):
             with pytest.raises(ValueError):
-                check_event(event, setup, 2000, new_generator(0))
+                check_events((event,), setup, 2000, new_generator(0))
 
     def test_zero_gradient_rejected(self):
         obj = make_quadratic(6, 1.0, 10.0, seed=1)
         setup = EventSetup(obj=obj, x=obj.x_star, alpha=1e-3, n=8, delta=0.1)
         with pytest.raises(ValueError):
-            check_event("E4", setup, 2000, new_generator(0))
+            check_events(("E4",), setup, 2000, new_generator(0))
 
     @pytest.mark.parametrize("event", ["E1", "E2", "E3", "E4", "E5"])
     def test_small_suite_passes(self, event):
         setup = quadratic_setup()
-        report = check_event(event, setup, 2000, new_generator(11))
+        (report,) = check_events((event,), setup, 2000, new_generator(11))
         assert report.passed, (event, report)
 
     def test_e3_bound_is_loose(self):
         # with delta = 0.5 the max-of-gaussians bound covers all n samples,
         # so the observed failure rate sits far below it
         setup = quadratic_setup(n=16, delta=0.5)
-        report = check_event("E3", setup, 4000, new_generator(5))
+        (report,) = check_events(("E3",), setup, 4000, new_generator(5))
         assert report.passed
         assert report.empirical_failure_rate < 0.25
 
@@ -273,15 +274,15 @@ class TestCheckEvent:
         alpha = float(np.linalg.norm(g)) / (4.0 * obj.L * c_d_delta(16, 0.1))
         setup = EventSetup(obj=obj, x=x, alpha=alpha, n=64, delta=0.1)
         for event in ("E4", "E5"):
-            report = check_event(event, setup, 2000, new_generator(22))
+            (report,) = check_events((event,), setup, 2000, new_generator(22))
             assert report.failures == 0
             assert report.passed
             assert report.theoretical_bound == pytest.approx(7.3e-12, rel=0.05)
 
     def test_deterministic_given_rng(self):
         setup = quadratic_setup()
-        r1 = check_event("E2", setup, 1500, new_generator(9))
-        r2 = check_event("E2", setup, 1500, new_generator(9))
+        (r1,) = check_events(("E2",), setup, 1500, new_generator(9))
+        (r2,) = check_events(("E2",), setup, 1500, new_generator(9))
         assert r1.empirical_failure_rate == r2.empirical_failure_rate
 
 
@@ -337,7 +338,7 @@ class TestCheckEvents:
         together = check_events(("E5", "E2", "E3"), setup, 1100, new_generator(29))
         assert [r.event_id for r in together] == ["E5", "E2", "E3"]
         for r in together:
-            alone = check_event(r.event_id, setup, 1100, new_generator(29))
+            (alone,) = check_events((r.event_id,), setup, 1100, new_generator(29))
             assert alone.params_string() == r.params_string()
             assert (alone.failures, alone.passed, alone.theoretical_bound) == \
                 (r.failures, r.passed, r.theoretical_bound)
@@ -459,6 +460,13 @@ class TestNegativeControls:
     def test_gauss_max_fails_with_halved_threshold(self, monkeypatch):
         self.passes_then_fails(monkeypatch, "_gauss_max", 0.5, lambda: check_appendix_bounds(
             "gauss_max", None, 2000, new_generator(5)))
+
+    def test_chi2_fails_with_halved_threshold(self, monkeypatch):
+        # at d = 100, delta = 0.01 the tail above 2d + 3 ln(1/delta) is
+        # 2.9e-10; above half of it, 0.30
+        r = self.passes_then_fails(monkeypatch, "_chi2_threshold", 0.5, lambda: (
+            check_appendix_bounds("chi2", None, 2000, new_generator(5))))
+        assert r.empirical_failure_rate > 0.2
 
     @pytest.mark.parametrize("which,params", [
         ("chernoff", {"n": 64, "p": 0.2, "r": 0.25}),
@@ -891,6 +899,20 @@ class TestCheckAppendixBounds:
         assert report.passed
         assert report.theoretical_bound == pytest.approx(
             math.exp(-64 * kl_bernoulli(0.25, 0.5)), rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["order_low1", "order_low2"])
+    def test_order_statistics_are_retry_event(self, which):
+        # at tau = 0 and n = N = 16 each side is the instrumented regime's
+        # retry event: fewer than 4 of 16 probes strictly above (below)
+        # f(x), exactly P(Bin(16, 1/2) < 4) = 697/65536
+        trials = 100_000
+        report = check_appendix_bounds(which, {"n": 16, "tau": 0.0},
+                                       trials, new_generator(7))
+        assert report.passed
+        assert report.theoretical_bound == pytest.approx(0.1233, abs=5e-5)
+        exact = 697 / 65536
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(report.empirical_failure_rate - exact) <= 4 * sigma
 
     @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.5])
     @pytest.mark.parametrize("which", ["order_low1", "order_low2"])
